@@ -1,43 +1,34 @@
 #!/usr/bin/env python3
-"""Benchmark the greedy-selection kernel backends.
+"""Benchmark the greedy-selection kernel.
 
-Runs the full greedy loop (alpha=1, keep half the nodes) on random
-second-moment matrices of growing width, once with the compiled extension
-and once with the NumPy fallback, and checks that the two backends select
-identical subsets.
+Runs the full greedy loop (alpha=1, keep half the nodes) through
+`find_subset` on random second-moment matrices of growing width and reports
+the best of --repeats wall times. For widths up to 128 it also runs the naive
+reference path (O(m) Cholesky solves per step) and checks that both select
+the same subset.
+
+Set the BLAS thread count before starting, e.g. OPENBLAS_NUM_THREADS=1.
 
 Usage:
   python benchmarks/bench_greedy.py [--sizes 64 128 256 512 1024] [--repeats 3]
 """
 
 import argparse
-import importlib
 import time
 
 import numpy as np
 
-from specprune import _greedy_pure
 from specprune import spectral as sp
 
-try:
-    from specprune import _greedy_core
-except ImportError:
-    _greedy_core = None
+NAIVE_MAX_WIDTH = 128
 
 
-def run_backend(module, sigma, keep):
-    """Time one full greedy run through the given kernel module."""
-    import specprune.backend as backend
-    saved = (backend.residual_init, backend.residual_update)
-    backend.residual_init = module.residual_init
-    backend.residual_update = module.residual_update
-    try:
-        t0 = time.perf_counter()
-        plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=keep))
-        dt = time.perf_counter() - t0
-    finally:
-        backend.residual_init, backend.residual_update = saved
-    return dt, plan
+def run(sigma, keep, strategy="incremental"):
+    """Time one full greedy run; returns (seconds, plan)."""
+    t0 = time.perf_counter()
+    plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=keep),
+                          strategy=strategy)
+    return time.perf_counter() - t0, plan
 
 
 def main():
@@ -47,29 +38,20 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    if _greedy_core is None:
-        print("compiled extension not available; timing the NumPy fallback only")
-    header = f"{'m':>6} {'keep':>6} {'numpy (ms)':>12}"
-    if _greedy_core is not None:
-        header += f" {'cython (ms)':>12} {'speedup':>8}"
-    print(header)
-
+    print(f"{'m':>6} {'keep':>6} {'time (ms)':>12}  naive agrees")
     rng = np.random.default_rng(0)
     for m in args.sizes:
         a = rng.normal(size=(4 * m, m))
         sigma = a.T @ a / (4 * m)
         keep = m // 2
-        t_np = min(run_backend(_greedy_pure, sigma, keep)[0]
-                   for _ in range(args.repeats)) * 1e3
-        line = f"{m:>6} {keep:>6} {t_np:>12.2f}"
-        if _greedy_core is not None:
-            t_cy, plan_cy = min(((run_backend(_greedy_core, sigma, keep))
-                                 for _ in range(args.repeats)), key=lambda x: x[0])
-            t_cy *= 1e3
-            plan_np = run_backend(_greedy_pure, sigma, keep)[1]
-            assert plan_cy.selected == plan_np.selected, "backends disagree"
-            line += f" {t_cy:>12.2f} {t_np / t_cy:>8.2f}x"
-        print(line)
+        t, plan = min((run(sigma, keep) for _ in range(args.repeats)),
+                      key=lambda r: r[0])
+        agrees = "-"
+        if m <= NAIVE_MAX_WIDTH:
+            naive = run(sigma, keep, strategy="naive")[1]
+            assert naive.selected == plan.selected, "incremental and naive paths disagree"
+            agrees = "yes"
+        print(f"{m:>6} {keep:>6} {t * 1e3:>12.2f}  {agrees}")
 
 
 if __name__ == "__main__":

@@ -1,30 +1,58 @@
-"""Import-time selection of the greedy-selection kernel.
+"""The greedy-selection kernel, in factor form.
 
-The compiled extension (_greedy_core) is preferred; the NumPy fallback
-(_greedy_pure) is used when the extension was not built or when the
-SPECPRUNE_PURE environment variable is set. Both expose the same two
-functions; benchmarks/bench_greedy.py compares them directly.
+Greedy trace-ratio selection on a second moment Σ is greedy column-subset
+selection, and the recursive form below is that of Farahat, Ghodsi & Kamel,
+"An Efficient Greedy Method for Unsupervised Feature Selection" (ICDM 2011);
+it is pivoted Cholesky on Σ + ridge at the pivots.
+
+After t selections the residual is never formed. The state is the selected
+factor Z (t x m, stored row-major so each step's slices are contiguous), the
+residual diagonal and the residual squared row norms, with the invariant
+
+    R = Σ - ZᵀZ,   diag = diag(R),   rownorm2[j] = ||R[j]||².
+
+The gain of candidate j is rownorm2[j] / (diag[j] + ridge). Absorbing index i
+adds the row z = R[i] / sqrt(diag[i] + ridge) to Z; with y = R z the row
+norms follow ||R[j] - z_j z||² = ||R[j]||² - 2 z_j y_j + z_j² ||z||². Each step
+costs one Σ z product plus O(t m), and no m x m temporary is made.
 """
 
-import os
-
-_impl = None
-_BACKEND = "numpy"
-
-if not os.environ.get("SPECPRUNE_PURE"):
-    try:
-        from . import _greedy_core as _impl
-        _BACKEND = "cython"
-    except ImportError:
-        _impl = None
-
-if _impl is None:
-    from . import _greedy_pure as _impl
-
-residual_init = _impl.residual_init
-residual_update = _impl.residual_update
+import numpy as np
 
 
 def greedy_backend_name():
-    """Name of the kernel backend in use: 'cython' or 'numpy'."""
-    return _BACKEND
+    """Name of the kernel implementation; there is one, in NumPy."""
+    return "numpy"
+
+
+def residual_init(sigma, rank):
+    """Kernel state for at most `rank` selections on sigma: (diag, rownorm2, z).
+
+    z is (rank x m) and zero; rows are filled as indices are absorbed.
+    """
+    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
+    diag = np.diagonal(sigma).copy()
+    rownorm2 = np.einsum("ij,ij->i", sigma, sigma)
+    z = np.zeros((rank, sigma.shape[0]))
+    return diag, rownorm2, z
+
+
+def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
+    """Absorb index isel as selection number t; returns the trace gain ||z||².
+
+    Rows [0, t) of z hold the earlier selections. Writes z[t] and updates
+    diag and rownorm2 in place. A non-positive pivot returns 0 and leaves
+    the state unchanged (z[t] stays zero, so later steps may still pass t+1).
+    """
+    pivot = diag[isel] + ridge
+    if pivot <= 0.0:
+        return 0.0
+    zs = z[:t]
+    zt = sigma[isel] - zs[:, isel] @ zs
+    zt /= np.sqrt(pivot)
+    y = sigma @ zt - (zs @ zt) @ zs
+    zz = float(zt @ zt)
+    rownorm2 += zt * (zt * zz - 2.0 * y)
+    diag -= zt * zt
+    z[t] = zt
+    return zz

@@ -5,7 +5,6 @@ success, nonzero with a stage-tagged diagnostic on failure.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -14,25 +13,31 @@ from . import pipeline as pl
 from . import spectral as sp
 from . import stats as st
 from . import train as tr
-from .config import load_config
+from .config import parse_config, read_config
 from .datasets import make_two_domain, save_dataset
 from .errors import SpecPruneError
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    if getattr(args, "method", None) is not None:
-        compress = dataclasses.replace(cfg.compress, method=args.method)
-        cfg = dataclasses.replace(cfg, compress=compress)
-    if getattr(args, "alpha", None) is not None:
-        compress = dataclasses.replace(cfg.compress, sweep=(args.alpha,),
-                                       sweep_kind="alpha")
-        cfg = dataclasses.replace(cfg, compress=compress)
-    if getattr(args, "out", None) is not None:
-        paths = dataclasses.replace(cfg.paths, out_dir=args.out)
-        cfg = dataclasses.replace(cfg, paths=paths)
-    return cfg
+def _override(doc, section, **values):
+    sub = doc.get(section)
+    if sub is None or isinstance(sub, dict):  # else parse_config rejects it
+        doc[section] = {**(sub or {}), **values}
+
+
+def _apply_overrides(doc, args):
+    """Fold --seed/--method/--alpha/--out into the raw config document, so
+    parse_config validates them with the same field-path errors as the file."""
+    if not isinstance(doc, dict):
+        return doc
+    if args.seed is not None:
+        doc["seeds"] = [args.seed]
+    if args.method is not None:
+        _override(doc, "compress", method=args.method)
+    if args.alpha is not None:
+        _override(doc, "compress", sweep=[args.alpha], sweep_kind="alpha")
+    if args.out is not None:
+        _override(doc, "paths", out_dir=args.out)
+    return doc
 
 
 def _load_run_inputs(cfg, seed):
@@ -169,7 +174,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = parse_config(_apply_overrides(read_config(args.config), args))
         return args.fn(cfg, args)
     except SpecPruneError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,10 +280,10 @@ def parse_config(doc):
                             fine_tune=fine_tune, analysis=analysis, paths=paths)
 
 
-def load_config(path):
+def read_config(path):
+    """The raw config document at path, not yet validated."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return parse_config(doc)

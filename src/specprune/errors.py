@@ -34,7 +34,7 @@ class InsufficientSamples(SpecPruneError):
 
 
 class DegenerateSigma(SpecPruneError):
-    """The second-moment matrix has a non-positive trace."""
+    """The second-moment matrix has a non-positive trace or non-finite entries."""
 
 
 class StatsMissing(SpecPruneError):
@@ -55,10 +55,6 @@ class DegenerateData(SpecPruneError):
 
 class ConfigError(SpecPruneError):
     """An experiment configuration is invalid. Message includes the field path."""
-
-
-class EmptySpecificSet(SpecPruneError):
-    """A node-specificity class came out empty (reported, not fatal)."""
 
 
 class PipelineStageError(SpecPruneError):

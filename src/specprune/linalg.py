@@ -1,16 +1,14 @@
-"""Dense matrix kernels: Cholesky factorization with incremental extension,
-triangular solves, and SVD.
+"""Dense matrix kernels: ridged Cholesky factorization and SVD.
 
 All routines work on float64 arrays and are pure functions of their inputs.
-LAPACK (via numpy/scipy) does the heavy lifting; the value added here is the
-ridge bookkeeping and the bordered-matrix extension used by the greedy
-selection loop.
+LAPACK (via numpy) does the heavy lifting; the value added here is the ridge
+bookkeeping and the typed errors. The recovery solve and the naive greedy
+path factor through here; the incremental greedy kernel is in backend.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
 
@@ -55,43 +53,6 @@ def cholesky(a, ridge=0.0):
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     return CholeskyFactor(dim=a.shape[0], lower=lower, ridge=float(ridge))
-
-
-def chol_extend(factor, new_col, new_diag):
-    """Extend a factor of A + ridge*I to the factor of the bordered matrix
-    [[A, c], [c.T, d]] + ridge*I, in O(dim^2).
-
-    The Schur-complement pivot uses the factor's own ridge.
-    """
-    new_col = np.asarray(new_col, dtype=np.float64).reshape(-1)
-    if new_col.shape[0] != factor.dim:
-        raise ShapeMismatch(
-            f"border column has length {new_col.shape[0]}, factor dim is {factor.dim}"
-        )
-    if factor.dim:
-        l_row = scipy.linalg.solve_triangular(factor.lower, new_col, lower=True)
-    else:
-        l_row = np.empty(0)
-    pivot_sq = float(new_diag) + factor.ridge - float(l_row @ l_row)
-    if pivot_sq <= 0.0:
-        raise NotPositiveDefinite(f"Schur complement pivot {pivot_sq} <= 0")
-    n = factor.dim + 1
-    lower = np.zeros((n, n))
-    lower[: n - 1, : n - 1] = factor.lower
-    lower[n - 1, : n - 1] = l_row
-    lower[n - 1, n - 1] = np.sqrt(pivot_sq)
-    return CholeskyFactor(dim=n, lower=lower, ridge=factor.ridge)
-
-
-def chol_solve(factor, b):
-    """Solve (A + ridge*I) X = B given the factor of A + ridge*I."""
-    b = np.asarray(b, dtype=np.float64)
-    rows = b.shape[0] if b.ndim else 0
-    if rows != factor.dim:
-        raise ShapeMismatch(f"B has {rows} rows, factor dim is {factor.dim}")
-    if factor.dim == 0:
-        return b.copy()
-    return scipy.linalg.cho_solve((factor.lower, True), b)
 
 
 def svd(m):

@@ -13,14 +13,12 @@ recovery matrix into the next layer's weights.
 
 Two greedy evaluation paths are provided: a naive reference that recomputes
 the full trace ratio per candidate, and the default incremental path that
-maintains rank-one residual downdates (see backend / _greedy_pure). They agree
-to rounding and are cross-checked in the tests.
+keeps the selected Cholesky factor and the residual row norms (the factor-form
+kernel in backend). They agree to rounding and are cross-checked in the tests.
 """
 
 import dataclasses
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -90,6 +88,8 @@ def _check_sigma(sigma):
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ShapeMismatch(f"sigma must be square, got {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise DegenerateSigma("sigma has non-finite entries")
     if float(np.trace(sigma)) <= 0.0:
         raise DegenerateSigma(f"trace is {float(np.trace(sigma))}")
     return sigma
@@ -226,20 +226,20 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
         else:
             subset_reg = _SubsetReg(stats_source, stats_target, scaling, cfg.centered)
 
+    max_card = cfg.max_cardinality if cfg.max_cardinality > 0 else m
     if strategy == "incremental":
-        residual, rownorm2 = backend.residual_init(sigma)
+        diag, rownorm2, factor = backend.residual_init(sigma, min(max_card, m))
     active = np.ones(m, dtype=bool)
     selected = []
     trace = []
     num = 0.0
     ratio = 0.0
     plateau = False
-    max_card = cfg.max_cardinality if cfg.max_cardinality > 0 else m
 
     while ratio < cfg.alpha and len(selected) < max_card and active.any():
         cand = np.flatnonzero(active)
         if strategy == "incremental":
-            eff = np.diagonal(residual)[cand] + ridge
+            eff = diag[cand] + ridge
             gains = np.where(eff > 0, rownorm2[cand] / np.maximum(eff, 1e-300), 0.0)
         else:
             gains = _naive_gains(sigma, selected, list(cand), ridge)
@@ -258,7 +258,8 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 
         pick = int(cand[int(np.argmax(scores))])
         if strategy == "incremental":
-            num += backend.residual_update(residual, rownorm2, pick, ridge)
+            num += backend.residual_update(diag, rownorm2, factor, sigma,
+                                           len(selected), pick, ridge)
         else:
             num = _trace_num(sigma, selected + [pick], ridge)
         ratio = num / total
@@ -475,51 +476,3 @@ def _rows_to_acc(cp, x, row_budget, rng, batch_size):
             rows = rows[keep]
         st.accumulate(acc, nm.ActivationBatch(cp, rows))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# plan serialization: manifest + f64 blob for the recovery matrix
-# ---------------------------------------------------------------------------
-
-PLAN_VERSION = 1
-
-
-def save_plan(plan, path, config=None):
-    os.makedirs(path, exist_ok=True)
-    manifest = {
-        "kind": "pruning_plan",
-        "version": PLAN_VERSION,
-        "layer": plan.layer,
-        "selected": list(int(i) for i in plan.selected),
-        "achieved_ratio": plan.achieved_ratio,
-        "plateau_flag": plan.plateau_flag,
-        "ratio_trace": list(plan.ratio_trace),
-        "recovery_shape": list(plan.recovery.shape),
-        "config": dataclasses.asdict(config) if config is not None else None,
-    }
-    with open(os.path.join(path, "plan.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    with open(os.path.join(path, "plan.bin"), "wb") as fh:
-        fh.write(np.ascontiguousarray(plan.recovery, dtype="<f8").tobytes())
-
-
-def load_plan(path):
-    """Returns (plan, config_echo_dict_or_None)."""
-    from .errors import FormatError
-    with open(os.path.join(path, "plan.json")) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "pruning_plan" or manifest.get("version") != PLAN_VERSION:
-        raise FormatError("not a pruning plan directory")
-    shape = tuple(manifest["recovery_shape"])
-    with open(os.path.join(path, "plan.bin"), "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 8 * int(np.prod(shape)):
-        raise FormatError("recovery blob size disagrees with the manifest")
-    recovery = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    plan = PruningPlan(layer=int(manifest["layer"]),
-                       selected=tuple(manifest["selected"]),
-                       recovery=recovery,
-                       ratio_trace=tuple(manifest["ratio_trace"]),
-                       achieved_ratio=float(manifest["achieved_ratio"]),
-                       plateau_flag=bool(manifest["plateau_flag"]))
-    return plan, manifest.get("config")

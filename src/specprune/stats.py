@@ -2,8 +2,8 @@
 
 Accumulates the uncentered second moment, mean, and centered covariance of
 post-activation values at capture points, in float64. Accumulators are
-single-writer and mergeable: shards of a sample stream can be accumulated
-independently and merged exactly. Finalized statistics are immutable.
+single-writer running sums; finalized statistics are immutable and checked to
+be finite.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as nm
-from .errors import InsufficientSamples, ShapeMismatch
+from .errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
 
 DEFAULT_ROW_BUDGET = 4096
 SCALING_FLOOR = 1e-12
@@ -29,13 +29,6 @@ class MomentAccumulator:
         self.n = 0
         self.sum = np.zeros(width)
         self.sum_outer = np.zeros((width, width))
-
-    def copy(self):
-        out = MomentAccumulator(self.layer, self.width)
-        out.n = self.n
-        out.sum = self.sum.copy()
-        out.sum_outer = self.sum_outer.copy()
-        return out
 
 
 def accumulate(acc, batch):
@@ -53,17 +46,6 @@ def accumulate(acc, batch):
     return acc
 
 
-def merge(a, b):
-    """Combine two accumulators over the same layer; exact sum of the streams."""
-    if a.layer != b.layer or a.width != b.width:
-        raise ShapeMismatch("accumulators cover different layers or widths")
-    out = a.copy()
-    out.n += b.n
-    out.sum += b.sum
-    out.sum_outer += b.sum_outer
-    return out
-
-
 @dataclass(frozen=True)
 class LayerStatistics:
     """Finalized statistics: uncentered second moment, mean, centered covariance."""
@@ -77,11 +59,20 @@ class LayerStatistics:
 
 
 def finalize(acc, domain=""):
+    """Mean, second moment and covariance of the accumulated rows.
+
+    Raises DegenerateSigma, naming the capture point, when a statistic is
+    not finite (an activation overflowed or was NaN).
+    """
     if acc.n < 2:
         raise InsufficientSamples(f"need at least 2 samples, have {acc.n}")
     sigma = acc.sum_outer / acc.n
     sigma = (sigma + sigma.T) / 2.0
     mean = acc.sum / acc.n
+    if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
+        stream = f" ({domain} stream)" if domain else ""
+        raise DegenerateSigma(f"capture point {acc.layer}{stream}: "
+                              "moment statistics are not finite")
     cov = sigma - np.outer(mean, mean)
     cov = (cov + cov.T) / 2.0
     return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specprune import linalg
-from specprune.errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
+from specprune.errors import NoConvergence, NotPositiveDefinite
 
 
 def random_spd(rng, n, cond=None):
@@ -44,62 +44,6 @@ def test_cholesky_rejects_asymmetric_and_indefinite():
         linalg.cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         linalg.cholesky(np.eye(2), ridge=-1.0)
-
-
-def test_chol_extend_matches_direct_2x2():
-    f = linalg.cholesky(np.array([[4.0]]), ridge=0.0)
-    g = linalg.chol_extend(f, np.array([2.0]), 3.0)
-    direct = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]), ridge=0.0)
-    assert np.allclose(g.lower, direct.lower, atol=1e-14)
-
-
-def test_chol_extend_block_diagonal():
-    f = linalg.cholesky(np.eye(2), ridge=0.0)
-    g = linalg.chol_extend(f, np.zeros(2), 1.0)
-    assert np.array_equal(g.lower, np.eye(3))
-
-
-def test_chol_extend_growth_matches_scratch():
-    rng = np.random.default_rng(3)
-    a = random_spd(rng, 10)
-    f = linalg.cholesky(a[:1, :1], ridge=0.0)
-    for k in range(1, 10):
-        f = linalg.chol_extend(f, a[:k, k], a[k, k])
-    direct = linalg.cholesky(a, ridge=0.0)
-    assert np.linalg.norm(f.lower - direct.lower) <= 1e-9
-
-
-def test_chol_extend_detects_indefinite_border():
-    f = linalg.cholesky(np.array([[1.0]]), ridge=0.0)
-    with pytest.raises(NotPositiveDefinite):
-        linalg.chol_extend(f, np.array([2.0]), 1.0)
-    with pytest.raises(ShapeMismatch):
-        linalg.chol_extend(f, np.array([1.0, 2.0]), 1.0)
-
-
-def test_chol_solve_identity_and_diagonal():
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(3, 5))
-    f = linalg.cholesky(np.eye(3), ridge=0.0)
-    assert np.allclose(linalg.chol_solve(f, b), b, atol=1e-14)
-    f2 = linalg.cholesky(np.diag([2.0, 4.0]), ridge=0.0)
-    assert np.allclose(linalg.chol_solve(f2, np.eye(2)), np.diag([0.5, 0.25]))
-
-
-def test_chol_solve_residual():
-    rng = np.random.default_rng(13)
-    a = random_spd(rng, 9)
-    b = rng.normal(size=(9, 4))
-    x = linalg.chol_solve(linalg.cholesky(a, ridge=0.0), b)
-    assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-
-def test_chol_solve_inverse_identity_property():
-    rng = np.random.default_rng(17)
-    for n in (2, 5, 12):
-        a = random_spd(rng, n)
-        x = linalg.chol_solve(linalg.cholesky(a, ridge=0.0), a)
-        assert np.linalg.norm(x - np.eye(n)) <= 1e-8
 
 
 def test_svd_diag_and_rank_one():

@@ -8,7 +8,7 @@ from specprune import cli
 from specprune import net as nm
 from specprune import pipeline as pl
 from specprune import train as tr
-from specprune.config import load_config, parse_config
+from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
 from specprune.errors import ConfigError
 
@@ -78,7 +78,7 @@ def test_config_requires_seeds_and_version(tmp_path):
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path)))
-    cfg = load_config(path)
+    cfg = parse_config(read_config(path))
     assert cfg.scenario == "digits_joint"
     assert cfg.compress.sweep == (0.9,)
 
@@ -237,3 +237,13 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "compress.method" in capsys.readouterr().err
+
+    # overrides go through the same validator, before any model is trained
+    cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out", sweep=[0.35, 0.12],
+                                            sweep_kind="keep_fraction")))
+    for override, field in ((["--alpha", "1.5"], "compress.sweep:"),
+                            (["--method", "svd"], "compress.sweep_kind:")):
+        assert cli.main(["compress", "--config", str(cfg_path), *override]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

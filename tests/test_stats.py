@@ -4,7 +4,7 @@ import pytest
 from specprune import net as nm
 from specprune import stats as st
 from specprune.datasets import DomainDataset
-from specprune.errors import InsufficientSamples, ShapeMismatch
+from specprune.errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
 
 
 def batch(rows, layer=0):
@@ -41,36 +41,6 @@ def test_accumulate_shape_mismatch():
         st.accumulate(acc, batch(np.zeros((2, 3)), layer=1))
 
 
-def test_merge_identity_commutative_and_split():
-    rng = np.random.default_rng(1)
-    phi = rng.normal(size=(2000, 4))
-    empty = st.MomentAccumulator(0, 4)
-    full = st.accumulate(st.MomentAccumulator(0, 4), batch(phi))
-
-    merged = st.merge(full, empty)
-    assert merged.n == full.n and np.array_equal(merged.sum_outer, full.sum_outer)
-
-    cut = rng.integers(1, 1999)
-    a = st.accumulate(st.MomentAccumulator(0, 4), batch(phi[:cut]))
-    b = st.accumulate(st.MomentAccumulator(0, 4), batch(phi[cut:]))
-    ab, ba = st.merge(a, b), st.merge(b, a)
-    assert np.array_equal(ab.sum_outer, ba.sum_outer)  # commutative
-    assert np.abs(ab.sum_outer - full.sum_outer).max() < 1e-12 * np.abs(full.sum_outer).max()
-    assert ab.n == 2000
-
-
-def test_merge_associative_within_tolerance():
-    rng = np.random.default_rng(2)
-    accs = []
-    for _ in range(3):
-        a = st.MomentAccumulator(0, 3)
-        st.accumulate(a, batch(rng.normal(size=(100, 3))))
-        accs.append(a)
-    left = st.merge(st.merge(accs[0], accs[1]), accs[2])
-    right = st.merge(accs[0], st.merge(accs[1], accs[2]))
-    assert np.abs(left.sum_outer - right.sum_outer).max() < 1e-12
-
-
 def test_finalize_constant_and_antipodal():
     v = np.array([2.0, -1.0])
     acc = st.accumulate(st.MomentAccumulator(0, 2), batch(np.tile(v, (5, 1))))
@@ -99,6 +69,14 @@ def test_finalize_requires_two_samples():
     acc = st.accumulate(st.MomentAccumulator(0, 2), batch([[1.0, 2.0]]))
     with pytest.raises(InsufficientSamples):
         st.finalize(acc)
+
+
+def test_finalize_rejects_non_finite_rows():
+    for bad in (np.nan, np.inf):
+        acc = st.accumulate(st.MomentAccumulator(5, 2),
+                            batch([[1.0, 2.0], [bad, 0.5]], layer=5))
+        with pytest.raises(DegenerateSigma, match=r"capture point 5 \(target stream\)"):
+            st.finalize(acc, "target")
 
 
 def make_stats(cov, mean=None, layer=0, domain=""):
