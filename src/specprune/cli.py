@@ -10,8 +10,6 @@ import sys
 
 from . import net as nm
 from . import pipeline as pl
-from . import spectral as sp
-from . import stats as st
 from . import train as tr
 from .config import parse_config, read_config
 from .datasets import make_two_domain, save_dataset
@@ -64,24 +62,6 @@ def cmd_train(cfg, args):
         acc_t = tr.evaluate(model, target.test)
         print(f"seed {seed}: params={nm.count_params(model)} "
               f"acc_source={acc_s:.4f} acc_target={acc_t:.4f}")
-    return 0
-
-
-def cmd_stats(cfg, args):
-    cache_dir = cfg.paths.cache_dir or os.path.join(cfg.paths.out_dir, "stats-cache")
-    cache = st.StatsCache(cache_dir)
-    for seed in cfg.seeds:
-        source, target, model = _load_run_inputs(cfg, seed)
-        feats = pl.stats_features(cfg, source, target)
-        fingerprint = st.content_key(st.model_fingerprint(model),
-                                     cfg.stats.data_choice, seed)
-        for cp in model.capture_points:
-            key = st.content_key(fingerprint, cp)
-            acc = cache.get_or_compute(key, lambda cp=cp: st.collect_moments(
-                model, feats, capture_ids=(cp,),
-                row_budget=cfg.stats.row_budget, seed=seed)[cp])
-            print(f"seed {seed} capture {cp}: n={acc.n} width={acc.width} "
-                  f"cached as {key[:12]}")
     return 0
 
 
@@ -162,7 +142,6 @@ def build_parser():
 
     add("gen-data", cmd_gen_data)
     add("train", cmd_train)
-    add("stats", cmd_stats)
     add("compress", cmd_compress)
     add("finetune", cmd_finetune, needs_model=True)
     add("eval", cmd_eval, needs_model=True)

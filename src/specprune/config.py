@@ -112,7 +112,6 @@ class AnalysisSection:
 @dataclass(frozen=True)
 class PathsSection:
     out_dir: str = "runs"
-    cache_dir: str = ""
 
 
 @dataclass(frozen=True)
@@ -269,10 +268,9 @@ def parse_config(doc):
         raise ConfigError("analysis.keep_fraction: must be in (0, 1)")
 
     paths_doc = doc.get("paths") or {}
-    _check_keys(paths_doc, "paths", ("out_dir", "cache_dir"))
+    _check_keys(paths_doc, "paths", ("out_dir",))
     paths = PathsSection(
         out_dir=_get(paths_doc, "paths", "out_dir", str, "runs"),
-        cache_dir=_get(paths_doc, "paths", "cache_dir", str, ""),
     )
 
     return ExperimentConfig(scenario=scenario, seeds=tuple(seeds), data=data,

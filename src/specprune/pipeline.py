@@ -137,8 +137,14 @@ def reg_features(cfg, source, target):
 # compression dispatch
 # ---------------------------------------------------------------------------
 
-def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, seed):
-    """One sweep point: returns (compressed network, per-layer achieved ratios)."""
+def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, seed,
+                   memo=None):
+    """One sweep point: returns (compressed network, per-layer achieved ratios).
+
+    memo: a spectral.SweepMemo shared by the points of one sweep over netw
+    and the same features and seed; spectral methods reuse the capture work
+    those points share. The factorization methods ignore it.
+    """
     method = cfg.compress.method
     if method in SPECTRAL_METHODS:
         reg_mode = REG_MODE_BY_METHOD[method]
@@ -169,7 +175,7 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
             source_features=src_feats if reg_mode != "none" else None,
             target_features=tgt_feats if reg_mode != "none" else None,
             keep_counts=keep_counts, alphas=alphas,
-            row_budget=cfg.stats.row_budget, seed=seed)
+            row_budget=cfg.stats.row_budget, seed=seed, memo=memo)
         ratios = tuple(plans[cp].achieved_ratio for cp in sorted(plans))
         return compressed, ratios
     return _lowrank_compress(netw, method, int(sweep_value), sigma_feats,
@@ -313,7 +319,12 @@ def _stage(name, fn, *args, **kwargs):
 
 def run(cfg, log=None):
     """Full sweep: train -> collect stats -> compress -> (fine-tune) -> evaluate,
-    one record per (seed, sweep point). Deterministic per seed."""
+    one record per (seed, sweep point). Deterministic per seed.
+
+    The points of one seed share a SweepMemo, so a point reuses the capture
+    work of the point before it where their pruned prefixes agree; a row's
+    `seconds` is the compress time of its own point. Nothing is kept past
+    the seed's sweep."""
     say = log or (lambda *_: None)
     records = []
     for seed in cfg.seeds:
@@ -324,10 +335,12 @@ def run(cfg, log=None):
         flops_before = nm.count_flops(model)
         sigma_feats = stats_features(cfg, source, target)
         src_feats, tgt_feats = reg_features(cfg, source, target)
+        memo = sp.SweepMemo()
         for value in cfg.compress.sweep:
             t0 = time.perf_counter()
             compressed, ratios = _stage("compress", compress_model, cfg, model,
-                                        value, sigma_feats, src_feats, tgt_feats, seed)
+                                        value, sigma_feats, src_feats, tgt_feats, seed,
+                                        memo=memo)
             seconds = time.perf_counter() - t0
             compressed = _stage("finetune", finetune_model, cfg, compressed,
                                 target, seed)

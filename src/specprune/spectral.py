@@ -404,10 +404,91 @@ def apply_plan(network, cp, plan):
 # full-network compression
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _CaptureRecord:
+    """What one capture point of a compress_network call leaves in a memo."""
+
+    stats: tuple  # (sigma, source LayerStatistics or None, target or None)
+    rng_state: dict  # sampling generator right after this capture's moments
+    local: GreedyConfig
+    plan: PruningPlan
+    network: nm.Network  # after this capture's surgery
+    streams: tuple  # distinct post-slice streams; None at the last capture
+
+
+class SweepMemo:
+    """Capture work shared by the compress_network calls of one sweep.
+
+    It holds one record per capture point for the previous call only. A
+    call reuses a capture's statistics, and the sampling generator state
+    after them, while every earlier capture kept the same nodes with the
+    same recovery matrix. If the capture's own config is also unchanged, the
+    call reuses its plan and pruned network too. At the first capture whose
+    cut differs, the streams are pushed on from the stored streams of the
+    capture before it. Each call's results are bit-identical to a call
+    without the memo.
+
+    The first call binds the memo to its network, input streams and
+    sampling settings. A later call with any other raises ValueError.
+    """
+
+    def __init__(self):
+        self._inputs = None
+        self._records = ()
+
+    def _take(self, network, slots, arrays, settings):
+        """Check the call against the bound inputs and hand over the
+        previous call's records; the memo keeps none while a call runs."""
+        if self._inputs is None:
+            self._inputs = (network, slots, tuple(arrays), settings)
+        else:
+            network0, slots0, arrays0, settings0 = self._inputs
+            if (network is not network0 or slots != slots0 or settings != settings0
+                    or not all(np.array_equal(a, b) for a, b in zip(arrays, arrays0))):
+                raise ValueError("SweepMemo was bound to another network, input "
+                                 "streams, seed or sampling settings")
+        records, self._records = self._records, ()
+        return records
+
+
+def _same_cut(plan, other):
+    """True when two plans prune a layer identically."""
+    return plan is other or (plan.selected == other.selected
+                             and np.array_equal(plan.recovery, other.recovery))
+
+
+def _local_config(cfg, cp, keep_counts, alphas):
+    local = cfg
+    if alphas and cp in alphas:
+        local = dataclasses.replace(local, alpha=alphas[cp])
+    if keep_counts and cp in keep_counts:
+        local = dataclasses.replace(local, alpha=1.0,
+                                    max_cardinality=int(keep_counts[cp]))
+    return local
+
+
+def _distinct_streams(inputs):
+    """Map each named input to one of the distinct arrays among the inputs.
+
+    Inputs with the same data pointer, shape, strides and dtype (two equal
+    slices of one array, say) are one stream, pushed and sliced once.
+    Returns ({name: index}, [float64 array]).
+    """
+    slots, arrays, seen = {}, [], {}
+    for name, x in inputs.items():
+        x = np.asarray(x)
+        key = (x.__array_interface__["data"][0], x.shape, x.strides, x.dtype.str)
+        if key not in seen:
+            seen[key] = len(arrays)
+            arrays.append(np.asarray(x, dtype=np.float64))
+        slots[name] = seen[key]
+    return slots, arrays
+
+
 def compress_network(network, sigma_features, cfg, source_features=None,
                      target_features=None, keep_counts=None, alphas=None,
                      row_budget=st.DEFAULT_ROW_BUDGET, seed=0,
-                     strategy="incremental", batch_size=256):
+                     strategy="incremental", batch_size=256, memo=None):
     """Prune every capture point, input to output.
 
     Selection statistics are always computed on the already-compressed prefix
@@ -418,38 +499,62 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     sigma_features defines the selection second moment; source/target
     features feed the moment-matching statistics when cfg.reg_mode != 'none'.
     keep_counts / alphas optionally override cfg per capture point id.
+    memo, a SweepMemo, lets the calls of one sweep share the work of the
+    captures whose prefix they share; without one, nothing is kept.
     """
-    streams = {"sigma": np.asarray(sigma_features, dtype=np.float64)}
+    inputs = {"sigma": sigma_features}
     if cfg.reg_mode != "none":
         if source_features is None or target_features is None:
             raise StatsMissing("regularized compression needs both domain streams")
-        streams["source"] = np.asarray(source_features, dtype=np.float64)
-        streams["target"] = np.asarray(target_features, dtype=np.float64)
+        inputs["source"] = source_features
+        inputs["target"] = target_features
+    slots, streams = _distinct_streams(inputs)
+    previous = () if memo is None else memo._take(
+        network, slots, streams, (row_budget, seed, strategy, batch_size))
+    records = []
     rng = np.random.default_rng(seed)
     plans = {}
     frontier = 0
-    for cp in sorted(network.capture_points):
-        for name, x in streams.items():
-            streams[name] = _push(network, x, frontier, cp + 1, batch_size)
-        frontier = cp + 1
-        accs = {name: _rows_to_acc(cp, x, row_budget, rng, batch_size)
-                for name, x in streams.items()}
-        sigma = st.finalize(accs["sigma"]).sigma
-        stats_s = st.finalize(accs["source"], "source") if "source" in accs else None
-        stats_t = st.finalize(accs["target"], "target") if "target" in accs else None
-        local = cfg
-        if alphas and cp in alphas:
-            local = dataclasses.replace(local, alpha=alphas[cp])
-        if keep_counts and cp in keep_counts:
-            local = dataclasses.replace(local, alpha=1.0,
-                                        max_cardinality=int(keep_counts[cp]))
-        plan = find_subset(sigma, local, stats_source=stats_s, stats_target=stats_t,
-                           layer=cp, strategy=strategy)
-        network = apply_plan(network, cp, plan)
+    captures = sorted(network.capture_points)
+    for k, cp in enumerate(captures):
+        rec = previous[k] if k < len(previous) else None
+        local = _local_config(cfg, cp, keep_counts, alphas)
+        if rec is None:
+            streams = [_push(network, x, frontier, cp + 1, batch_size) for x in streams]
+            frontier = cp + 1
+            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng, batch_size)
+                    for name, i in slots.items()}
+            stats = (st.finalize(accs["sigma"]).sigma,
+                     st.finalize(accs["source"], "source") if "source" in accs else None,
+                     st.finalize(accs["target"], "target") if "target" in accs else None)
+        else:
+            stats = rec.stats
+            rng.bit_generator.state = rec.rng_state
+        if rec is not None and rec.local == local:
+            plan = rec.plan
+        else:
+            plan = find_subset(stats[0], local, stats_source=stats[1],
+                               stats_target=stats[2], layer=cp, strategy=strategy)
+        if rec is not None and _same_cut(plan, rec.plan):
+            network, streams, frontier = rec.network, rec.streams, cp + 1
+        else:
+            previous = ()  # the captures after this one see another prefix
+            if k + 1 < len(captures):
+                if frontier <= cp:  # the statistics came from the memo
+                    streams = [_push(network, x, frontier, cp + 1, batch_size)
+                               for x in streams]
+                    frontier = cp + 1
+                kept = np.asarray(sorted(plan.selected), dtype=np.intp)
+                streams = [x[:, kept] if x.ndim == 2 else x[:, kept, :, :]
+                           for x in streams]
+            network = apply_plan(network, cp, plan)
         plans[cp] = plan
-        kept = np.asarray(sorted(plan.selected), dtype=np.intp)
-        for name, x in streams.items():
-            streams[name] = x[:, kept] if x.ndim == 2 else x[:, kept, :, :]
+        if memo is not None:
+            records.append(_CaptureRecord(
+                stats, rng.bit_generator.state, local, plan, network,
+                tuple(streams) if k + 1 < len(captures) else None))
+    if memo is not None:
+        memo._records = tuple(records)
     return network, plans
 
 
@@ -467,6 +572,14 @@ def _push(network, x, start, stop, batch_size):
 
 
 def _rows_to_acc(cp, x, row_budget, rng, batch_size):
+    """Moment accumulator of the capture rows of x (n, width[, h, w]).
+
+    The rows are taken per block of batch_size samples, and a block with
+    more than row_budget rows (a conv capture has one row per spatial
+    position) keeps a uniform random subset of row_budget of them, drawn
+    from rng. So with a row budget, batch_size changes which rows, and how
+    many, enter the moments; it is not a pure performance setting.
+    """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)
     for s in range(0, len(x), batch_size):

@@ -7,8 +7,6 @@ be finite.
 """
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +95,9 @@ def collect_moments(network, features, capture_ids=None, row_budget=DEFAULT_ROW_
 
     Conv captures contribute one row per spatial position; when a forward
     batch yields more than `row_budget` rows at a capture point, a uniform
-    random subset of rows is kept (seeded, deterministic).
+    random subset of rows is kept (seeded, deterministic). The budget holds
+    per forward batch, so with a row budget `batch_size` changes which rows,
+    and how many, enter the moments.
     """
     if capture_ids is None:
         capture_ids = network.capture_points
@@ -136,13 +136,6 @@ def activation_rate(network, layer, nodes, data, batch_size=512):
     return float((positive / total).mean())
 
 
-# ---------------------------------------------------------------------------
-# disk cache: content-hash-named manifest + f64 blobs for sum/sum_outer
-# ---------------------------------------------------------------------------
-
-CACHE_VERSION = 1
-
-
 def content_key(*parts):
     """sha256 over heterogeneous parts (bytes, str, int, float, ndarray)."""
     h = hashlib.sha256()
@@ -155,66 +148,3 @@ def content_key(*parts):
             h.update(repr(p).encode())
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def model_fingerprint(network):
-    parts = [json.dumps([nm._layer_manifest(l) for l in network.layers]).encode()]
-    for layer in network.layers:
-        for name in nm.tensor_fields(layer):
-            parts.append(np.ascontiguousarray(getattr(layer, name), dtype="<f4").tobytes())
-    return content_key(*parts)
-
-
-def dataset_fingerprint(ds):
-    return content_key(ds.domain, ds.split,
-                       np.ascontiguousarray(ds.features, dtype="<f4"),
-                       ds.labels)
-
-
-class StatsCache:
-    """Content-addressed on-disk cache of moment accumulators."""
-
-    def __init__(self, directory):
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-
-    def _paths(self, key):
-        base = os.path.join(self.directory, key)
-        return base + ".json", base + ".bin"
-
-    def save(self, key, acc):
-        manifest_path, blob_path = self._paths(key)
-        manifest = {"version": CACHE_VERSION, "layer": acc.layer,
-                    "width": acc.width, "n": acc.n}
-        with open(blob_path, "wb") as fh:
-            fh.write(np.ascontiguousarray(acc.sum, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(acc.sum_outer, dtype="<f8").tobytes())
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-
-    def load(self, key):
-        manifest_path, blob_path = self._paths(key)
-        if not (os.path.exists(manifest_path) and os.path.exists(blob_path)):
-            return None
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("version") != CACHE_VERSION:
-            return None
-        width = int(manifest["width"])
-        with open(blob_path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) != 8 * (width + width * width):
-            return None
-        acc = MomentAccumulator(manifest["layer"], width)
-        acc.n = int(manifest["n"])
-        acc.sum = np.frombuffer(blob[:8 * width], dtype="<f8").copy()
-        acc.sum_outer = np.frombuffer(blob[8 * width:], dtype="<f8") \
-            .reshape(width, width).copy()
-        return acc
-
-    def get_or_compute(self, key, fn):
-        acc = self.load(key)
-        if acc is None:
-            acc = fn()
-            self.save(key, acc)
-        return acc

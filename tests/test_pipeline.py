@@ -7,6 +7,7 @@ import pytest
 from specprune import cli
 from specprune import net as nm
 from specprune import pipeline as pl
+from specprune import spectral as sp
 from specprune import train as tr
 from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
@@ -158,6 +159,160 @@ def test_fine_tune_runs_and_disables_dropout(tiny_setup):
 
 
 # ---------------------------------------------------------------------------
+# sweep memo: every point must equal a fresh compress_network call
+# ---------------------------------------------------------------------------
+
+def _model_bytes(network, path):
+    nm.save_model(network, path)
+    return (path / "model.json").read_bytes() + (path / "weights.bin").read_bytes()
+
+
+def _assert_same_plans(a, b):
+    assert a.keys() == b.keys()
+    for cp in a:
+        assert a[cp].selected == b[cp].selected
+        assert a[cp].ratio_trace == b[cp].ratio_trace
+        assert a[cp].achieved_ratio == b[cp].achieved_ratio
+        assert a[cp].plateau_flag == b[cp].plateau_flag
+        assert np.array_equal(a[cp].recovery, b[cp].recovery)
+
+
+class _Counter:
+    """Counts calls of spectral._rows_to_acc (one per stream and capture
+    whose moments are computed) and samples pushed by spectral._push."""
+
+    def __init__(self, monkeypatch):
+        self.moments = 0
+        self.pushed = 0
+        rows_to_acc, push = sp._rows_to_acc, sp._push
+
+        def counted_rows_to_acc(*args):
+            self.moments += 1
+            return rows_to_acc(*args)
+
+        def counted_push(network, x, start, stop, batch_size):
+            self.pushed += len(x) if start < stop else 0
+            return push(network, x, start, stop, batch_size)
+
+        monkeypatch.setattr(sp, "_rows_to_acc", counted_rows_to_acc)
+        monkeypatch.setattr(sp, "_push", counted_push)
+
+
+def _sweep(cfg, monkeypatch, path, memo=True):
+    """pl.run's rows (seconds zeroed) and, per point, the plans, the saved
+    model bytes and the moment count."""
+    points = []
+    compress_network = sp.compress_network
+    with monkeypatch.context() as patch:
+        counter = _Counter(patch)
+
+        def recording(*args, **kwargs):
+            before = counter.moments
+            network, plans = compress_network(*args, **kwargs)
+            points.append((plans, _model_bytes(network, path / str(len(points))),
+                           counter.moments - before))
+            return network, plans
+
+        patch.setattr(sp, "compress_network", recording)
+        if not memo:
+            patch.setattr(sp, "SweepMemo", lambda: None)
+        report = pl.run(cfg)
+    return _strip_seconds(report), points
+
+
+@pytest.mark.parametrize("compress, stats, moments", [
+    # keep sweep, conv pinned: later points reuse the 3 conv captures and the
+    # statistics of the first dense capture
+    ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
+     {}, [5, 1, 1]),
+    # the same with a row budget below the rows of one batch at every capture,
+    # so each reused capture must restore the sampling generator
+    ({"sweep": (0.5, 0.3, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
+     {"row_budget": 40}, [5, 1, 1]),
+    # regularized alpha sweep that returns to its first point; moments per
+    # capture are taken on 3 streams, and only the first capture's are shared
+    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {}, [15, 12, 12]),
+], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
+def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
+                                             compress, stats, moments):
+    out, cfg, *_ = tiny_setup
+    cfg = dataclasses.replace(
+        cfg, compress=dataclasses.replace(cfg.compress, **compress),
+        stats=dataclasses.replace(cfg.stats, **stats))
+    rows, points = _sweep(cfg, monkeypatch, tmp_path / "memo")
+    fresh_rows, fresh_points = _sweep(cfg, monkeypatch, tmp_path / "fresh", memo=False)
+    assert rows == fresh_rows
+    for (plans, model, _), (fresh_plans, fresh_model, _) in zip(points, fresh_points):
+        _assert_same_plans(plans, fresh_plans)
+        assert model == fresh_model
+    assert [n for *_, n in points] == moments
+    assert [n for *_, n in fresh_points] == [moments[0]] * len(moments)
+
+
+def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
+    # each point lowers alpha at one capture, deepest first, then the sweep
+    # returns to its first point; only the captures after the first changed
+    # one take new moments (3 streams each)
+    out, cfg, source, target, model = tiny_setup
+    feats = pl.stats_features(cfg, source, target)
+    src, tgt = pl.reg_features(cfg, source, target)
+    gcfg = sp.GreedyConfig(alpha=0.95, reg_mode="subset")
+    caps = sorted(model.capture_points)
+    base = {cp: 0.95 for cp in caps}
+    sweep = [base] + [{**base, cp: 0.8} for cp in reversed(caps)] + [base]
+    counter = _Counter(monkeypatch)
+    memo = sp.SweepMemo()
+    moments = []
+    for k, alphas in enumerate(sweep):
+        kwargs = dict(source_features=src, target_features=tgt, alphas=alphas,
+                      row_budget=100, seed=3)
+        fresh, fresh_plans = sp.compress_network(model, feats, gcfg, **kwargs)
+        before = counter.moments
+        network, plans = sp.compress_network(model, feats, gcfg, memo=memo, **kwargs)
+        moments.append(counter.moments - before)
+        _assert_same_plans(plans, fresh_plans)
+        assert _model_bytes(network, tmp_path / f"m{k}") \
+            == _model_bytes(fresh, tmp_path / f"f{k}")
+    assert moments == [15, 0, 3, 6, 9, 12, 12]
+
+
+def test_equal_streams_are_pushed_once(tiny_setup, monkeypatch):
+    # target_only: the selection stream and the target stream are the same
+    # rows, so they are pushed as one array; a copy is a third stream
+    out, cfg, source, target, model = tiny_setup
+    feats = pl.stats_features(cfg, source, target)
+    src, tgt = pl.reg_features(cfg, source, target)
+    gcfg = sp.GreedyConfig(alpha=0.95, reg_mode="subset")
+    counter = _Counter(monkeypatch)
+    _, shared_plans = sp.compress_network(model, feats, gcfg, source_features=src,
+                                          target_features=tgt)
+    assert counter.pushed == 2 * len(feats) * len(model.capture_points)
+    _, copied_plans = sp.compress_network(model, feats, gcfg, source_features=src,
+                                          target_features=tgt.copy())
+    assert counter.pushed == 5 * len(feats) * len(model.capture_points)
+    _assert_same_plans(shared_plans, copied_plans)
+
+
+def test_sweep_memo_rejects_another_network_or_seed(tiny_setup):
+    out, cfg, source, target, model = tiny_setup
+    feats = pl.stats_features(cfg, source, target)
+    gcfg = sp.GreedyConfig(alpha=0.9)
+    memo = sp.SweepMemo()
+    sp.compress_network(model, feats, gcfg, seed=0, memo=memo)
+    twin = nm.with_layers(model, model.layers)
+    with pytest.raises(ValueError, match="SweepMemo"):
+        sp.compress_network(twin, feats, gcfg, seed=0, memo=memo)
+    with pytest.raises(ValueError, match="SweepMemo"):
+        sp.compress_network(model, feats, gcfg, seed=1, memo=memo)
+    with pytest.raises(ValueError, match="SweepMemo"):
+        sp.compress_network(model, feats[::-1], gcfg, seed=0, memo=memo)
+    with pytest.raises(ValueError, match="SweepMemo"):
+        sp.compress_network(model, feats, gcfg, seed=0, row_budget=7, memo=memo)
+    _, plans = sp.compress_network(model, feats, gcfg, seed=0, memo=memo)
+    _assert_same_plans(plans, sp.compress_network(model, feats, gcfg, seed=0)[1])
+
+
+# ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
 
@@ -226,7 +381,6 @@ def test_cli_gen_data_train_run(tmp_path):
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "report.csv").exists()
     assert (tmp_path / "out" / "report.json").exists()
-    assert cli.main(["stats", "--config", str(cfg_path)]) == 0
     assert cli.main(["compress", "--config", str(cfg_path), "--alpha", "0.8"]) == 0
 
 

@@ -162,37 +162,3 @@ def test_collect_moments_row_budget_and_determinism():
     assert np.array_equal(a1.sum_outer, a2.sum_outer)
     full = st.collect_moments(netw, feats, row_budget=0, seed=3)[1]
     assert full.n == 100 * 64
-
-
-def test_stats_cache_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    acc = st.accumulate(st.MomentAccumulator(2, 5), batch(rng.normal(size=(40, 5)), layer=2))
-    cache = st.StatsCache(tmp_path)
-    key = st.content_key("model", "data", 2)
-    cache.save(key, acc)
-    back = cache.load(key)
-    assert back.n == acc.n and back.layer == 2
-    assert np.array_equal(back.sum, acc.sum)
-    assert np.array_equal(back.sum_outer, acc.sum_outer)
-
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return acc
-
-    cache.get_or_compute(key, compute)
-    assert not calls  # already cached
-    assert cache.load(st.content_key("other")) is None
-
-
-def test_fingerprints_change_with_content():
-    rng = np.random.default_rng(9)
-    netw = relu_capture_net(rng.normal(size=(3, 2)), np.zeros(3))
-    netw2 = relu_capture_net(rng.normal(size=(3, 2)), np.zeros(3))
-    assert st.model_fingerprint(netw) != st.model_fingerprint(netw2)
-    assert st.model_fingerprint(netw) == st.model_fingerprint(netw)
-    ds1 = DomainDataset("target", "test", rng.normal(size=(4, 2)), np.zeros(4, dtype=int),
-                        n_classes=2)
-    ds2 = DomainDataset("source", "test", ds1.features, ds1.labels, n_classes=2)
-    assert st.dataset_fingerprint(ds1) != st.dataset_fingerprint(ds2)
