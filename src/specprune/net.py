@@ -1,10 +1,12 @@
-"""Network representation and inference.
+"""Network representation and the layer engine.
 
-Layers are plain dataclasses holding float64 numpy arrays; a Network is an
-ordered, immutable sequence of them. The forward pass runs in inference
-semantics (BatchNorm uses running statistics, dropout is a no-op) and can
-capture post-activation values at declared capture points. Models serialize
-to a JSON manifest plus a little-endian float32 weight blob.
+Layers are frozen dataclasses holding float64 numpy arrays; a Network is an
+ordered, immutable sequence of them. Each layer kind declares its trainable
+parameters and buffers and defines its forward and backward once, and both
+inference and training (train.py) run them. The inference forward
+(`apply_layer`, `forward`) uses running BatchNorm statistics and skips
+dropout, and can capture post-activation values at declared capture points.
+Models serialize to a JSON manifest plus a little-endian float32 weight blob.
 """
 
 import json
@@ -20,34 +22,128 @@ MODEL_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# layer types
+# layer engine
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Dense:
+class TrainMode:
+    """Training context of a layer's forward. BatchNorm normalizes with the
+    batch statistics when batch_stats (moving its running statistics toward
+    them in place when update_buffers), else with its running statistics;
+    rng draws the dropout masks, and None disables dropout."""
+
+    rng: object = None
+    batch_stats: bool = True
+    update_buffers: bool = True
+
+
+FROZEN = TrainMode(batch_stats=False, update_buffers=False)
+
+
+class Layer:
+    """Base of the layer kinds.
+
+    `params` names the trainable arrays and `buffers` the arrays training
+    updates without a gradient; a None array (a dense layer without bias) is
+    absent. `forward(x, index, mode)` returns (output, cache); mode is None
+    for inference, else a TrainMode. From the cache of a training-mode
+    forward and the output gradient, `backward` returns the input gradient
+    and, for a layer with parameters, `param_grads` their {name: gradient}.
+    """
+
+    params = ()
+    buffers = ()
+
+
+@dataclass(frozen=True)
+class Dense(Layer):
     weight: np.ndarray  # (out_features, in_features)
     bias: np.ndarray = None  # (out_features,) or None for a bias-free layer
 
     kind = "dense"
+    params = ("weight", "bias")
+
+    def forward(self, x, index=None, mode=None):
+        if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
+            raise ShapeMismatch(f"dense expects (n, {self.weight.shape[1]}), got {x.shape}",
+                                layer=index)
+        out = x @ self.weight.T
+        return (out if self.bias is None else out + self.bias), x
+
+    def backward(self, x, dout):
+        return dout @ self.weight
+
+    def param_grads(self, x, dout):
+        grads = {"weight": dout.T @ x}
+        if self.bias is not None:
+            grads["bias"] = dout.sum(axis=0)
+        return grads
+
+
+def conv2d_windows(x, kh, kw, stride, padding):
+    """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw)."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    shape = (n, c, oh, ow, kh, kw)
+    strides = (sn, sc, stride * sh, stride * sw, sh, sw)
+    return np.lib.stride_tricks.as_strided(x, shape, strides), (oh, ow)
 
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(Layer):
     weight: np.ndarray  # (out_channels, in_channels, kh, kw)
     bias: np.ndarray  # (out_channels,)
     stride: int = 1
     padding: int = 0
 
     kind = "conv2d"
+    params = ("weight", "bias")
+
+    def forward(self, x, index=None, mode=None):
+        oc, ic, kh, kw = self.weight.shape
+        if x.ndim != 4 or x.shape[1] != ic:
+            raise ShapeMismatch(f"conv expects (n, {ic}, h, w), got {x.shape}", layer=index)
+        if x.shape[2] + 2 * self.padding < kh or x.shape[3] + 2 * self.padding < kw:
+            raise ShapeMismatch(f"input {x.shape} smaller than kernel", layer=index)
+        windows, _ = conv2d_windows(x, kh, kw, self.stride, self.padding)
+        out = np.einsum("nihwkl,oikl->nohw", windows, self.weight, optimize=True)
+        return out + self.bias[None, :, None, None], (windows, x.shape)
+
+    def backward(self, cache, dout):
+        _, (n, _, h, w) = cache
+        _, ic, kh, kw = self.weight.shape
+        pad, s = self.padding, self.stride
+        oh, ow = dout.shape[2], dout.shape[3]
+        dxp = np.zeros((n, ic, h + 2 * pad, w + 2 * pad))
+        for ki in range(kh):
+            for kj in range(kw):
+                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += np.einsum(
+                    "nohw,oi->nihw", dout, self.weight[:, :, ki, kj], optimize=True)
+        return dxp[:, :, pad:pad + h, pad:pad + w]
+
+    def param_grads(self, cache, dout):
+        return {"weight": np.einsum("nihwkl,nohw->oikl", cache[0], dout, optimize=True),
+                "bias": dout.sum(axis=(0, 2, 3))}
 
 
 @dataclass(frozen=True)
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
 
+    def forward(self, x, index=None, mode=None):
+        out = np.maximum(x, 0.0)
+        return out, out
+
+    def backward(self, out, dout):
+        return np.where(out > 0, dout, 0.0)
+
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(Layer):
     scale: np.ndarray
     shift: np.ndarray
     running_mean: np.ndarray
@@ -56,27 +152,118 @@ class BatchNorm:
     momentum: float = 0.1
 
     kind = "batchnorm"
+    params = ("scale", "shift")
+    buffers = ("running_mean", "running_var")
+
+    def forward(self, x, index=None, mode=None):
+        c = self.scale.shape[0]
+        if x.shape[1] != c:
+            raise ShapeMismatch(f"batchnorm over {c} channels, got {x.shape}", layer=index)
+        shape = (1, c) + (1,) * (x.ndim - 2)
+        # Running statistics keep two arithmetic forms: inference folds the
+        # scale into 1/std, training keeps xhat for the backward. Either form
+        # in both places changes saved fine-tuned weights or reported ratios.
+        if mode is None:
+            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            return (x - self.running_mean.reshape(shape)) * (self.scale * inv).reshape(shape) \
+                + self.shift.reshape(shape), None
+        if mode.batch_stats:
+            axes = (0,) if x.ndim == 2 else (0, 2, 3)
+            mu, var = x.mean(axis=axes), x.var(axis=axes)
+            if mode.update_buffers:
+                run_mu, run_var = self.running_mean, self.running_var
+                run_mu *= 1.0 - self.momentum
+                run_mu += self.momentum * mu
+                run_var *= 1.0 - self.momentum
+                run_var += self.momentum * var
+        else:
+            mu, var = self.running_mean, self.running_var
+        inv = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
+        return xhat * self.scale.reshape(shape) + self.shift.reshape(shape), \
+            (xhat, inv, mode.batch_stats)
+
+    def backward(self, cache, dout):
+        xhat, inv, batch_stats = cache
+        c = self.scale.shape[0]
+        shape = (1, c) + (1,) * (dout.ndim - 2)
+        dxhat = dout * self.scale.reshape(shape)
+        if not batch_stats:
+            return dxhat * inv.reshape(shape)
+        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
+        count = dout.size // c
+        sum_d = dxhat.sum(axis=axes).reshape(shape)
+        sum_dx = (dxhat * xhat).sum(axis=axes).reshape(shape)
+        return (dxhat - sum_d / count - xhat * sum_dx / count) * inv.reshape(shape)
+
+    def param_grads(self, cache, dout):
+        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
+        return {"scale": (dout * cache[0]).sum(axis=axes), "shift": dout.sum(axis=axes)}
 
 
 @dataclass(frozen=True)
-class MaxPool2:
+class MaxPool2(Layer):
     """2x2 max pooling with stride 2 (the only pooling supported)."""
 
     kind = "maxpool2"
 
+    def forward(self, x, index=None, mode=None):
+        n, c, h, w = x.shape
+        if h % 2 or w % 2:
+            raise ShapeMismatch(f"maxpool2 needs even spatial dims, got {x.shape}", layer=index)
+        if mode is None:  # no argmax needed
+            return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5)), None
+        win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(n, c, h // 2, w // 2, 4)
+        idx = win.argmax(axis=-1)
+        return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
+
+    def backward(self, cache, dout):
+        idx, (n, c, h, w) = cache
+        dwin = np.zeros((n, c, h // 2, w // 2, 4))
+        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
+        return dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
+            .reshape(n, c, h, w)
+
 
 @dataclass(frozen=True)
-class Flatten:
+class Flatten(Layer):
     kind = "flatten"
 
+    def forward(self, x, index=None, mode=None):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, shape, dout):
+        return dout.reshape(shape)
+
 
 @dataclass(frozen=True)
-class Dropout:
-    """Marker layer: Bernoulli masking during training, identity at inference."""
+class Dropout(Layer):
+    """Bernoulli masking during training (with an rng), identity otherwise."""
 
     rate: float = 0.5
 
     kind = "dropout"
+
+    def forward(self, x, index=None, mode=None):
+        if mode is None or mode.rng is None or self.rate <= 0.0:
+            return x, None
+        keep = 1.0 - self.rate
+        mask = (mode.rng.random(x.shape) < keep) / keep
+        return x * mask, mask
+
+    def backward(self, mask, dout):
+        return dout if mask is None else dout * mask
+
+
+def param_fields(layer):
+    """Names of the layer's trainable arrays (skips an absent dense bias)."""
+    return tuple(n for n in layer.params if getattr(layer, n) is not None)
+
+
+def tensor_fields(layer):
+    """Names of the layer's stored arrays, parameters then buffers."""
+    return tuple(n for n in layer.params + layer.buffers if getattr(layer, n) is not None)
 
 
 @dataclass(frozen=True)
@@ -147,59 +334,12 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# forward pass
+# inference forward
 # ---------------------------------------------------------------------------
-
-def conv2d_windows(x, kh, kw, stride, padding):
-    """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw)."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides = (sn, sc, stride * sh, stride * sw, sh, sw)
-    return np.lib.stride_tricks.as_strided(x, shape, strides), (oh, ow)
-
 
 def apply_layer(layer, x, index=None):
     """Inference-mode application of one layer to a batch."""
-    if isinstance(layer, Dense):
-        if x.ndim != 2 or x.shape[1] != layer.weight.shape[1]:
-            raise ShapeMismatch(f"dense expects (n, {layer.weight.shape[1]}), got {x.shape}",
-                                layer=index)
-        out = x @ layer.weight.T
-        return out if layer.bias is None else out + layer.bias
-    if isinstance(layer, Conv2D):
-        oc, ic, kh, kw = layer.weight.shape
-        if x.ndim != 4 or x.shape[1] != ic:
-            raise ShapeMismatch(f"conv expects (n, {ic}, h, w), got {x.shape}", layer=index)
-        if x.shape[2] + 2 * layer.padding < kh or x.shape[3] + 2 * layer.padding < kw:
-            raise ShapeMismatch(f"input {x.shape} smaller than kernel", layer=index)
-        windows, _ = conv2d_windows(x, kh, kw, layer.stride, layer.padding)
-        out = np.einsum("nihwkl,oikl->nohw", windows, layer.weight, optimize=True)
-        return out + layer.bias[None, :, None, None]
-    if isinstance(layer, ReLU):
-        return np.maximum(x, 0.0)
-    if isinstance(layer, BatchNorm):
-        c = layer.scale.shape[0]
-        if x.shape[1] != c:
-            raise ShapeMismatch(f"batchnorm over {c} channels, got {x.shape}", layer=index)
-        shape = (1, c) + (1,) * (x.ndim - 2)
-        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
-        return (x - layer.running_mean.reshape(shape)) * (layer.scale * inv).reshape(shape) \
-            + layer.shift.reshape(shape)
-    if isinstance(layer, MaxPool2):
-        n, c, h, w = x.shape
-        if h % 2 or w % 2:
-            raise ShapeMismatch(f"maxpool2 needs even spatial dims, got {x.shape}", layer=index)
-        return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
-    if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1)
-    if isinstance(layer, Dropout):
-        return x
-    raise TypeError(f"unknown layer type {type(layer)!r}")
+    return layer.forward(x, index)[0]
 
 
 def capture_rows(x):
@@ -258,15 +398,9 @@ def _feeding_layer(net, cp):
 # ---------------------------------------------------------------------------
 
 def count_params(net):
-    """Exact element count of weights and biases (BatchNorm scale/shift included,
-    running statistics excluded)."""
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, (Dense, Conv2D)):
-            total += layer.weight.size + (0 if layer.bias is None else layer.bias.size)
-        elif isinstance(layer, BatchNorm):
-            total += layer.scale.size + layer.shift.size
-    return total
+    """Exact element count of the trainable arrays: weights and biases, and
+    BatchNorm scale/shift (running statistics are buffers, not counted)."""
+    return sum(getattr(layer, n).size for layer in net.layers for n in param_fields(layer))
 
 
 def count_flops(net):
@@ -293,19 +427,6 @@ def count_flops(net):
 # ---------------------------------------------------------------------------
 # serialization: JSON manifest + little-endian float32 blob
 # ---------------------------------------------------------------------------
-
-_TENSOR_FIELDS = {
-    "dense": ("weight", "bias"),
-    "conv2d": ("weight", "bias"),
-    "batchnorm": ("scale", "shift", "running_mean", "running_var"),
-}
-
-
-def tensor_fields(layer):
-    """Names of the layer's stored tensors (skips an absent dense bias)."""
-    return tuple(n for n in _TENSOR_FIELDS.get(layer.kind, ())
-                 if getattr(layer, n) is not None)
-
 
 def _layer_manifest(layer):
     if isinstance(layer, Dense):

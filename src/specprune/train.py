@@ -1,13 +1,17 @@
-"""Minimal training engine: backprop for Dense/Conv2D/BatchNorm/ReLU/MaxPool2,
-softmax cross-entropy, SGD and Adam, with layer freezing and seeded shuffling.
+"""Training on the layer engine of net.py: softmax cross-entropy, SGD and
+Adam, layer freezing and seeded shuffling.
 
-Training is single-threaded and reproducible: identical (net, data, cfg) give
-identical final weights on one platform. Frozen layers keep their original
-arrays (bit-identical) and run in inference mode during training.
+Training runs each layer's own forward in a training mode (BatchNorm on batch
+statistics with a running-statistics update, dropout masks drawn from the
+seeded generator) and back-propagates through each layer's own backward from
+the top down to the lowest layer with a trainable parameter. Training is
+single-threaded and reproducible: identical (net, data, cfg) give identical
+final weights on one platform. Frozen layers keep their original arrays
+(bit-identical) and run with running BatchNorm statistics and no dropout.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,14 +41,6 @@ class TrainConfig:
         object.__setattr__(self, "freeze", frozenset(int(i) for i in self.freeze))
 
 
-_TRAINABLE = {
-    "dense": ("weight", "bias"),
-    "conv2d": ("weight", "bias"),
-    "batchnorm": ("scale", "shift"),
-}
-_BUFFERS = {"batchnorm": ("running_mean", "running_var")}
-
-
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy and its gradient with respect to the logits."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -58,168 +54,49 @@ def softmax_cross_entropy(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# mutable parameter state
-# ---------------------------------------------------------------------------
-
-def _init_state(network, freeze):
-    """Arrays for every layer; copies for trainable layers, references for frozen."""
-    state = {}
-    for i, layer in enumerate(network.layers):
-        names = _TRAINABLE.get(layer.kind, ()) + _BUFFERS.get(layer.kind, ())
-        names = tuple(n for n in names if getattr(layer, n, None) is not None)
-        if not names:
-            continue
-        frozen = i in freeze
-        state[i] = {name: (getattr(layer, name) if frozen else getattr(layer, name).copy())
-                    for name in names}
-    return state
-
-
-def _rebuild(network, state):
-    import dataclasses
-    layers = []
-    for i, layer in enumerate(network.layers):
-        if i in state:
-            layers.append(dataclasses.replace(layer, **state[i]))
-        else:
-            layers.append(layer)
-    return nm.with_layers(network, layers)
-
-
-# ---------------------------------------------------------------------------
 # training-mode forward/backward
 # ---------------------------------------------------------------------------
 
-def _forward_train(network, state, x, rng, freeze, update_buffers=True):
-    """Forward pass with per-layer caches for backprop.
+def _private(layers, freeze):
+    """The layers, with private copies of the parameters and buffers of every
+    layer not in freeze; frozen layers are the original objects."""
+    return [layer if i in freeze else
+            replace(layer, **{n: getattr(layer, n).copy() for n in nm.tensor_fields(layer)})
+            for i, layer in enumerate(layers)]
 
-    Frozen layers run in inference mode (BatchNorm uses running statistics,
-    dropout is identity). rng=None disables dropout everywhere.
+
+def _forward_train(layers, freeze, x, rng, update_buffers=True):
+    """Training-mode forward: (logits, per-layer backward caches).
+
+    Frozen layers run with running BatchNorm statistics and no dropout.
+    rng=None disables dropout everywhere.
     """
+    live = nm.TrainMode(rng, batch_stats=True, update_buffers=update_buffers)
     caches = []
-    for i, layer in enumerate(network.layers):
-        p = state.get(i, {})
-        if isinstance(layer, nm.Dense):
-            caches.append(("dense", i, x))
-            x = x @ p["weight"].T
-            if "bias" in p:
-                x = x + p["bias"]
-        elif isinstance(layer, nm.Conv2D):
-            oc, ic, kh, kw = layer.weight.shape
-            if x.shape[1] != ic:
-                raise ShapeMismatch(f"conv expects {ic} channels, got {x.shape}", layer=i)
-            windows, _ = nm.conv2d_windows(x, kh, kw, layer.stride, layer.padding)
-            caches.append(("conv", i, (windows, x.shape)))
-            x = np.einsum("nihwkl,oikl->nohw", windows, p["weight"], optimize=True) \
-                + p["bias"][None, :, None, None]
-        elif isinstance(layer, nm.ReLU):
-            mask = x > 0
-            caches.append(("relu", i, mask))
-            x = np.where(mask, x, 0.0)
-        elif isinstance(layer, nm.BatchNorm):
-            c = layer.scale.shape[0]
-            shape = (1, c) + (1,) * (x.ndim - 2)
-            axes = (0,) if x.ndim == 2 else (0, 2, 3)
-            if i in freeze:
-                inv = 1.0 / np.sqrt(p["running_var"] + layer.eps)
-                xhat = (x - p["running_mean"].reshape(shape)) * inv.reshape(shape)
-                caches.append(("bn_frozen", i, (xhat, inv)))
-            else:
-                mu = x.mean(axis=axes)
-                var = x.var(axis=axes)
-                inv = 1.0 / np.sqrt(var + layer.eps)
-                xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
-                if update_buffers:
-                    mom = layer.momentum
-                    p["running_mean"] *= 1.0 - mom
-                    p["running_mean"] += mom * mu
-                    p["running_var"] *= 1.0 - mom
-                    p["running_var"] += mom * var
-                caches.append(("bn", i, (xhat, inv)))
-            x = xhat * p["scale"].reshape(shape) + p["shift"].reshape(shape)
-        elif isinstance(layer, nm.MaxPool2):
-            n, c, h, w = x.shape
-            win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-                .reshape(n, c, h // 2, w // 2, 4)
-            idx = win.argmax(axis=-1)
-            caches.append(("pool", i, (idx, x.shape)))
-            x = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        elif isinstance(layer, nm.Flatten):
-            caches.append(("flatten", i, x.shape))
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(layer, nm.Dropout):
-            if rng is None or i in freeze or layer.rate <= 0.0:
-                caches.append(("noop", i, None))
-            else:
-                keep = 1.0 - layer.rate
-                mask = (rng.random(x.shape) < keep) / keep
-                caches.append(("dropout", i, mask))
-                x = x * mask
-        else:
-            raise TypeError(f"unknown layer type {type(layer)!r}")
+    for i, layer in enumerate(layers):
+        x, cache = layer.forward(x, i, nm.FROZEN if i in freeze else live)
+        caches.append(cache)
     return x, caches
 
 
-def _backward(network, state, caches, dout, freeze):
-    """Backprop through cached layers; returns {(layer, name): grad} for
-    trainable, unfrozen parameters."""
+def _backward(layers, freeze, caches, dout):
+    """{(layer, name): grad} for the parameters of every unfrozen layer.
+
+    Back-propagates from the top down to the lowest layer with an unfrozen
+    parameter, and does not compute that layer's input gradient.
+    """
+    trainable = [i for i, layer in enumerate(layers)
+                 if i not in freeze and nm.param_fields(layer)]
+    if not trainable:
+        return {}
+    stop = trainable[0]
     grads = {}
-    for kind, i, cache in reversed(caches):
-        layer = network.layers[i]
-        p = state.get(i, {})
-        if kind == "dense":
-            x = cache
-            if i not in freeze:
-                grads[(i, "weight")] = dout.T @ x
-                if "bias" in p:
-                    grads[(i, "bias")] = dout.sum(axis=0)
-            dout = dout @ p["weight"]
-        elif kind == "conv":
-            windows, x_shape = cache
-            oc, ic, kh, kw = layer.weight.shape
-            if i not in freeze:
-                grads[(i, "weight")] = np.einsum("nihwkl,nohw->oikl", windows, dout,
-                                                 optimize=True)
-                grads[(i, "bias")] = dout.sum(axis=(0, 2, 3))
-            n, _, h, w = x_shape
-            pad, s = layer.padding, layer.stride
-            oh, ow = dout.shape[2], dout.shape[3]
-            dxp = np.zeros((n, ic, h + 2 * pad, w + 2 * pad))
-            for ki in range(kh):
-                for kj in range(kw):
-                    dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += np.einsum(
-                        "nohw,oi->nihw", dout, p["weight"][:, :, ki, kj], optimize=True)
-            dout = dxp[:, :, pad:pad + h, pad:pad + w]
-        elif kind == "relu":
-            dout = np.where(cache, dout, 0.0)
-        elif kind in ("bn", "bn_frozen"):
-            xhat, inv = cache
-            c = layer.scale.shape[0]
-            shape = (1, c) + (1,) * (dout.ndim - 2)
-            axes = (0,) if dout.ndim == 2 else (0, 2, 3)
-            if i not in freeze:
-                grads[(i, "scale")] = (dout * xhat).sum(axis=axes)
-                grads[(i, "shift")] = dout.sum(axis=axes)
-            dxhat = dout * p["scale"].reshape(shape)
-            if kind == "bn_frozen":
-                dout = dxhat * inv.reshape(shape)
-            else:
-                count = dout.size // c
-                sum_d = dxhat.sum(axis=axes).reshape(shape)
-                sum_dx = (dxhat * xhat).sum(axis=axes).reshape(shape)
-                dout = (dxhat - sum_d / count - xhat * sum_dx / count) * inv.reshape(shape)
-        elif kind == "pool":
-            idx, x_shape = cache
-            n, c, h, w = x_shape
-            dwin = np.zeros((n, c, h // 2, w // 2, 4))
-            np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-            dout = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-                .reshape(n, c, h, w)
-        elif kind == "flatten":
-            dout = dout.reshape(cache)
-        elif kind == "dropout":
-            dout = dout * cache
-        # noop: fall through
+    for i in range(len(layers) - 1, stop - 1, -1):
+        if i in trainable:
+            for name, g in layers[i].param_grads(caches[i], dout).items():
+                grads[(i, name)] = g
+        if i > stop:
+            dout = layers[i].backward(caches[i], dout)
     return grads
 
 
@@ -231,9 +108,9 @@ class _Sgd:
     def __init__(self, lr, wd):
         self.lr, self.wd = lr, wd
 
-    def step(self, state, grads):
+    def step(self, layers, grads):
         for (i, name), g in grads.items():
-            w = state[i][name]
+            w = getattr(layers[i], name)
             w -= self.lr * (g + self.wd * w)
 
 
@@ -243,13 +120,13 @@ class _Adam:
         self.m, self.v = {}, {}
         self.t = 0
 
-    def step(self, state, grads):
+    def step(self, layers, grads):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for key, g in grads.items():
             i, name = key
-            w = state[i][name]
+            w = getattr(layers[i], name)
             g = g + self.wd * w
             m = self.m.setdefault(key, np.zeros_like(w))
             v = self.v.setdefault(key, np.zeros_like(w))
@@ -264,7 +141,11 @@ class _Adam:
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _stack(datasets):
+def _stack(datasets, input_shape):
+    for ds in datasets:
+        if ds.features.shape[1:] != input_shape:
+            raise ShapeMismatch(f"{ds.domain}/{ds.split} features {ds.features.shape[1:]} "
+                                f"!= input shape {input_shape}")
     n_classes = {ds.n_classes for ds in datasets}
     if len(n_classes) != 1:
         raise ValueError("datasets disagree on class count")
@@ -276,16 +157,16 @@ def _stack(datasets):
 def train(network, data, cfg):
     """Train on the concatenated datasets; returns a new network.
 
-    Layer indices in cfg.freeze are left bit-identical and run in inference
-    mode. Raises Diverged when the loss becomes non-finite.
+    Layer indices in cfg.freeze are left bit-identical and run with running
+    BatchNorm statistics and no dropout. Raises ShapeMismatch before the
+    first step when a dataset's feature shape is not the network's input
+    shape, and Diverged when the loss becomes non-finite.
     """
     for i in cfg.freeze:
         if not 0 <= i < len(network.layers):
             raise ValueError(f"freeze index {i} out of range")
-    feats, labels = _stack(list(data))
-    state = _init_state(network, cfg.freeze)
-    if cfg.epochs == 0:
-        return _rebuild(network, state)
+    feats, labels = _stack(list(data), network.input_shape)
+    layers = _private(network.layers, cfg.freeze)
     rng = np.random.default_rng(cfg.seed)
     opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(cfg.learning_rate, cfg.weight_decay)
     n = len(labels)
@@ -293,13 +174,12 @@ def train(network, data, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            logits, caches = _forward_train(network, state, feats[idx], rng, cfg.freeze)
+            logits, caches = _forward_train(layers, cfg.freeze, feats[idx], rng)
             loss, dlogits = softmax_cross_entropy(logits, labels[idx])
             if not math.isfinite(loss):
                 raise Diverged(f"loss became {loss}")
-            grads = _backward(network, state, caches, dlogits, cfg.freeze)
-            opt.step(state, grads)
-    return _rebuild(network, state)
+            opt.step(layers, _backward(layers, cfg.freeze, caches, dlogits))
+    return nm.with_layers(network, layers)
 
 
 def evaluate(network, ds, batch_size=512):
@@ -324,11 +204,9 @@ def dataset_loss(network, ds, batch_size=512):
 def gradients(network, feats, labels):
     """Analytic parameter gradients of the mean cross-entropy on one batch
     (dropout disabled, no buffer updates)."""
-    state = _init_state(network, frozenset())
-    logits, caches = _forward_train(network, state, feats, None, frozenset(),
-                                    update_buffers=False)
+    logits, caches = _forward_train(network.layers, (), feats, None, update_buffers=False)
     _, dlogits = softmax_cross_entropy(logits, labels)
-    return _backward(network, state, caches, dlogits, frozenset())
+    return _backward(network.layers, (), caches, dlogits)
 
 
 def grad_check(network, feats, labels, epsilon=1e-3):
@@ -339,32 +217,26 @@ def grad_check(network, feats, labels, epsilon=1e-3):
     buffer updates, so the loss is a deterministic function of the weights.
     Intended for small networks (< 5000 parameters).
     """
-    state = _init_state(network, frozenset())
-    n_params = sum(state[i][name].size
-                   for i in state for name in _TRAINABLE.get(network.layers[i].kind, ())
-                   if name in state[i])
+    n_params = nm.count_params(network)
     if n_params >= 5000:
         raise ValueError(f"grad_check is for small networks, got {n_params} params")
+    grads = gradients(network, feats, labels)
+    layers = _private(network.layers, ())
 
     def loss_fn():
-        logits, caches = _forward_train(network, state, feats, None, frozenset(),
-                                        update_buffers=False)
-        return softmax_cross_entropy(logits, labels), caches
-
-    (loss, dlogits), caches = loss_fn()
-    grads = _backward(network, state, caches, dlogits, frozenset())
+        logits, _ = _forward_train(layers, (), feats, None, update_buffers=False)
+        return softmax_cross_entropy(logits, labels)[0]
 
     worst = 0.0
     scale = max(max(float(np.max(np.abs(g))) for g in grads.values()), 1e-12)
     for (i, name), g in sorted(grads.items()):
-        w = state[i][name]
-        flat = w.reshape(-1)
+        flat = getattr(layers[i], name).reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + epsilon
-            (lp, _), _ = loss_fn()
+            lp = loss_fn()
             flat[k] = orig - epsilon
-            (lm, _), _ = loss_fn()
+            lm = loss_fn()
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * epsilon)
             worst = max(worst, abs(float(g.reshape(-1)[k]) - numeric) / scale)

@@ -4,7 +4,7 @@ import pytest
 from specprune import net as nm
 from specprune import train as tr
 from specprune.datasets import DomainDataset
-from specprune.errors import Diverged
+from specprune.errors import Diverged, ShapeMismatch
 
 
 def blob_data(rng, n=200, sep=2.0, std=0.3):
@@ -175,3 +175,84 @@ def test_bn_running_stats_update_and_inference_path():
     bn = out.layers[1]
     assert not np.array_equal(bn.running_mean, netw.layers[1].running_mean)
     assert np.all(bn.running_var > 0)
+
+
+def test_train_rejects_feature_shape_before_first_step(monkeypatch):
+    rng = np.random.default_rng(15)
+    netw = nm.Network((nm.Dense(rng.normal(size=(4, 3)), np.zeros(4)), nm.ReLU(),
+                       nm.Dense(rng.normal(size=(2, 4)), np.zeros(2))), (3,))
+    ds = DomainDataset("target", "train", rng.normal(size=(20, 5)),
+                       rng.integers(0, 2, 20), n_classes=2)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran on mismatched data")
+
+    monkeypatch.setattr(tr, "_forward_train", no_step)
+    with pytest.raises(ShapeMismatch, match="target/train"):
+        tr.train(netw, [ds], tr.TrainConfig(epochs=1))
+    with pytest.raises(ShapeMismatch):
+        tr.evaluate(netw, ds)
+
+
+def _grads(netw, feats, labels, freeze):
+    logits, caches = tr._forward_train(netw.layers, freeze, feats, None,
+                                       update_buffers=False)
+    _, dlogits = tr.softmax_cross_entropy(logits, labels)
+    return tr._backward(netw.layers, freeze, caches, dlogits)
+
+
+def test_frozen_prefix_leaves_upper_gradients_bit_equal():
+    rng = np.random.default_rng(16)
+    netw = tiny_cnn(rng, with_bn=False)
+    feats, labels = rng.normal(size=(8, 1, 4, 4)), rng.integers(0, 4, 8)
+    full = _grads(netw, feats, labels, frozenset())
+    assert sorted(full) == [(0, "bias"), (0, "weight"), (4, "bias"), (4, "weight")]
+    for k in range(1, len(netw.layers) + 1):
+        part = _grads(netw, feats, labels, frozenset(range(k)))
+        assert sorted(part) == sorted(key for key in full if key[0] >= k)
+        for key, g in part.items():
+            assert np.array_equal(g, full[key]), (k, key)
+
+
+@pytest.mark.parametrize("freeze, lowest", [((), 0), ((0,), 1), ((0, 1), 5)])
+def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
+    rng = np.random.default_rng(17)
+    netw = tiny_cnn(rng)  # conv, bn, relu, pool, flatten, dense
+    index = {id(layer): i for i, layer in enumerate(netw.layers)}
+    visits = []
+
+    def spy(cls, method):
+        original = getattr(cls, method)
+
+        def counting(self, cache, dout):
+            visits.append((index[id(self)], method))
+            return original(self, cache, dout)
+        monkeypatch.setattr(cls, method, counting)
+
+    for cls in nm.Layer.__subclasses__():
+        spy(cls, "backward")
+        if cls.params:
+            spy(cls, "param_grads")
+    grads = _grads(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6),
+                   frozenset(freeze))
+    assert min(i for i, _ in visits) == lowest
+    assert (lowest, "param_grads") in visits
+    assert (lowest, "backward") not in visits
+    assert sorted(i for i, m in visits if m == "backward") == list(range(lowest + 1, 6))
+    assert {i for i, _ in grads} == {i for i, m in visits if m == "param_grads"}
+
+
+def test_training_forward_all_frozen_matches_inference():
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(9, 1, 4, 4))
+    plain = tiny_cnn(rng, with_bn=False)
+    logits, _ = tr._forward_train(plain.layers, frozenset(range(len(plain.layers))), x, None)
+    assert np.array_equal(logits, nm.forward(plain, x)[0])
+
+    bn = tiny_cnn(rng)
+    bn = nm.with_layers(bn, [nm.BatchNorm(l.scale, l.shift, rng.normal(size=3) * 0.2,
+                                          rng.uniform(0.5, 2.0, 3))
+                             if isinstance(l, nm.BatchNorm) else l for l in bn.layers])
+    logits, _ = tr._forward_train(bn.layers, frozenset(range(len(bn.layers))), x, None)
+    expected = nm.forward(bn, x)[0]
+    assert np.max(np.abs(logits - expected)) <= 1e-12 * np.max(np.abs(expected))
