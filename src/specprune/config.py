@@ -187,6 +187,8 @@ def parse_config(doc):
     )
     if len(model.conv_channels) != 3 or len(model.dense_widths) != 2:
         raise ConfigError("model: expected 3 conv channel counts and 2 dense widths")
+    if not 0.0 <= model.dropout < 1.0:
+        raise ConfigError("model.dropout: must be in [0, 1)")
 
     train = _parse_section(doc.get("train"), "train", TrainSection, {
         "optimizer": ("optimizer", str, "adam"),

@@ -109,31 +109,35 @@ class DomainSplits:
 
 
 def shift_image(img, dy, dx):
-    """Integer translation with zero fill (content may clip at the border)."""
+    """Integer translation of the last two axes with zero fill (content may
+    clip at the border); leading axes index a batch of images."""
     out = np.zeros_like(img)
-    h, w = img.shape
+    h, w = img.shape[-2:]
     ys, yd = (slice(0, h - dy), slice(dy, h)) if dy >= 0 else (slice(-dy, h), slice(0, h + dy))
     xs, xd = (slice(0, w - dx), slice(dx, w)) if dx >= 0 else (slice(-dx, w), slice(0, w + dx))
-    out[yd, xd] = img[ys, xs]
+    out[..., yd, xd] = img[..., ys, xs]
     return out
 
 
 def _draw_samples(rng, n, shift=None, base_noise_std=0.05):
-    """Balanced, shuffled glyph samples; optionally composed with a domain shift."""
+    """Balanced, shuffled glyph samples; optionally composed with a domain shift.
+
+    The jittered glyphs are translated in one batch per (dy, dx) offset."""
     classes = rng.permutation(np.arange(n) % N_CLASSES)
     jitter = rng.integers(-1, 2, size=(n, 2))
     intensity = rng.uniform(0.8, 1.2, size=n)
     noise = rng.normal(0.0, base_noise_std, size=(n, 8, 8))
+    glyphs = GLYPHS[classes] * intensity[:, None, None]
     imgs = np.empty((n, 8, 8))
-    for i in range(n):
-        img = shift_image(GLYPHS[classes[i]] * intensity[i], jitter[i, 0], jitter[i, 1])
-        imgs[i] = img + noise[i]
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            group = (jitter[:, 0] == dy) & (jitter[:, 1] == dx)
+            imgs[group] = shift_image(glyphs[group], dy, dx)
+    imgs += noise
     if shift is not None and not shift.is_zero():
         extra = rng.normal(0.0, shift.noise_std_extra, size=(n, 8, 8)) \
             if shift.noise_std_extra > 0 else 0.0
-        for i in range(n):
-            imgs[i] = shift_image(imgs[i], shift.dy, shift.dx)
-        imgs = shift.gain * imgs + shift.offset + extra
+        imgs = shift.gain * shift_image(imgs, shift.dy, shift.dx) + shift.offset + extra
     return imgs[:, None, :, :], classes
 
 

@@ -11,7 +11,7 @@ Models serialize to a JSON manifest plus a little-endian float32 weight blob.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -283,7 +283,18 @@ def _f64(a):
 
 
 def _normalized(layer):
-    """Coerce array fields to contiguous float64 and sanity-check shapes."""
+    """Coerce array fields to contiguous float64 and sanity-check shapes.
+
+    A layer that needs no coercion is returned itself, so networks built from
+    one another share the layer objects they have in common."""
+    new = _coerced(layer)
+    unchanged = all(
+        a is b or (type(a) is type(b) and not isinstance(a, np.ndarray) and a == b)
+        for a, b in ((getattr(layer, f.name), getattr(new, f.name)) for f in fields(layer)))
+    return layer if unchanged else new
+
+
+def _coerced(layer):
     if isinstance(layer, Dense):
         w = _f64(layer.weight)
         b = None if layer.bias is None else _f64(layer.bias)
@@ -356,15 +367,21 @@ def capture_rows(x):
     raise ShapeMismatch(f"cannot capture activations of shape {x.shape}")
 
 
+def as_input(net, batch):
+    """The batch as float64, checked against the network's input shape."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.shape[1:] != net.input_shape:
+        raise ShapeMismatch(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
+    return x
+
+
 def forward(net, batch, capture=()):
     """Run the network on a batch, returning (logits, captured activations).
 
     `capture` is an iterable of capture-point ids; captured activations are
     post-activation and are returned in network order.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.shape[1:] != net.input_shape:
-        raise ShapeMismatch(f"batch shape {x.shape[1:]} != input shape {net.input_shape}")
+    x = as_input(net, batch)
     wanted = set(capture)
     captured = []
     for i, layer in enumerate(net.layers):
@@ -372,6 +389,19 @@ def forward(net, batch, capture=()):
         if i in wanted:
             captured.append(ActivationBatch(layer=i, samples=capture_rows(x)))
     return x, captured
+
+
+def shared_depth(a, b):
+    """Number of leading layers two networks share as the very same objects;
+    inference through them gives the same activations in both."""
+    if a.input_shape != b.input_shape:
+        return 0
+    depth = 0
+    for x, y in zip(a.layers, b.layers):
+        if x is not y:
+            break
+        depth += 1
+    return depth
 
 
 def layer_widths(net):
@@ -523,5 +553,7 @@ def load_model(path):
 
 
 def with_layers(net, new_layers):
-    """Copy of the network with the given layer list (revalidates shapes)."""
+    """Copy of the network with the given layer list (revalidates shapes).
+
+    Layers that need no coercion are kept as the same objects."""
     return replace(net, layers=tuple(new_layers))

@@ -323,8 +323,13 @@ def run(cfg, log=None):
 
     The points of one seed share a SweepMemo, so a point reuses the capture
     work of the point before it where their pruned prefixes agree; a row's
-    `seconds` is the compress time of its own point. Nothing is kept past
-    the seed's sweep."""
+    `seconds` is the compress time of its own point. Once every point of
+    the seed is compressed (and fine-tuned), the points are evaluated in
+    sweep order, each test split through one EvalCarry: a point resumes from
+    the activations the point before it kept after the leading layers they
+    share, and keeps its own after the layers it shares with the next point.
+    Fine-tuned points share no layers and are evaluated from the input.
+    Nothing is kept past the seed's sweep."""
     say = log or (lambda *_: None)
     records = []
     for seed in cfg.seeds:
@@ -336,6 +341,7 @@ def run(cfg, log=None):
         sigma_feats = stats_features(cfg, source, target)
         src_feats, tgt_feats = reg_features(cfg, source, target)
         memo = sp.SweepMemo()
+        points = []
         for value in cfg.compress.sweep:
             t0 = time.perf_counter()
             compressed, ratios = _stage("compress", compress_model, cfg, model,
@@ -344,8 +350,14 @@ def run(cfg, log=None):
             seconds = time.perf_counter() - t0
             compressed = _stage("finetune", finetune_model, cfg, compressed,
                                 target, seed)
-            acc_source = _stage("eval", tr.evaluate, compressed, source.test)
-            acc_target = _stage("eval", tr.evaluate, compressed, target.test)
+            points.append((value, compressed, ratios, seconds))
+        source_carry, target_carry = tr.EvalCarry(), tr.EvalCarry()
+        for k, (value, compressed, ratios, seconds) in enumerate(points):
+            keep = nm.shared_depth(compressed, points[k + 1][1]) if k + 1 < len(points) else 0
+            acc_source = _stage("eval", tr.evaluate, compressed, source.test,
+                                carry=source_carry, keep=keep)
+            acc_target = _stage("eval", tr.evaluate, compressed, target.test,
+                                carry=target_carry, keep=keep)
             params_after = nm.count_params(compressed)
             records.append(RunRecord(
                 seed=seed, method=cfg.compress.method, sweep_value=float(value),

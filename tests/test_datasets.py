@@ -82,3 +82,45 @@ def test_dataset_file_rejects_corruption(tmp_path):
     (tmp_path / "d" / "features.bin").write_bytes(blob[:-4])
     with pytest.raises(FormatError):
         dsm.load_dataset(tmp_path / "d")
+
+
+def _draw_per_sample(rng, n, shift=None, base_noise_std=0.05):
+    """Reference draw: the same generator calls, one shift_image per image."""
+    classes = rng.permutation(np.arange(n) % dsm.N_CLASSES)
+    jitter = rng.integers(-1, 2, size=(n, 2))
+    intensity = rng.uniform(0.8, 1.2, size=n)
+    noise = rng.normal(0.0, base_noise_std, size=(n, 8, 8))
+    imgs = np.empty((n, 8, 8))
+    for i in range(n):
+        img = dsm.shift_image(dsm.GLYPHS[classes[i]] * intensity[i], jitter[i, 0], jitter[i, 1])
+        imgs[i] = img + noise[i]
+    if shift is not None and not shift.is_zero():
+        extra = rng.normal(0.0, shift.noise_std_extra, size=(n, 8, 8)) \
+            if shift.noise_std_extra > 0 else 0.0
+        for i in range(n):
+            imgs[i] = dsm.shift_image(imgs[i], shift.dy, shift.dx)
+        imgs = shift.gain * imgs + shift.offset + extra
+    return imgs[:, None, :, :], classes
+
+
+@pytest.mark.parametrize("shift", [
+    None,
+    dsm.DomainShiftConfig(),
+    dsm.DomainShiftConfig(gain=0.8, offset=0.15, dx=1, noise_std_extra=0.02),
+    dsm.DomainShiftConfig(gain=1.0, offset=0.0, dx=0, dy=0, noise_std_extra=0.0),
+    dsm.DomainShiftConfig(dx=-2, dy=1),
+], ids=["none", "default", "c09", "zero", "dx-2_dy1"])
+def test_batched_draw_matches_per_sample_shifts(shift):
+    for seed in range(3):
+        feats, classes = dsm._draw_samples(np.random.default_rng(seed), 300, shift=shift)
+        ref_feats, ref_classes = _draw_per_sample(np.random.default_rng(seed), 300, shift=shift)
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert np.array_equal(classes, ref_classes)
+
+
+def test_shift_image_batch_matches_per_image():
+    imgs = np.random.default_rng(4).normal(size=(5, 8, 8))
+    for dy, dx in ((1, -1), (-2, 0), (0, 2), (2, -2)):
+        batch = dsm.shift_image(imgs, dy, dx)
+        assert batch.tobytes() == np.stack([dsm.shift_image(im, dy, dx)
+                                            for im in imgs]).tobytes()

@@ -204,3 +204,33 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
     (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
     with pytest.raises(FormatError):
         nm.load_model(tmp_path / "m")
+
+
+def test_with_layers_keeps_untouched_layer_objects():
+    rng = np.random.default_rng(8)
+    netw = small_random_cnn(rng)
+    dense = netw.layers[5]
+    new_dense = nm.Dense(dense.weight * 0.5, dense.bias)
+    swapped = nm.with_layers(netw, netw.layers[:5] + (new_dense,) + netw.layers[6:])
+    assert all(a is b for k, (a, b) in enumerate(zip(swapped.layers, netw.layers)) if k != 5)
+    assert swapped.layers[5] is new_dense
+    assert nm.shared_depth(netw, swapped) == 5
+    assert nm.shared_depth(netw, netw) == len(netw.layers)
+
+    # float32 or non-contiguous arrays still make new, coerced objects
+    conv = netw.layers[0]
+    f32 = nm.Conv2D(conv.weight.astype(np.float32), conv.bias, conv.stride, conv.padding)
+    strided = nm.Dense(np.asfortranarray(dense.weight), dense.bias)
+    fixed = nm.with_layers(netw, (f32,) + netw.layers[1:5] + (strided,) + netw.layers[6:])
+    for k, given in ((0, f32), (5, strided)):
+        got = fixed.layers[k]
+        assert got is not given
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous
+                   for a in (got.weight, got.bias))
+        assert np.array_equal(got.weight, given.weight)
+    assert nm.shared_depth(netw, fixed) == 0
+    assert fixed.layers[1] is netw.layers[1]
+
+    # a stride given as a float is coerced too
+    loose = nm.Conv2D(conv.weight, conv.bias, stride=1.0, padding=conv.padding)
+    assert nm.with_layers(netw, (loose,) + netw.layers[1:]).layers[0] is not loose

@@ -313,6 +313,83 @@ def test_sweep_memo_rejects_another_network_or_seed(tiny_setup):
 
 
 # ---------------------------------------------------------------------------
+# sweep-aware evaluation: every row must equal a fresh evaluation of its point
+# ---------------------------------------------------------------------------
+
+def _final_networks(monkeypatch):
+    """Records the network each sweep point evaluates (after fine-tuning)."""
+    finals = []
+    finetune = pl.finetune_model
+
+    def recording(*args):
+        finals.append(finetune(*args))
+        return finals[-1]
+
+    monkeypatch.setattr(pl, "finetune_model", recording)
+    return finals
+
+
+@pytest.mark.parametrize("compress, data, fine_tune", [
+    ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
+     {}, 0),
+    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {}, 0),
+    ({"method": "svd", "sweep": (8, 4, 8), "sweep_kind": "rank"}, {}, 0),
+    ({"sweep": (0.5, 0.3), "sweep_kind": "keep_fraction", "conv_value": 0.75}, {}, 1),
+    # 700 test samples: one full 512-row batch and a partial one
+    ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
+     {"n_per_split": 700}, 0),
+], ids=["keep_conv_pinned", "reg_subset_alpha_return", "svd_rank", "fine_tuned",
+        "partial_batch"])
+def test_sweep_rows_match_fresh_evaluation(tiny_setup, monkeypatch, compress, data,
+                                           fine_tune):
+    from specprune.config import FineTuneSection
+    out, cfg, *_ = tiny_setup
+    cfg = dataclasses.replace(
+        cfg, compress=dataclasses.replace(cfg.compress, **compress),
+        data=dataclasses.replace(cfg.data, **data),
+        fine_tune=FineTuneSection(epochs=fine_tune) if fine_tune else None)
+    finals = _final_networks(monkeypatch)
+    report = pl.run(cfg)
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    fresh = [(float(v), tr.evaluate(n, source.test), tr.evaluate(n, target.test))
+             for v, n in zip(cfg.compress.sweep, finals)]
+    assert sorted((r.sweep_value, r.acc_source, r.acc_target) for r in report.rows) \
+        == sorted(fresh)
+    if fine_tune:
+        assert nm.shared_depth(finals[0], finals[1]) == 0
+
+
+def test_conv_pinned_sweep_evaluates_the_conv_stack_once(tiny_setup, monkeypatch):
+    # every point keeps the same conv stack, so evaluation runs each conv
+    # once per batch and test split, not once per point
+    out, cfg, source, target, model = tiny_setup
+    sweep = (0.5, 0.3, 0.2, 0.1)
+    cfg = dataclasses.replace(cfg, compress=dataclasses.replace(
+        cfg.compress, sweep=sweep, sweep_kind="keep_fraction", conv_value=0.75))
+    calls = {"conv": 0}
+    per_point = []
+    conv_forward, evaluate = nm.Conv2D.forward, tr.evaluate
+
+    def counted_forward(self, *args, **kwargs):
+        calls["conv"] += 1
+        return conv_forward(self, *args, **kwargs)
+
+    def counted_evaluate(*args, **kwargs):
+        before = calls["conv"]
+        acc = evaluate(*args, **kwargs)
+        per_point.append(calls["conv"] - before)
+        return acc
+
+    monkeypatch.setattr(nm.Conv2D, "forward", counted_forward)
+    monkeypatch.setattr(tr, "evaluate", counted_evaluate)
+    pl.run(cfg)
+    convs = sum(isinstance(l, nm.Conv2D) for l in model.layers)
+    batches = -(-len(target.test) // 512)
+    # two splits per point; only the first point runs the convs
+    assert per_point == [convs * batches] * 2 + [0] * (2 * (len(sweep) - 1))
+
+
+# ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
 
@@ -391,6 +468,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "compress.method" in capsys.readouterr().err
+
+    # a dropout rate of 1 would divide by a zero keep probability; above 1
+    # it would silently zero the features
+    for rate in (1.0, 1.5):
+        doc = tiny_doc(tmp_path / "out")
+        doc["model"]["dropout"] = rate
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "model.dropout" in err and "Traceback" not in err
 
     # overrides go through the same validator, before any model is trained
     cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out", sweep=[0.35, 0.12],

@@ -256,3 +256,46 @@ def test_training_forward_all_frozen_matches_inference():
     logits, _ = tr._forward_train(bn.layers, frozenset(range(len(bn.layers))), x, None)
     expected = nm.forward(bn, x)[0]
     assert np.max(np.abs(logits - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
+    # two networks share their conv stack as the same objects; a carry hands
+    # the activations after it from one evaluate call to the next, across a
+    # partial last batch, and the resumed logits are bit-identical
+    rng = np.random.default_rng(12)
+    a = tiny_cnn(rng)
+    last = a.layers[-1]
+    b = nm.with_layers(a, a.layers[:-1] + (nm.Dense(last.weight[::-1], last.bias[::-1]),))
+    depth = nm.shared_depth(a, b)
+    assert depth == len(a.layers) - 1
+    feats = rng.normal(size=(70, 1, 4, 4))
+    ds = DomainDataset("target", "test", feats, rng.integers(0, 4, size=70), n_classes=4)
+
+    carry = tr.EvalCarry()
+    assert tr.evaluate(a, ds, batch_size=32, carry=carry, keep=depth) == tr.evaluate(
+        a, ds, batch_size=32)
+    assert carry.depth == depth and [len(x) for x in carry.batches] == [32, 32, 6]
+    applied = []
+    apply_layer = nm.apply_layer
+
+    def spy(layer, x, index=None):
+        applied.append(index)
+        return apply_layer(layer, x, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nm, "apply_layer", spy)
+        acc = tr.evaluate(b, ds, batch_size=32, carry=carry, keep=len(b.layers))
+    assert applied == [depth] * 3
+    assert acc == tr.evaluate(b, ds, batch_size=32)
+    for k, logits in enumerate(carry.batches):
+        assert logits.tobytes() == nm.forward(b, feats[32 * k:32 * (k + 1)])[0].tobytes()
+
+    # another dataset, batch size or network prefix starts from the input
+    assert carry.depth_for(b, ds, 32) == len(b.layers)
+    assert carry.depth_for(b, ds, 16) == 0
+    assert carry.depth_for(a, ds, 32) == 0
+    other = DomainDataset("target", "test", feats, ds.labels, n_classes=4)
+    assert carry.depth_for(b, other, 32) == 0
+    # a keep below the resumed depth leaves nothing for the next call
+    tr.evaluate(b, ds, batch_size=32, carry=carry, keep=1)
+    assert carry.batches is None and carry.depth_for(b, ds, 32) == 0
