@@ -58,8 +58,8 @@ def cmd_gen_data(cfg, args):
 def cmd_train(cfg, args):
     for seed in cfg.seeds:
         source, target, model = _load_run_inputs(cfg, seed)
-        acc_s = tr.evaluate(model, source.test)
-        acc_t = tr.evaluate(model, target.test)
+        acc_s = tr.evaluate([model], source.test)[0]
+        acc_t = tr.evaluate([model], target.test)[0]
         print(f"seed {seed}: params={nm.count_params(model)} "
               f"acc_source={acc_s:.4f} acc_target={acc_t:.4f}")
     return 0
@@ -90,7 +90,7 @@ def cmd_finetune(cfg, args):
         out = args.model.rstrip("/") + "_ft"
         nm.save_model(tuned, out)
         print(f"seed {seed}: fine-tuned model saved to {out} "
-              f"acc_target={tr.evaluate(tuned, target.test):.4f}")
+              f"acc_target={tr.evaluate([tuned], target.test)[0]:.4f}")
     return 0
 
 
@@ -98,8 +98,8 @@ def cmd_eval(cfg, args):
     model = nm.load_model(args.model)
     for seed in cfg.seeds:
         source, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-        print(f"seed {seed}: acc_source={tr.evaluate(model, source.test):.4f} "
-              f"acc_target={tr.evaluate(model, target.test):.4f}")
+        print(f"seed {seed}: acc_source={tr.evaluate([model], source.test)[0]:.4f} "
+              f"acc_target={tr.evaluate([model], target.test)[0]:.4f}")
     return 0
 
 

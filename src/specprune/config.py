@@ -49,6 +49,13 @@ def _choice(d, path, key, options, default):
     return v
 
 
+def _at_least(section, path, names, low):
+    for name in names:
+        if getattr(section, name) < low:
+            raise ConfigError(f"{path}.{name}: must be at least {low}, "
+                              f"got {getattr(section, name)}")
+
+
 @dataclass(frozen=True)
 class DataSection:
     n_per_split: int = 1500
@@ -132,13 +139,20 @@ def _parse_shift(d, path):
     if d is None:
         return DomainShiftConfig()
     _check_keys(d, path, ("gain", "offset", "dx", "dy", "noise_std_extra"))
-    return DomainShiftConfig(
+    shift = DomainShiftConfig(
         gain=_get(d, path, "gain", float, 0.55),
         offset=_get(d, path, "offset", float, 0.35),
         dx=_get(d, path, "dx", int, 1),
         dy=_get(d, path, "dy", int, 0),
         noise_std_extra=_get(d, path, "noise_std_extra", float, 0.05),
     )
+    # a translation of 8 or more pixels moves the whole 8x8 glyph out
+    for name in ("dx", "dy"):
+        if not -7 <= getattr(shift, name) <= 7:
+            raise ConfigError(f"{path}.{name}: must be in [-7, 7], "
+                              f"got {getattr(shift, name)}")
+    _at_least(shift, path, ("noise_std_extra",), 0)
+    return shift
 
 
 def _parse_section(d, path, cls, fields):
@@ -163,8 +177,8 @@ def parse_config(doc):
     if scenario is None:
         raise ConfigError("config.scenario: required")
     seeds = _get(doc, "config", "seeds", list, required=True)
-    if not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("config.seeds: must be a nonempty list of integers")
+    if not seeds or not all(isinstance(s, int) and s >= 0 for s in seeds):
+        raise ConfigError("config.seeds: must be a nonempty list of non-negative integers")
 
     data_doc = doc.get("data") or {}
     _check_keys(data_doc, "data", ("n_per_split", "shift"))
@@ -187,6 +201,9 @@ def parse_config(doc):
     )
     if len(model.conv_channels) != 3 or len(model.dense_widths) != 2:
         raise ConfigError("model: expected 3 conv channel counts and 2 dense widths")
+    for key in ("conv_channels", "dense_widths"):
+        if not all(type(v) is int and v > 0 for v in getattr(model, key)):
+            raise ConfigError(f"model.{key}: must be positive integers")
     if not 0.0 <= model.dropout < 1.0:
         raise ConfigError("model.dropout: must be in [0, 1)")
 
@@ -203,6 +220,9 @@ def parse_config(doc):
     })
     if train.optimizer not in ("sgd", "adam"):
         raise ConfigError(f"train.optimizer: must be sgd or adam, got {train.optimizer!r}")
+    _at_least(train, "train", ("batch_size",), 1)
+    _at_least(train, "train", ("learning_rate", "epochs", "source_samples",
+                               "target_samples", "pretrain_epochs", "finetune_epochs"), 0)
 
     stats_doc = doc.get("stats") or {}
     _check_keys(stats_doc, "stats", ("data_choice", "target_samples", "source_samples",
@@ -216,6 +236,8 @@ def parse_config(doc):
         covariance=_choice(stats_doc, "stats", "covariance",
                            ("centered", "uncentered"), "centered"),
     )
+    _at_least(stats, "stats", ("target_samples",), 2)
+    _at_least(stats, "stats", ("source_samples", "row_budget"), 0)
 
     compress_doc = doc.get("compress") or {}
     _check_keys(compress_doc, "compress",
@@ -261,6 +283,8 @@ def parse_config(doc):
             "batch_size": ("batch_size", int, 50),
             "epochs": ("epochs", int, 2),
         })
+        _at_least(fine_tune, "fine_tune", ("batch_size",), 1)
+        _at_least(fine_tune, "fine_tune", ("learning_rate", "epochs"), 0)
 
     analysis_doc = doc.get("analysis") or {}
     _check_keys(analysis_doc, "analysis", ("keep_fraction",))

@@ -91,13 +91,12 @@ class DomainDataset:
     def __len__(self):
         return len(self.labels)
 
-    def subset(self, n, rng=None):
-        """First n samples, or a seeded random subset when rng is given."""
+    def subset(self, n):
+        """The first n samples."""
         if n >= len(self):
             return self
-        idx = np.arange(n) if rng is None else rng.choice(len(self), size=n, replace=False)
-        return DomainDataset(self.domain, self.split, self.features[idx],
-                             self.labels[idx], self.n_classes)
+        return DomainDataset(self.domain, self.split, self.features[:n],
+                             self.labels[:n], self.n_classes)
 
 
 @dataclass(frozen=True)

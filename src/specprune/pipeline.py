@@ -324,12 +324,11 @@ def run(cfg, log=None):
     The points of one seed share a SweepMemo, so a point reuses the capture
     work of the point before it where their pruned prefixes agree; a row's
     `seconds` is the compress time of its own point. Once every point of
-    the seed is compressed (and fine-tuned), the points are evaluated in
-    sweep order, each test split through one EvalCarry: a point resumes from
-    the activations the point before it kept after the leading layers they
-    share, and keeps its own after the layers it shares with the next point.
-    Fine-tuned points share no layers and are evaluated from the input.
-    Nothing is kept past the seed's sweep."""
+    the seed is compressed (and fine-tuned), one `train.evaluate` call per
+    test split evaluates them in sweep order, each point resuming from the
+    leading layers it shares with the point before it. Fine-tuned points
+    share no layers and are evaluated from the input. Nothing is kept past
+    the seed's sweep."""
     say = log or (lambda *_: None)
     records = []
     for seed in cfg.seeds:
@@ -351,13 +350,11 @@ def run(cfg, log=None):
             compressed = _stage("finetune", finetune_model, cfg, compressed,
                                 target, seed)
             points.append((value, compressed, ratios, seconds))
-        source_carry, target_carry = tr.EvalCarry(), tr.EvalCarry()
-        for k, (value, compressed, ratios, seconds) in enumerate(points):
-            keep = nm.shared_depth(compressed, points[k + 1][1]) if k + 1 < len(points) else 0
-            acc_source = _stage("eval", tr.evaluate, compressed, source.test,
-                                carry=source_carry, keep=keep)
-            acc_target = _stage("eval", tr.evaluate, compressed, target.test,
-                                carry=target_carry, keep=keep)
+        networks = [compressed for _, compressed, _, _ in points]
+        accs_source = _stage("eval", tr.evaluate, networks, source.test)
+        accs_target = _stage("eval", tr.evaluate, networks, target.test)
+        for (value, compressed, ratios, seconds), acc_source, acc_target in zip(
+                points, accs_source, accs_target):
             params_after = nm.count_params(compressed)
             records.append(RunRecord(
                 seed=seed, method=cfg.compress.method, sweep_value=float(value),

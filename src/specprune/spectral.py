@@ -30,6 +30,9 @@ from .errors import DegenerateSigma, ShapeMismatch, StatsMissing, TopologyError
 from .linalg import cholesky, default_ridge
 
 PLATEAU_TOL = 1e-12
+# samples per block pushed through the network and sampled for moments at
+# once; with a row budget it decides which rows enter the moments
+BATCH_SIZE = 256
 REG_MODES = ("none", "subset", "node")
 
 
@@ -487,8 +490,7 @@ def _distinct_streams(inputs):
 
 def compress_network(network, sigma_features, cfg, source_features=None,
                      target_features=None, keep_counts=None, alphas=None,
-                     row_budget=st.DEFAULT_ROW_BUDGET, seed=0,
-                     strategy="incremental", batch_size=256, memo=None):
+                     row_budget=st.DEFAULT_ROW_BUDGET, seed=0, memo=None):
     """Prune every capture point, input to output.
 
     Selection statistics are always computed on the already-compressed prefix
@@ -510,7 +512,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         inputs["target"] = target_features
     slots, streams = _distinct_streams(inputs)
     previous = () if memo is None else memo._take(
-        network, slots, streams, (row_budget, seed, strategy, batch_size))
+        network, slots, streams, (row_budget, seed))
     records = []
     rng = np.random.default_rng(seed)
     plans = {}
@@ -520,9 +522,9 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         rec = previous[k] if k < len(previous) else None
         local = _local_config(cfg, cp, keep_counts, alphas)
         if rec is None:
-            streams = [_push(network, x, frontier, cp + 1, batch_size) for x in streams]
+            streams = [_push(network, x, frontier, cp + 1, BATCH_SIZE) for x in streams]
             frontier = cp + 1
-            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng, batch_size)
+            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng, BATCH_SIZE)
                     for name, i in slots.items()}
             stats = (st.finalize(accs["sigma"]).sigma,
                      st.finalize(accs["source"], "source") if "source" in accs else None,
@@ -534,14 +536,14 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             plan = rec.plan
         else:
             plan = find_subset(stats[0], local, stats_source=stats[1],
-                               stats_target=stats[2], layer=cp, strategy=strategy)
+                               stats_target=stats[2], layer=cp)
         if rec is not None and _same_cut(plan, rec.plan):
             network, streams, frontier = rec.network, rec.streams, cp + 1
         else:
             previous = ()  # the captures after this one see another prefix
             if k + 1 < len(captures):
                 if frontier <= cp:  # the statistics came from the memo
-                    streams = [_push(network, x, frontier, cp + 1, batch_size)
+                    streams = [_push(network, x, frontier, cp + 1, BATCH_SIZE)
                                for x in streams]
                     frontier = cp + 1
                 kept = np.asarray(sorted(plan.selected), dtype=np.intp)

@@ -182,52 +182,36 @@ def train(network, data, cfg):
     return nm.with_layers(network, layers)
 
 
-class EvalCarry:
-    """The activations one `evaluate` call hands to the next: per batch, the
-    activations of one dataset after the first `depth` layers of a network.
-    It holds one depth of one dataset at a time, and starts empty."""
+def evaluate(networks, ds, batch_size=512):
+    """Fraction of argmax-correct predictions of each network on ds, in
+    order (argmax ties go to the lowest class).
 
-    def __init__(self):
-        self.ds = self.network = self.batches = None
-        self.batch_size = self.depth = 0
-
-    def depth_for(self, network, ds, batch_size):
-        """How many leading layers of network the held activations have
-        already been through: 0 unless they are of ds, in batch_size
-        batches, after layers network shares."""
-        if (self.batches is None or ds is not self.ds or batch_size != self.batch_size
-                or nm.shared_depth(self.network, network) < self.depth):
-            return 0
-        return self.depth
-
-
-def evaluate(network, ds, batch_size=512, carry=None, keep=0):
-    """Fraction of argmax-correct predictions (argmax ties go to the lowest class).
-
-    carry, an EvalCarry, lets the calls of a sweep share work: when it holds
-    activations of ds after layers that are this network's own leading
-    layer objects, the call runs only the layers after them. It then leaves
-    in the carry this network's activations after its first `keep` layers,
-    or nothing when keep is 0 or below the depth it resumed from. The batch
-    boundaries are those of a call without a carry, so the result is
-    bit-identical to one.
+    The networks of a sweep share work. Each batch runs through the
+    networks in turn: a network resumes from the activation the network
+    before it left after the leading layer objects the two share
+    (`net.shared_depth`), and leaves its own after the layers it shares with
+    the next one. When that depth is below the one it resumed from, it
+    leaves nothing, and the next network runs from the input. Only one
+    batch's activation at one depth is held at a time, and each accuracy is
+    bit-identical to that of the network evaluated alone.
     """
-    start = 0 if carry is None else carry.depth_for(network, ds, batch_size)
-    kept = [] if carry is not None and 0 < keep and start <= keep else None
-    correct = 0
-    for b, lo in enumerate(range(0, len(ds), batch_size)):
-        x = carry.batches[b] if start else nm.as_input(network, ds.features[lo:lo + batch_size])
-        for i in range(start, len(network.layers)):
-            if i == keep and kept is not None:
-                kept.append(x)
-            x = nm.apply_layer(network.layers[i], x, index=i)
-        if keep == len(network.layers) and kept is not None:
-            kept.append(x)
-        correct += int((x.argmax(axis=1) == ds.labels[lo:lo + batch_size]).sum())
-    if carry is not None:
-        carry.ds, carry.network, carry.batch_size = ds, network, batch_size
-        carry.depth, carry.batches = (keep, kept) if kept is not None else (0, None)
-    return correct / len(ds)
+    keeps = [nm.shared_depth(a, b) for a, b in zip(networks, networks[1:])] + [0]
+    correct = [0] * len(networks)
+    for lo in range(0, len(ds), batch_size):
+        labels = ds.labels[lo:lo + batch_size]
+        held, depth = None, 0
+        for k, network in enumerate(networks):
+            x = held if depth else nm.as_input(network, ds.features[lo:lo + batch_size])
+            held, keep = None, keeps[k]
+            for i in range(depth, len(network.layers)):
+                if i == keep:
+                    held = x
+                x = nm.apply_layer(network.layers[i], x, index=i)
+            if keep == len(network.layers):
+                held = x
+            correct[k] += int((x.argmax(axis=1) == labels).sum())
+            depth = keep if held is not None else 0
+    return [c / len(ds) for c in correct]
 
 
 def dataset_loss(network, ds, batch_size=512):

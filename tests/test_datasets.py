@@ -53,7 +53,7 @@ def test_default_shift_is_probe_detectable():
     cfg = tr.TrainConfig(optimizer="adam", learning_rate=3e-3, weight_decay=0.0,
                          batch_size=64, epochs=6, seed=0)
     probe = tr.train(probe, [data], cfg)
-    assert tr.evaluate(probe, data) > 0.80
+    assert tr.evaluate([probe], data)[0] > 0.80
 
 
 def test_shift_image_zero_fill():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_run_alpha_one_keeps_everything(tiny_setup):
     row = report.rows[0]
     assert row.compression_rate == pytest.approx(0.0, abs=1e-12)
     assert row.params_after == row.params_before
-    base_acc = tr.evaluate(model, target.test)
+    base_acc = tr.evaluate([model], target.test)[0]
     assert row.acc_target == pytest.approx(base_acc, abs=1e-6)
 
 
@@ -351,7 +352,7 @@ def test_sweep_rows_match_fresh_evaluation(tiny_setup, monkeypatch, compress, da
     finals = _final_networks(monkeypatch)
     report = pl.run(cfg)
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
-    fresh = [(float(v), tr.evaluate(n, source.test), tr.evaluate(n, target.test))
+    fresh = [(float(v), tr.evaluate([n], source.test)[0], tr.evaluate([n], target.test)[0])
              for v, n in zip(cfg.compress.sweep, finals)]
     assert sorted((r.sweep_value, r.acc_source, r.acc_target) for r in report.rows) \
         == sorted(fresh)
@@ -360,14 +361,14 @@ def test_sweep_rows_match_fresh_evaluation(tiny_setup, monkeypatch, compress, da
 
 
 def test_conv_pinned_sweep_evaluates_the_conv_stack_once(tiny_setup, monkeypatch):
-    # every point keeps the same conv stack, so evaluation runs each conv
-    # once per batch and test split, not once per point
+    # every point keeps the same conv stack, so each split's evaluate call
+    # runs each conv once per batch, not once per point
     out, cfg, source, target, model = tiny_setup
     sweep = (0.5, 0.3, 0.2, 0.1)
     cfg = dataclasses.replace(cfg, compress=dataclasses.replace(
         cfg.compress, sweep=sweep, sweep_kind="keep_fraction", conv_value=0.75))
     calls = {"conv": 0}
-    per_point = []
+    per_call = []
     conv_forward, evaluate = nm.Conv2D.forward, tr.evaluate
 
     def counted_forward(self, *args, **kwargs):
@@ -376,17 +377,16 @@ def test_conv_pinned_sweep_evaluates_the_conv_stack_once(tiny_setup, monkeypatch
 
     def counted_evaluate(*args, **kwargs):
         before = calls["conv"]
-        acc = evaluate(*args, **kwargs)
-        per_point.append(calls["conv"] - before)
-        return acc
+        accs = evaluate(*args, **kwargs)
+        per_call.append(calls["conv"] - before)
+        return accs
 
     monkeypatch.setattr(nm.Conv2D, "forward", counted_forward)
     monkeypatch.setattr(tr, "evaluate", counted_evaluate)
     pl.run(cfg)
     convs = sum(isinstance(l, nm.Conv2D) for l in model.layers)
     batches = -(-len(target.test) // 512)
-    # two splits per point; only the first point runs the convs
-    assert per_point == [convs * batches] * 2 + [0] * (2 * (len(sweep) - 1))
+    assert per_call == [convs * batches] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +449,10 @@ def test_specificity_identical_domains(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_gen_data_train_run(tmp_path):
+def test_cli_gen_data_train_run(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+    doc = tiny_doc(tmp_path / "out")
+    cfg_path.write_text(json.dumps(doc))
     assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "data" / "seed0" / "target_train" / "dataset.json").exists()
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
@@ -459,6 +460,19 @@ def test_cli_gen_data_train_run(tmp_path):
     assert (tmp_path / "out" / "report.csv").exists()
     assert (tmp_path / "out" / "report.json").exists()
     assert cli.main(["compress", "--config", str(cfg_path), "--alpha", "0.8"]) == 0
+    assert cli.main(["analyze-nodes", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "node_specificity.csv").exists()
+
+    # eval and finetune print the target accuracy of the saved model
+    _, target = make_two_domain(0, 150, parse_config(doc).data.shift)
+    compressed = tmp_path / "out" / "compressed" / "seed0_spectral_0.8"
+    doc["fine_tune"] = {"epochs": 1}
+    cfg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command, saved in (("eval", compressed), ("finetune", f"{compressed}_ft")):
+        assert cli.main([command, "--config", str(cfg_path), "--model", str(compressed)]) == 0
+        printed = re.search(r"acc_target=(\S+)", capsys.readouterr().out).group(1)
+        assert printed == f"{tr.evaluate([nm.load_model(saved)], target.test)[0]:.4f}"
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -478,6 +492,37 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         assert cli.main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert "model.dropout" in err and "Traceback" not in err
+
+    # out-of-range values that would crash with a bare NumPy or Python error,
+    # or silently misbehave (a glyph shifted out of view, a negative count
+    # slicing from the end), are rejected before anything is written
+    for keys, value in ((("seeds",), [-1]), (("train", "batch_size"), 0),
+                        (("train", "epochs"), -1),
+                        (("train", "learning_rate"), -1.0),
+                        (("train", "pretrain_epochs"), -1),
+                        (("train", "finetune_epochs"), -1),
+                        (("train", "source_samples"), -1),
+                        (("train", "target_samples"), -1),
+                        (("fine_tune", "batch_size"), 0), (("fine_tune", "epochs"), -1),
+                        (("fine_tune", "learning_rate"), -1.0),
+                        (("model", "conv_channels"), [0, 4, 8]),
+                        (("model", "dense_widths"), [-3, 24]),
+                        (("model", "dense_widths"), [24, 2.5]),
+                        (("stats", "row_budget"), -5), (("stats", "target_samples"), 1),
+                        (("stats", "source_samples"), -1),
+                        (("data", "shift", "dx"), 9), (("data", "shift", "dx"), 8),
+                        (("data", "shift", "dy"), -8),
+                        (("data", "shift", "noise_std_extra"), -0.1)):
+        doc = tiny_doc(tmp_path / "out")
+        section = doc
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("train", "run"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert ".".join(keys) + ":" in err and "Traceback" not in err
 
     # overrides go through the same validator, before any model is trained
     cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out", sweep=[0.35, 0.12],

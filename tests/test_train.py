@@ -52,7 +52,7 @@ def test_separable_blobs_reach_99():
     cfg = tr.TrainConfig(optimizer="adam", learning_rate=5e-3, weight_decay=0.0,
                          batch_size=32, epochs=20, seed=3)
     trained = tr.train(netw, [data], cfg)
-    assert tr.evaluate(trained, data) >= 0.99
+    assert tr.evaluate([trained], data)[0] >= 0.99
     assert tr.dataset_loss(trained, data) < tr.dataset_loss(netw, data)
 
 
@@ -115,7 +115,7 @@ def test_evaluate_constant_logits_balanced():
     feats = rng.normal(size=(100, 4))
     labels = np.arange(100) % 10
     ds = DomainDataset("target", "test", feats, labels)
-    assert tr.evaluate(netw, ds) == pytest.approx(0.1)
+    assert tr.evaluate([netw], ds)[0] == pytest.approx(0.1)
 
 
 def test_memorize_single_batch():
@@ -128,7 +128,7 @@ def test_memorize_single_batch():
          nm.Dense(rng.normal(size=(2, 32)) * 0.5, np.zeros(2))), (2,))
     cfg = tr.TrainConfig(optimizer="adam", learning_rate=2e-2, weight_decay=0.0,
                          batch_size=20, epochs=400, seed=1)
-    assert tr.evaluate(tr.train(netw, [ds], cfg), ds) == 1.0
+    assert tr.evaluate([tr.train(netw, [ds], cfg)], ds) == [1.0]
 
 
 def test_grad_check_dense_only():
@@ -191,7 +191,7 @@ def test_train_rejects_feature_shape_before_first_step(monkeypatch):
     with pytest.raises(ShapeMismatch, match="target/train"):
         tr.train(netw, [ds], tr.TrainConfig(epochs=1))
     with pytest.raises(ShapeMismatch):
-        tr.evaluate(netw, ds)
+        tr.evaluate([netw], ds)
 
 
 def _grads(netw, feats, labels, freeze):
@@ -259,22 +259,23 @@ def test_training_forward_all_frozen_matches_inference():
 
 
 def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
-    # two networks share their conv stack as the same objects; a carry hands
-    # the activations after it from one evaluate call to the next, across a
-    # partial last batch, and the resumed logits are bit-identical
+    # b shares all but its classifier with a as the same objects, so in
+    # a, b, a, b each network after the first runs only the classifier; c
+    # shares just the first conv and BatchNorm with b, below the depth b
+    # resumed from, so it runs from the input. 70 rows leave a partial batch.
     rng = np.random.default_rng(12)
     a = tiny_cnn(rng)
     last = a.layers[-1]
     b = nm.with_layers(a, a.layers[:-1] + (nm.Dense(last.weight[::-1], last.bias[::-1]),))
-    depth = nm.shared_depth(a, b)
-    assert depth == len(a.layers) - 1
+    c = nm.with_layers(a, a.layers[:2] + tiny_cnn(rng).layers[2:])
+    depth = len(a.layers) - 1
+    assert nm.shared_depth(a, b) == depth and nm.shared_depth(b, c) == 2
     feats = rng.normal(size=(70, 1, 4, 4))
     ds = DomainDataset("target", "test", feats, rng.integers(0, 4, size=70), n_classes=4)
+    networks = [a, b, a, b, c]
+    alone = [tr.evaluate([n], ds, 32)[0] for n in networks]
+    assert len(set(alone)) > 1
 
-    carry = tr.EvalCarry()
-    assert tr.evaluate(a, ds, batch_size=32, carry=carry, keep=depth) == tr.evaluate(
-        a, ds, batch_size=32)
-    assert carry.depth == depth and [len(x) for x in carry.batches] == [32, 32, 6]
     applied = []
     apply_layer = nm.apply_layer
 
@@ -282,20 +283,14 @@ def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
         applied.append(index)
         return apply_layer(layer, x, index)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(nm, "apply_layer", spy)
-        acc = tr.evaluate(b, ds, batch_size=32, carry=carry, keep=len(b.layers))
-    assert applied == [depth] * 3
-    assert acc == tr.evaluate(b, ds, batch_size=32)
-    for k, logits in enumerate(carry.batches):
-        assert logits.tobytes() == nm.forward(b, feats[32 * k:32 * (k + 1)])[0].tobytes()
+    monkeypatch.setattr(nm, "apply_layer", spy)
+    assert tr.evaluate(networks, ds, batch_size=32) == alone
+    every = list(range(len(a.layers)))
+    assert applied == (every + [depth] * 3 + every) * 3
 
-    # another dataset, batch size or network prefix starts from the input
-    assert carry.depth_for(b, ds, 32) == len(b.layers)
-    assert carry.depth_for(b, ds, 16) == 0
-    assert carry.depth_for(a, ds, 32) == 0
-    other = DomainDataset("target", "test", feats, ds.labels, n_classes=4)
-    assert carry.depth_for(b, other, 32) == 0
-    # a keep below the resumed depth leaves nothing for the next call
-    tr.evaluate(b, ds, batch_size=32, carry=carry, keep=1)
-    assert carry.batches is None and carry.depth_for(b, ds, 32) == 0
+    # the same layer objects under another input shape share no prefix, so
+    # the second network starts from the input, whose shape check fails
+    d = nm.Network(a.layers, (1, 2, 8), capture_points=a.capture_points)
+    assert all(x is y for x, y in zip(a.layers, d.layers)) and nm.shared_depth(a, d) == 0
+    with pytest.raises(ShapeMismatch):
+        tr.evaluate([a, d], ds, batch_size=32)
