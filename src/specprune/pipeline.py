@@ -21,15 +21,9 @@ from . import net as nm
 from . import spectral as sp
 from . import stats as st
 from . import train as tr
-from .config import SPECTRAL_METHODS
+from .config import REG_MODE_BY_METHOD, SPECTRAL_METHODS
 from .datasets import make_two_domain
 from .errors import PipelineStageError, SpecPruneError
-
-REG_MODE_BY_METHOD = {
-    "spectral": "none",
-    "spectral_reg_subset": "subset",
-    "spectral_reg_node": "node",
-}
 
 CSV_COLUMNS = ("seed", "method", "sweep_value", "lambda", "data_choice",
                "params_before", "params_after", "flops_before", "flops_after",

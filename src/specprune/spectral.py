@@ -365,7 +365,8 @@ def apply_plan_dense(network, cp, plan):
     layers[own_idx] = new_own
     if bn_idx is not None:
         layers[bn_idx] = new_bn
-    layers[next_idx] = nm.Dense(new_w, next_layer.bias.copy())
+    layers[next_idx] = nm.Dense(
+        new_w, None if next_layer.bias is None else next_layer.bias.copy())
     return nm.with_layers(network, layers)
 
 

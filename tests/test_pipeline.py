@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -75,6 +76,28 @@ def test_config_requires_seeds_and_version(tmp_path):
     doc["schema_version"] = 99
     with pytest.raises(ConfigError, match="schema_version"):
         parse_config(doc)
+
+
+def test_model_cache_key_is_pinned(tmp_path):
+    # the key hashes the reprs of the data, model and train sections, so a
+    # change to them would silently retrain every cached model
+    example = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "example.json")
+    cfg = parse_config(read_config(example))
+    assert pl._model_cache_key(cfg, 0) == \
+        "88174e3f962fd6d5bfc9d08fe82222ac35d05c0df52e9879feab8c0df25dc30b"
+    c09 = parse_config({  # the regularization-trend acceptance document
+        "schema_version": 1, "scenario": "pretrain_finetune", "seeds": list(range(10)),
+        "data": {"n_per_split": 1500,
+                 "shift": {"gain": 0.8, "offset": 0.15, "dx": 1, "noise_std_extra": 0.02}},
+        "train": {"epochs": 8, "pretrain_epochs": 10, "finetune_epochs": 6},
+        "stats": {"target_samples": 1500, "source_samples": 750},
+        "compress": {"method": "spectral", "sweep": [0.25, 0.18, 0.12],
+                     "sweep_kind": "keep_fraction", "conv_value": 0.6, "lambda": 1.0},
+        "paths": {"out_dir": str(tmp_path)},
+    })
+    assert pl._model_cache_key(c09, 0) == \
+        "f2056d3cb16f040880739e1471c2e9f17f6caaad592b44025c0ea15b608a8443"
 
 
 def test_config_file_round_trip(tmp_path):
@@ -512,7 +535,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                         (("stats", "source_samples"), -1),
                         (("data", "shift", "dx"), 9), (("data", "shift", "dx"), 8),
                         (("data", "shift", "dy"), -8),
-                        (("data", "shift", "noise_std_extra"), -0.1)):
+                        (("data", "shift", "noise_std_extra"), -0.1),
+                        (("fine_tune", "optimizer"), "rmsprop"),
+                        (("compress", "conv_value"), 0),
+                        (("compress", "lambda"), float("nan")),
+                        (("data", "shift", "gain"), float("inf")),
+                        (("train", "epochs"), True), (("stats", "row_budget"), False),
+                        (("seeds",), [True]), (("compress", "sweep"), [True]),
+                        (("train", "weight_decay"), -1.0),
+                        (("fine_tune", "weight_decay"), -1.0)):
         doc = tiny_doc(tmp_path / "out")
         section = doc
         for key in keys[:-1]:

@@ -396,6 +396,20 @@ def test_apply_plan_dense_param_count_drop():
     assert nm.count_flops(pruned) < nm.count_flops(netw)
 
 
+def test_compress_network_next_dense_without_bias():
+    # a bias-free next layer (as lowrank.replace_dense makes) stays bias-free
+    rng = np.random.default_rng(19)
+    base = dense_net_with_capture(rng, duplicated=True)
+    netw = nm.with_layers(base, base.layers[:2] + (nm.Dense(base.layers[2].weight, None),))
+    x = rng.normal(size=(300, 6))
+    pruned, plans = sp.compress_network(netw, x, sp.GreedyConfig(alpha=0.9999))
+    assert len(plans[1].selected) == 4
+    assert pruned.layers[2].bias is None
+    out0, _ = nm.forward(netw, x)
+    out1, _ = nm.forward(pruned, x)
+    assert np.abs(out0 - out1).max() < 1e-5
+
+
 def conv_net_with_capture(rng, channels=6, duplicated=False):
     w1 = rng.normal(size=(channels, 1, 3, 3)) * 0.7
     b1 = rng.normal(size=channels) * 0.1 + 0.2
