@@ -321,8 +321,8 @@ def run(cfg, log=None):
     the seed is compressed (and fine-tuned), one `train.evaluate` call per
     test split evaluates them in sweep order, each point resuming from the
     leading layers it shares with the point before it. Fine-tuned points
-    share no layers and are evaluated from the input. Nothing is kept past
-    the seed's sweep."""
+    share no layers and are evaluated from the input. The memo, which holds
+    the activations of every capture, is dropped before evaluation."""
     say = log or (lambda *_: None)
     records = []
     for seed in cfg.seeds:
@@ -344,6 +344,7 @@ def run(cfg, log=None):
             compressed = _stage("finetune", finetune_model, cfg, compressed,
                                 target, seed)
             points.append((value, compressed, ratios, seconds))
+        del memo
         networks = [compressed for _, compressed, _, _ in points]
         accs_source = _stage("eval", tr.evaluate, networks, source.test)
         accs_target = _stage("eval", tr.evaluate, networks, target.test)

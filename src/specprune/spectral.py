@@ -417,7 +417,7 @@ class _CaptureRecord:
     local: GreedyConfig
     plan: PruningPlan
     network: nm.Network  # after this capture's surgery
-    streams: tuple  # distinct post-slice streams; None at the last capture
+    acts: tuple  # distinct streams at cp + 1, before the slice; None at the last capture
 
 
 class SweepMemo:
@@ -427,10 +427,13 @@ class SweepMemo:
     call reuses a capture's statistics, and the sampling generator state
     after them, while every earlier capture kept the same nodes with the
     same recovery matrix. If the capture's own config is also unchanged, the
-    call reuses its plan and pruned network too. At the first capture whose
-    cut differs, the streams are pushed on from the stored streams of the
-    capture before it. Each call's results are bit-identical to a call
-    without the memo.
+    call reuses its plan and pruned network too. If the config differs only
+    in alpha or max_cardinality, the greedy order on the same statistics is
+    the same, so the plan is read off the stored one where it stops within
+    it (see _plan_from_record). At the first capture whose cut differs, the
+    stored activations of that capture are sliced to the new cut, and only
+    the captures after it push and take moments. Each call's results are
+    bit-identical to a call without the memo.
 
     The first call binds the memo to its network, input streams and
     sampling settings. A later call with any other raises ValueError.
@@ -453,6 +456,33 @@ class SweepMemo:
                                  "streams, seed or sampling settings")
         records, self._records = self._records, ()
         return records
+
+
+def _plan_from_record(plan, plan_cfg, cfg, sigma):
+    """The plan find_subset(sigma, cfg) returns, read off `plan`, the result
+    of find_subset(sigma, plan_cfg); None when it cannot be.
+
+    The greedy order on a fixed sigma depends on neither alpha nor
+    max_cardinality, which only decide where it stops. So if the configs
+    differ in nothing else, the new plan stops at the first step of the old
+    order that reaches the new alpha or cap; past the old plan's end, it is
+    the old plan only if that one ran out of candidates or plateaued.
+    """
+    if cfg == plan_cfg:
+        return plan
+    if dataclasses.replace(plan_cfg, alpha=cfg.alpha,
+                           max_cardinality=cfg.max_cardinality) != cfg:
+        return None
+    m = sigma.shape[0]
+    cap = cfg.max_cardinality if cfg.max_cardinality > 0 else m
+    for t, ratio in enumerate(plan.ratio_trace, 1):
+        if ratio >= cfg.alpha or t == cap:
+            selected = plan.selected[:t]
+            return PruningPlan(layer=plan.layer, selected=selected,
+                               recovery=recovery_matrix(sigma, sorted(selected), cfg.ridge),
+                               ratio_trace=plan.ratio_trace[:t], achieved_ratio=ratio,
+                               plateau_flag=False)
+    return plan if plan.plateau_flag or len(plan.selected) == m else None
 
 
 def _same_cut(plan, other):
@@ -517,36 +547,33 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     records = []
     rng = np.random.default_rng(seed)
     plans = {}
-    frontier = 0
     captures = sorted(network.capture_points)
     for k, cp in enumerate(captures):
         rec = previous[k] if k < len(previous) else None
+        last = k + 1 == len(captures)
         local = _local_config(cfg, cp, keep_counts, alphas)
         if rec is None:
-            streams = [_push(network, x, frontier, cp + 1, BATCH_SIZE) for x in streams]
-            frontier = cp + 1
+            start = captures[k - 1] + 1 if k else 0
+            streams = [_push(network, x, start, cp + 1, BATCH_SIZE) for x in streams]
             accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng, BATCH_SIZE)
                     for name, i in slots.items()}
             stats = (st.finalize(accs["sigma"]).sigma,
                      st.finalize(accs["source"], "source") if "source" in accs else None,
                      st.finalize(accs["target"], "target") if "target" in accs else None)
+            plan = None
         else:
-            stats = rec.stats
+            stats, streams = rec.stats, rec.acts
             rng.bit_generator.state = rec.rng_state
-        if rec is not None and rec.local == local:
-            plan = rec.plan
-        else:
+            plan = _plan_from_record(rec.plan, rec.local, local, stats[0])
+        if plan is None:
             plan = find_subset(stats[0], local, stats_source=stats[1],
                                stats_target=stats[2], layer=cp)
+        acts = None if memo is None or last else tuple(streams)
         if rec is not None and _same_cut(plan, rec.plan):
-            network, streams, frontier = rec.network, rec.streams, cp + 1
+            network = rec.network
         else:
             previous = ()  # the captures after this one see another prefix
-            if k + 1 < len(captures):
-                if frontier <= cp:  # the statistics came from the memo
-                    streams = [_push(network, x, frontier, cp + 1, BATCH_SIZE)
-                               for x in streams]
-                    frontier = cp + 1
+            if not last:
                 kept = np.asarray(sorted(plan.selected), dtype=np.intp)
                 streams = [x[:, kept] if x.ndim == 2 else x[:, kept, :, :]
                            for x in streams]
@@ -554,8 +581,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         plans[cp] = plan
         if memo is not None:
             records.append(_CaptureRecord(
-                stats, rng.bit_generator.state, local, plan, network,
-                tuple(streams) if k + 1 < len(captures) else None))
+                stats, rng.bit_generator.state, local, plan, network, acts))
     if memo is not None:
         memo._records = tuple(records)
     return network, plans
@@ -565,13 +591,15 @@ def _push(network, x, start, stop, batch_size):
     """Apply layers [start, stop) in inference mode, batched."""
     if start >= stop:
         return x
-    outs = []
+    out = None
     for s in range(0, len(x), batch_size):
         h = x[s:s + batch_size]
         for i in range(start, stop):
             h = nm.apply_layer(network.layers[i], h, index=i)
-        outs.append(h)
-    return np.concatenate(outs, axis=0)
+        if out is None:
+            out = np.empty((len(x),) + h.shape[1:], dtype=h.dtype)
+        out[s:s + len(h)] = h
+    return out
 
 
 def _rows_to_acc(cp, x, row_budget, rng, batch_size):

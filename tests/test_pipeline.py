@@ -203,38 +203,48 @@ def _assert_same_plans(a, b):
 
 class _Counter:
     """Counts calls of spectral._rows_to_acc (one per stream and capture
-    whose moments are computed) and samples pushed by spectral._push."""
+    whose moments are computed) and of spectral.find_subset, and samples
+    pushed by spectral._push."""
 
     def __init__(self, monkeypatch):
         self.moments = 0
+        self.selects = 0
         self.pushed = 0
-        rows_to_acc, push = sp._rows_to_acc, sp._push
+        rows_to_acc, find_subset, push = sp._rows_to_acc, sp.find_subset, sp._push
 
         def counted_rows_to_acc(*args):
             self.moments += 1
             return rows_to_acc(*args)
+
+        def counted_find_subset(*args, **kwargs):
+            self.selects += 1
+            return find_subset(*args, **kwargs)
 
         def counted_push(network, x, start, stop, batch_size):
             self.pushed += len(x) if start < stop else 0
             return push(network, x, start, stop, batch_size)
 
         monkeypatch.setattr(sp, "_rows_to_acc", counted_rows_to_acc)
+        monkeypatch.setattr(sp, "find_subset", counted_find_subset)
         monkeypatch.setattr(sp, "_push", counted_push)
+
+    def work(self):
+        return self.moments, self.selects, self.pushed
 
 
 def _sweep(cfg, monkeypatch, path, memo=True):
     """pl.run's rows (seconds zeroed) and, per point, the plans, the saved
-    model bytes and the moment count."""
+    model bytes and the (moments, find_subset calls, pushed samples) counts."""
     points = []
     compress_network = sp.compress_network
     with monkeypatch.context() as patch:
         counter = _Counter(patch)
 
         def recording(*args, **kwargs):
-            before = counter.moments
+            before = counter.work()
             network, plans = compress_network(*args, **kwargs)
             points.append((plans, _model_bytes(network, path / str(len(points))),
-                           counter.moments - before))
+                           tuple(b - a for a, b in zip(before, counter.work()))))
             return network, plans
 
         patch.setattr(sp, "compress_network", recording)
@@ -244,21 +254,30 @@ def _sweep(cfg, monkeypatch, path, memo=True):
     return _strip_seconds(report), points
 
 
-@pytest.mark.parametrize("compress, stats, moments", [
+# The tiny model has 5 captures (3 conv, 2 dense) and 150 statistics samples;
+# work is (moments, find_subset calls, pushed samples) per point.
+@pytest.mark.parametrize("compress, stats, work", [
     # keep sweep, conv pinned: later points reuse the 3 conv captures and the
-    # statistics of the first dense capture
+    # statistics of the first dense capture, cut its stored order short and
+    # slice its stored activations, so they select and push only at the last
+    # capture
     ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
-     {}, [5, 1, 1]),
+     {}, [(5, 5, 5 * 150), (1, 1, 150), (1, 1, 150)]),
     # the same with a row budget below the rows of one batch at every capture,
-    # so each reused capture must restore the sampling generator
+    # so each reused capture must restore the sampling generator; the third
+    # point keeps more at the first dense capture than the second point did,
+    # so it selects there again
     ({"sweep": (0.5, 0.3, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
-     {"row_budget": 40}, [5, 1, 1]),
+     {"row_budget": 40}, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
     # regularized alpha sweep that returns to its first point; moments per
-    # capture are taken on 3 streams, and only the first capture's are shared
-    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {}, [15, 12, 12]),
+    # capture are taken on 3 streams (2 distinct ones are pushed), and only
+    # the first capture's are shared: the falling second point truncates its
+    # plan there, the rising third point must select again
+    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {},
+     [(15, 5, 10 * 150), (12, 4, 8 * 150), (12, 5, 8 * 150)]),
 ], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
 def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
-                                             compress, stats, moments):
+                                             compress, stats, work):
     out, cfg, *_ = tiny_setup
     cfg = dataclasses.replace(
         cfg, compress=dataclasses.replace(cfg.compress, **compress),
@@ -269,14 +288,15 @@ def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
     for (plans, model, _), (fresh_plans, fresh_model, _) in zip(points, fresh_points):
         _assert_same_plans(plans, fresh_plans)
         assert model == fresh_model
-    assert [n for *_, n in points] == moments
-    assert [n for *_, n in fresh_points] == [moments[0]] * len(moments)
+    assert [n for *_, n in points] == work
+    assert [n for *_, n in fresh_points] == [work[0]] * len(work)
 
 
 def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     # each point lowers alpha at one capture, deepest first, then the sweep
-    # returns to its first point; only the captures after the first changed
-    # one take new moments (3 streams each)
+    # returns to its first point; the lowered capture truncates its stored
+    # plan and slices its stored activations, and only the captures after it
+    # push (2 distinct streams) and take new moments (3 streams each)
     out, cfg, source, target, model = tiny_setup
     feats = pl.stats_features(cfg, source, target)
     src, tgt = pl.reg_features(cfg, source, target)
@@ -286,18 +306,22 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     sweep = [base] + [{**base, cp: 0.8} for cp in reversed(caps)] + [base]
     counter = _Counter(monkeypatch)
     memo = sp.SweepMemo()
-    moments = []
+    work = []
     for k, alphas in enumerate(sweep):
         kwargs = dict(source_features=src, target_features=tgt, alphas=alphas,
                       row_budget=100, seed=3)
         fresh, fresh_plans = sp.compress_network(model, feats, gcfg, **kwargs)
-        before = counter.moments
+        before = counter.work()
         network, plans = sp.compress_network(model, feats, gcfg, memo=memo, **kwargs)
-        moments.append(counter.moments - before)
+        work.append(tuple(b - a for a, b in zip(before, counter.work())))
         _assert_same_plans(plans, fresh_plans)
         assert _model_bytes(network, tmp_path / f"m{k}") \
             == _model_bytes(fresh, tmp_path / f"f{k}")
-    assert moments == [15, 0, 3, 6, 9, 12, 12]
+    n = 2 * len(feats)
+    # the last point raises alpha at the first capture again, so it selects
+    # at every capture
+    assert work == [(15, 5, 5 * n), (0, 0, 0), (3, 1, n), (6, 2, 2 * n),
+                    (9, 3, 3 * n), (12, 4, 4 * n), (12, 5, 4 * n)]
 
 
 def test_equal_streams_are_pushed_once(tiny_setup, monkeypatch):

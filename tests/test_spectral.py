@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -267,6 +268,54 @@ def test_plateau_guard_on_rank_deficient():
     assert plan.plateau_flag
     assert 0.999 < plan.achieved_ratio < 1.0  # rank absorbed before the guard fired
     assert len(plan.selected) < 40
+
+
+@pytest.mark.parametrize("reg_mode", sp.REG_MODES)
+def test_plan_from_record_equals_find_subset(reg_mode):
+    # for every ordered pair of (alpha, cap) configs on one rank-deficient
+    # sigma, a plan read off the first config's plan must be the plan
+    # find_subset gives for the second, bit for bit
+    rng = np.random.default_rng(17)
+    read = plateaued = 0
+    for _ in range(16):
+        m = int(rng.integers(6, 13))
+        sigma = moment_of(random_activations(rng, 200, m, rank=int(rng.integers(2, m))))
+        zeroed = rng.choice(m, size=int(rng.integers(0, 3)), replace=False)
+        sigma[zeroed, :] = 0.0
+        sigma[:, zeroed] = 0.0
+        stats = random_stats_pair(rng, m) if reg_mode != "none" else (None, None)
+        configs = [sp.GreedyConfig(alpha=alpha, max_cardinality=cap, reg_mode=reg_mode)
+                   for alpha in (1.0, 0.999, 0.99, 0.9, 0.5)
+                   for cap in (m, m - 1, m // 2, 1, m + 3)]
+        plans = [sp.find_subset(sigma, cfg, *stats) for cfg in configs]
+        plateaued += sum(plan.plateau_flag for plan in plans)
+        for (cfg_a, plan_a), (cfg_b, plan_b) in itertools.product(
+                zip(configs, plans), repeat=2):
+            got = sp._plan_from_record(plan_a, cfg_a, cfg_b, sigma)
+            if got is None:
+                continue
+            read += 1
+            assert got.selected == plan_b.selected
+            assert got.ratio_trace == plan_b.ratio_trace
+            assert got.achieved_ratio == plan_b.achieved_ratio
+            assert got.plateau_flag == plan_b.plateau_flag
+            assert got.recovery.shape == plan_b.recovery.shape
+            assert got.recovery.tobytes() == plan_b.recovery.tobytes()
+        cfg = configs[0]
+        for other in (dict(lam=0.5), dict(reg_mode="none" if reg_mode != "none" else "node"),
+                      dict(ridge=1e-3), dict(centered=False)):
+            for alpha, cap in ((cfg.alpha, cfg.max_cardinality), (0.5, 1)):
+                changed = dataclasses.replace(cfg, alpha=alpha, max_cardinality=cap, **other)
+                assert sp._plan_from_record(plans[0], cfg, changed, sigma) is None
+    assert read > 16 * 25 * 25 // 2 and plateaued > 0
+
+
+def test_plan_from_record_stops_where_the_ratio_equals_alpha():
+    sigma = np.eye(4)  # without a ridge the ratios are exactly 0.25, 0.5, 0.75, 1
+    full = sp.GreedyConfig(alpha=1.0, ridge=0.0)
+    half = dataclasses.replace(full, alpha=0.5)
+    got = sp._plan_from_record(sp.find_subset(sigma, full), full, half, sigma)
+    assert got.ratio_trace == sp.find_subset(sigma, half).ratio_trace == (0.25, 0.5)
 
 
 def test_non_finite_sigma_is_degenerate():
