@@ -12,8 +12,8 @@ from . import net as nm
 from . import pipeline as pl
 from . import train as tr
 from .config import parse_config, read_config
-from .datasets import make_two_domain, save_dataset
-from .errors import SpecPruneError
+from .datasets import make_two_domain
+from .errors import ConfigError, SpecPruneError
 
 
 def _override(doc, section, **values):
@@ -44,17 +44,6 @@ def _load_run_inputs(cfg, seed):
     return source, target, model
 
 
-def cmd_gen_data(cfg, args):
-    for seed in cfg.seeds:
-        source, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-        base = os.path.join(cfg.paths.out_dir, "data", f"seed{seed}")
-        for splits in (source, target):
-            for ds in (splits.train, splits.test):
-                save_dataset(ds, os.path.join(base, f"{ds.domain}_{ds.split}"))
-        print(f"seed {seed}: wrote 4 datasets under {base}")
-    return 0
-
-
 def cmd_train(cfg, args):
     for seed in cfg.seeds:
         source, target, model = _load_run_inputs(cfg, seed)
@@ -83,14 +72,16 @@ def cmd_compress(cfg, args):
 
 
 def cmd_finetune(cfg, args):
-    for seed in cfg.seeds:
-        source, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-        model = nm.load_model(args.model)
-        tuned = pl.finetune_model(cfg, model, target, seed)
-        out = args.model.rstrip("/") + "_ft"
-        nm.save_model(tuned, out)
-        print(f"seed {seed}: fine-tuned model saved to {out} "
-              f"acc_target={tr.evaluate([tuned], target.test)[0]:.4f}")
+    out = args.model.rstrip("/") + "_ft"
+    if len(cfg.seeds) > 1:  # each seed would overwrite the one model in `out`
+        raise ConfigError(f"seeds: finetune writes one model to {out}; "
+                          f"pick one of {list(cfg.seeds)} with --seed")
+    seed = cfg.seeds[0]
+    _, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
+    tuned = pl.finetune_model(cfg, nm.load_model(args.model), target, seed)
+    nm.save_model(tuned, out)
+    print(f"seed {seed}: fine-tuned model saved to {out} "
+          f"acc_target={tr.evaluate([tuned], target.test)[0]:.4f}")
     return 0
 
 
@@ -140,7 +131,6 @@ def build_parser():
         p.set_defaults(fn=fn)
         return p
 
-    add("gen-data", cmd_gen_data)
     add("train", cmd_train)
     add("compress", cmd_compress)
     add("finetune", cmd_finetune, needs_model=True)

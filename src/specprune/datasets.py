@@ -1,4 +1,4 @@
-"""Seeded two-domain synthetic glyph datasets and dataset file IO.
+"""Seeded two-domain synthetic glyph datasets.
 
 Ten 8x8 digit glyphs with per-sample jitter (integer translation, intensity
 scaling, pixel noise) form the source domain; the target domain is the same
@@ -7,16 +7,11 @@ translation, and additional noise. A zero shift makes the two domains
 identically distributed.
 """
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
-
 N_CLASSES = 10
-IMAGE_SHAPE = (1, 8, 8)
 
 _GLYPH_ART = [
     # 0
@@ -158,51 +153,3 @@ def make_two_domain(seed, n_per_split, shift=DomainShiftConfig()):
         out.append(DomainSplits(**splits))
     return out[0], out[1]
 
-
-# ---------------------------------------------------------------------------
-# dataset file format: JSON manifest + f32 feature blob + u16 label blob
-# ---------------------------------------------------------------------------
-
-DATASET_VERSION = 1
-
-
-def save_dataset(ds, path):
-    os.makedirs(path, exist_ok=True)
-    manifest = {
-        "kind": "dataset",
-        "version": DATASET_VERSION,
-        "count": len(ds),
-        "shape": list(ds.features.shape[1:]),
-        "classes": ds.n_classes,
-        "domain": ds.domain,
-        "split": ds.split,
-    }
-    with open(os.path.join(path, "dataset.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    with open(os.path.join(path, "features.bin"), "wb") as fh:
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
-    with open(os.path.join(path, "labels.bin"), "wb") as fh:
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
-
-
-def load_dataset(path):
-    try:
-        with open(os.path.join(path, "dataset.json")) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable dataset manifest: {exc}") from exc
-    if manifest.get("kind") != "dataset" or manifest.get("version") != DATASET_VERSION:
-        raise FormatError("not a supported dataset directory")
-    count = int(manifest["count"])
-    shape = tuple(manifest["shape"])
-    with open(os.path.join(path, "features.bin"), "rb") as fh:
-        feat_blob = fh.read()
-    with open(os.path.join(path, "labels.bin"), "rb") as fh:
-        label_blob = fh.read()
-    n_feat = count * int(np.prod(shape))
-    if len(feat_blob) != 4 * n_feat or len(label_blob) != 2 * count:
-        raise FormatError("blob sizes disagree with the manifest")
-    feats = np.frombuffer(feat_blob, dtype="<f4").reshape((count,) + shape).astype(np.float64)
-    labels = np.frombuffer(label_blob, dtype="<u2").astype(np.int64)
-    return DomainDataset(manifest["domain"], manifest["split"], feats, labels,
-                         n_classes=int(manifest["classes"]))

@@ -26,10 +26,6 @@ class FactoredDense:
     second: np.ndarray  # (m, k)
     bias: np.ndarray  # (m,)
 
-    @property
-    def rank(self):
-        return self.first.shape[0]
-
     def param_count(self):
         k, n = self.first.shape
         m = self.second.shape[0]
@@ -100,11 +96,6 @@ def dalr_param_fraction(k, m, n):
     return k * (m + n) / (m * n)
 
 
-def factor_layers(fd):
-    """The factorization as two Dense layers (first bias-free)."""
-    return nm.Dense(fd.first, None), nm.Dense(fd.second, fd.bias)
-
-
 def replace_dense(network, layer_idx, fd):
     """Substitute the Dense layer at layer_idx by its factored pair.
 
@@ -115,7 +106,7 @@ def replace_dense(network, layer_idx, fd):
         raise TypeError(f"layer {layer_idx} is {type(old).__name__}, not Dense")
     if fd.second.shape[0] != old.weight.shape[0] or fd.first.shape[1] != old.weight.shape[1]:
         raise RankOutOfRange("factor shapes disagree with the replaced layer")
-    layers = list(network.layers[:layer_idx]) + list(factor_layers(fd)) \
-        + list(network.layers[layer_idx + 1:])
+    factors = (nm.Dense(fd.first, None), nm.Dense(fd.second, fd.bias))  # first bias-free
+    layers = network.layers[:layer_idx] + factors + network.layers[layer_idx + 1:]
     capture = tuple(cp if cp < layer_idx else cp + 1 for cp in network.capture_points)
-    return nm.Network(tuple(layers), network.input_shape, capture)
+    return nm.Network(layers, network.input_shape, capture)

@@ -315,8 +315,9 @@ def _coerced(layer):
         c = arrs[0].shape
         if any(a.shape != c for a in arrs):
             raise ShapeMismatch("batchnorm parameter shapes disagree")
-        if np.any(arrs[3] <= 0):
-            raise ValueError("batchnorm running variance must be positive")
+        if np.any(arrs[3] <= 0) or not layer.eps >= 0:  # else 1/sqrt(var + eps) is NaN
+            raise ValueError("batchnorm running variance must be positive "
+                             "and eps non-negative")
         return BatchNorm(*arrs, eps=float(layer.eps), momentum=float(layer.momentum))
     return layer
 
@@ -476,7 +477,11 @@ def _layer_manifest(layer):
 
 
 def save_model(net, path):
-    """Write model.json and weights.bin into the directory `path`."""
+    """Write weights.bin, then model.json, into the directory `path`.
+
+    The manifest is written last and moved into place whole, so an
+    interrupted save leaves no model.json, and a directory that has one
+    holds a complete model."""
     os.makedirs(path, exist_ok=True)
     tensors, chunks = [], []
     for i, layer in enumerate(net.layers):
@@ -492,10 +497,12 @@ def save_model(net, path):
         "layers": [_layer_manifest(l) for l in net.layers],
         "tensors": tensors,
     }
-    with open(os.path.join(path, "model.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
     with open(os.path.join(path, "weights.bin"), "wb") as fh:
         fh.write(b"".join(chunks))
+    tmp = os.path.join(path, "model.json.tmp")
+    with open(tmp, "w") as fh:
+        json.dump(manifest, fh, indent=1)
+    os.replace(tmp, os.path.join(path, "model.json"))
 
 
 def _build_layer(spec, arrays):
@@ -521,34 +528,54 @@ def _build_layer(spec, arrays):
 
 
 def load_model(path):
-    """Load a model directory written by save_model."""
+    """Load a model directory written by save_model.
+
+    Raises FormatError, naming the file or layer, for a missing, unreadable
+    or inconsistent part."""
+    manifest_path = os.path.join(path, "model.json")
+    weights_path = os.path.join(path, "weights.bin")
     try:
-        with open(os.path.join(path, "model.json")) as fh:
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable manifest: {exc}") from exc
+        with open(weights_path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:  # its message names the file
+        raise FormatError(f"unreadable model file: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise FormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: not a JSON object")
     if manifest.get("magic") != MODEL_MAGIC:
         raise FormatError(f"bad magic {manifest.get('magic')!r}")
     if manifest.get("version") != MODEL_VERSION:
         raise FormatError(f"unsupported version {manifest.get('version')!r}")
-    with open(os.path.join(path, "weights.bin"), "rb") as fh:
-        blob = fh.read()
-    expected = sum(int(np.prod(t["shape"])) for t in manifest["tensors"]) * 4
-    if len(blob) != expected:
-        raise FormatError(f"blob is {len(blob)} bytes, manifest implies {expected}")
-    per_layer = {}
-    offset = 0
-    for t in manifest["tensors"]:
-        size = int(np.prod(t["shape"])) * 4
-        arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(t["shape"])
-        per_layer.setdefault(t["layer"], {})[t["name"]] = arr.astype(np.float64)
-        offset += size
-    layers = [_build_layer(spec, per_layer.get(i, {}))
-              for i, spec in enumerate(manifest["layers"])]
+    try:
+        specs = list(manifest["layers"])
+        index = [(int(t["layer"]), t["name"], tuple(int(d) for d in t["shape"]))
+                 for t in manifest["tensors"]]
+        expected = sum(int(np.prod(shape)) for _, _, shape in index) * 4
+        if len(blob) != expected:
+            raise FormatError(f"{weights_path}: blob is {len(blob)} bytes, "
+                              f"manifest implies {expected}")
+        per_layer = {}
+        offset = 0
+        for layer, name, shape in index:
+            size = int(np.prod(shape)) * 4
+            arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
+            per_layer.setdefault(layer, {})[name] = arr.astype(np.float64)
+            offset += size
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{manifest_path}: bad or missing entry {exc!r}") from exc
+    layers = []
+    for i, spec in enumerate(specs):
+        try:
+            layers.append(_build_layer(spec, per_layer.get(i, {})))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FormatError(f"{manifest_path}: layer {i}: {exc!r}") from exc
     try:
         return Network(tuple(layers), tuple(manifest["input_shape"]),
                        tuple(manifest["capture_points"]))
-    except (ShapeMismatch, ValueError, KeyError) as exc:
+    except (ShapeMismatch, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"inconsistent model: {exc}") from exc
 
 

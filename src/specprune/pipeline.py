@@ -372,7 +372,8 @@ def run(cfg, log=None):
 def node_specificity_analysis(cfg, log=None):
     """Prune a layer under source-only vs target-only statistics and compare
     the activation rates of the selection-specific node classes on both
-    domains; repeated at the first and last capture points."""
+    domains; repeated at the first and last capture points. The moments are
+    sampled by the compressor's own sampler, spectral._rows_to_acc."""
     say = log or (lambda *_: None)
     rows = []
     for seed in cfg.seeds:
@@ -386,10 +387,10 @@ def node_specificity_analysis(cfg, log=None):
         for pos, cp in captures.items():
             per_domain = {}
             for domain, splits in (("source", source), ("target", target)):
-                acc = st.collect_moments(model, splits.train.features[:n],
-                                         capture_ids=(cp,),
-                                         row_budget=cfg.stats.row_budget,
-                                         seed=seed)[cp]
+                x = sp._push(model, splits.train.features[:n], 0, cp + 1,
+                             sp.BATCH_SIZE)
+                acc = sp._rows_to_acc(cp, x, cfg.stats.row_budget,
+                                      np.random.default_rng(seed), sp.BATCH_SIZE)
                 per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(cfg.analysis.keep_fraction * widths[cp]))
             gcfg = sp.GreedyConfig(alpha=1.0, max_cardinality=keep,

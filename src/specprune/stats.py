@@ -89,33 +89,6 @@ def scaling_matrix(target_stats, floor=SCALING_FLOOR, centered=True):
     return (d[:, None] * d[None, :]) ** -0.25
 
 
-def collect_moments(network, features, capture_ids=None, row_budget=DEFAULT_ROW_BUDGET,
-                    seed=0, batch_size=256):
-    """Accumulate moments at the given capture points over a feature tensor.
-
-    Conv captures contribute one row per spatial position; when a forward
-    batch yields more than `row_budget` rows at a capture point, a uniform
-    random subset of rows is kept (seeded, deterministic). The budget holds
-    per forward batch, so with a row budget `batch_size` changes which rows,
-    and how many, enter the moments.
-    """
-    if capture_ids is None:
-        capture_ids = network.capture_points
-    widths = nm.layer_widths(network)
-    accs = {cp: MomentAccumulator(cp, widths[cp]) for cp in capture_ids}
-    rng = np.random.default_rng(seed)
-    for start in range(0, len(features), batch_size):
-        _, caps = nm.forward(network, features[start:start + batch_size],
-                             capture=capture_ids)
-        for cap in caps:
-            rows = cap.samples
-            if row_budget and rows.shape[0] > row_budget:
-                keep = rng.choice(rows.shape[0], size=row_budget, replace=False)
-                rows = rows[keep]
-            accumulate(accs[cap.layer], nm.ActivationBatch(cap.layer, rows))
-    return accs
-
-
 def activation_rate(network, layer, nodes, data, batch_size=512):
     """Mean fraction of capture rows with strictly positive activation,
     averaged over the given node set."""

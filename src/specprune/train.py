@@ -214,16 +214,6 @@ def evaluate(networks, ds, batch_size=512):
     return [c / len(ds) for c in correct]
 
 
-def dataset_loss(network, ds, batch_size=512):
-    """Mean cross-entropy over a dataset (inference mode)."""
-    total = 0.0
-    for start in range(0, len(ds), batch_size):
-        logits, _ = nm.forward(network, ds.features[start:start + batch_size])
-        loss, _ = softmax_cross_entropy(logits, ds.labels[start:start + batch_size])
-        total += loss * len(logits)
-    return total / len(ds)
-
-
 def gradients(network, feats, labels):
     """Analytic parameter gradients of the mean cross-entropy on one batch
     (dropout disabled, no buffer updates)."""

@@ -4,7 +4,6 @@ import pytest
 from specprune import datasets as dsm
 from specprune import net as nm
 from specprune import train as tr
-from specprune.errors import FormatError
 
 
 def test_same_seed_bit_identical():
@@ -62,26 +61,6 @@ def test_shift_image_zero_fill():
     assert np.array_equal(out, [[0, 0, 0], [0, 1, 2], [3, 4, 5]])
     out = dsm.shift_image(img, 0, -1)
     assert np.array_equal(out, [[1, 2, 0], [4, 5, 0], [7, 8, 0]])
-
-
-def test_dataset_file_round_trip(tmp_path):
-    src, _ = dsm.make_two_domain(11, 150)
-    dsm.save_dataset(src.train, tmp_path / "d")
-    back = dsm.load_dataset(tmp_path / "d")
-    assert back.domain == "source" and back.split == "train"
-    assert np.array_equal(back.labels, src.train.labels)
-    # features round-trip through f32 exactly once quantized
-    assert np.array_equal(back.features,
-                          src.train.features.astype(np.float32).astype(np.float64))
-
-
-def test_dataset_file_rejects_corruption(tmp_path):
-    src, _ = dsm.make_two_domain(13, 120)
-    dsm.save_dataset(src.test, tmp_path / "d")
-    blob = (tmp_path / "d" / "features.bin").read_bytes()
-    (tmp_path / "d" / "features.bin").write_bytes(blob[:-4])
-    with pytest.raises(FormatError):
-        dsm.load_dataset(tmp_path / "d")
 
 
 def _draw_per_sample(rng, n, shift=None, base_noise_std=0.05):

@@ -185,6 +185,9 @@ def test_load_rejects_truncated_blob(tmp_path):
     (tmp_path / "m" / "weights.bin").write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         nm.load_model(tmp_path / "m")
+    (tmp_path / "m" / "weights.bin").unlink()
+    with pytest.raises(FormatError, match="weights.bin"):
+        nm.load_model(tmp_path / "m")
 
 
 def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
@@ -203,6 +206,29 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
     bad["tensors"][0]["shape"] = [99, 99, 9, 9]
     (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
     with pytest.raises(FormatError):
+        nm.load_model(tmp_path / "m")
+
+    ones = np.ones(2)
+    bn_net = nm.Network((nm.Dense(np.eye(2), None), nm.BatchNorm(ones, 0 * ones, 0 * ones, ones),
+                         nm.ReLU()), (2,), capture_points=(2,))
+    nm.save_model(bn_net, tmp_path / "bn")
+    bad = json.loads((tmp_path / "bn" / "model.json").read_text())
+    bad["layers"][1]["eps"] = -3.0  # 1/sqrt(running_var + eps) would be NaN
+    (tmp_path / "bn" / "model.json").write_text(json.dumps(bad))
+    with pytest.raises(FormatError, match="eps"):
+        nm.load_model(tmp_path / "bn")
+
+    for bad in ({k: v for k, v in manifest.items() if k != "tensors"}, [manifest]):
+        (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match="model.json"):
+            nm.load_model(tmp_path / "m")
+
+    # layer 0's weight gone from both the index and the blob
+    blob = (tmp_path / "m" / "weights.bin").read_bytes()
+    (tmp_path / "m" / "weights.bin").write_bytes(blob[4 * 4 * 9:])
+    bad = dict(manifest, tensors=manifest["tensors"][1:])
+    (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
+    with pytest.raises(FormatError, match="layer 0"):
         nm.load_model(tmp_path / "m")
 
 

@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from specprune import cli
 from specprune import net as nm
 from specprune import pipeline as pl
 from specprune import spectral as sp
+from specprune import stats as st
 from specprune import train as tr
 from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
@@ -98,6 +101,46 @@ def test_model_cache_key_is_pinned(tmp_path):
     })
     assert pl._model_cache_key(c09, 0) == \
         "f2056d3cb16f040880739e1471c2e9f17f6caaad592b44025c0ea15b608a8443"
+
+
+def test_model_cache_tag_pins_training_arithmetic(tmp_path):
+    # the cache key does not hash the code, so a warm model cache would
+    # serve models that changed training arithmetic no longer produces
+    cfg = parse_config(tiny_doc(tmp_path))
+    assert pl._model_cache_key(cfg, 0) == st.content_key(
+        "model-v1", cfg.scenario, repr(cfg.data), repr(cfg.model), repr(cfg.train), 0)
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    nm.save_model(pl.train_model(cfg, 0, source, target), tmp_path / "m")
+    digest = hashlib.sha256((tmp_path / "m" / "weights.bin").read_bytes()).hexdigest()
+    assert digest == "b3e0e3de0bf3f9da05f2e84078aed59355a16ea464c0965b3201b0e54f54cd1f", (
+        "the trained weights changed: bump the \"model-v1\" tag in "
+        "pipeline._model_cache_key together with this digest")
+
+
+def test_interrupted_save_leaves_no_cache_entry(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_doc(tmp_path))
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    trained = []
+    train_model = pl.train_model
+    monkeypatch.setattr(pl, "train_model",
+                        lambda *args: trained.append(args) or train_model(*args))
+
+    class Interrupted(Exception):
+        pass
+
+    def dump(*args, **kwargs):
+        raise Interrupted
+
+    with monkeypatch.context() as m:
+        m.setattr(nm.json, "dump", dump)
+        with pytest.raises(Interrupted):
+            pl.get_or_train_model(cfg, 0, source, target)
+    model = pl.get_or_train_model(cfg, 0, source, target)
+    assert len(trained) == 2
+    hit = pl.get_or_train_model(cfg, 0, source, target)
+    assert len(trained) == 2
+    x = target.test.features[:16]
+    assert np.array_equal(nm.forward(hit, x)[0], nm.forward(model, x)[0])
 
 
 def test_config_file_round_trip(tmp_path):
@@ -496,12 +539,10 @@ def test_specificity_identical_domains(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_gen_data_train_run(tmp_path, capsys):
+def test_cli_train_run(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     doc = tiny_doc(tmp_path / "out")
     cfg_path.write_text(json.dumps(doc))
-    assert cli.main(["gen-data", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "out" / "data" / "seed0" / "target_train" / "dataset.json").exists()
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "report.csv").exists()
@@ -520,6 +561,40 @@ def test_cli_gen_data_train_run(tmp_path, capsys):
         assert cli.main([command, "--config", str(cfg_path), "--model", str(compressed)]) == 0
         printed = re.search(r"acc_target=(\S+)", capsys.readouterr().out).group(1)
         assert printed == f"{tr.evaluate([nm.load_model(saved)], target.test)[0]:.4f}"
+
+
+def test_cli_model_commands_fail_before_work(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    doc = dict(tiny_doc(tmp_path / "out"), seeds=[0, 1], fine_tune={"epochs": 1})
+    cfg_path.write_text(json.dumps(doc))
+    model = tmp_path / "m"
+    nm.save_model(pl.build_digits_model(parse_config(doc).model, 0), model)
+
+    # every seed would overwrite the one fine-tuned model
+    assert cli.main(["finetune", "--config", str(cfg_path), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "m_ft").exists()
+
+    (model / "weights.bin").unlink()
+    assert cli.main(["eval", "--config", str(cfg_path), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "weights.bin" in err and "Traceback" not in err
+
+
+def test_readme_cli_block_names_every_subcommand():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("specprune ")]
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(commands)
+    with pytest.raises(SystemExit) as exc:  # not a subcommand: argparse's usage error
+        cli.main(["gen-data", "--config", "cfg.json"])
+    assert exc.value.code == 2
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

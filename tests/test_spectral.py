@@ -565,7 +565,10 @@ def test_compress_network_matches_per_layer_reference():
 
     current = netw
     for cp in (1, 3):
-        acc = st.collect_moments(current, feats, capture_ids=(cp,), row_budget=0)[cp]
+        acc = st.MomentAccumulator(cp, nm.layer_widths(current)[cp])
+        for start in range(0, len(feats), 256):
+            _, caps = nm.forward(current, feats[start:start + 256], capture=(cp,))
+            st.accumulate(acc, caps[0])
         plan = sp.find_subset(st.finalize(acc).sigma,
                               sp.GreedyConfig(alpha=1.0, max_cardinality=keep[cp]),
                               layer=cp)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specprune import net as nm
+from specprune import spectral as sp
 from specprune import stats as st
 from specprune.datasets import DomainDataset
 from specprune.errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
@@ -150,15 +151,17 @@ def test_activation_rate_extremes_and_order_invariance():
     assert r1 == r2 == 0.5
 
 
-def test_collect_moments_row_budget_and_determinism():
+def test_rows_to_acc_row_budget_and_determinism():
     rng = np.random.default_rng(7)
     netw = nm.Network(
         (nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), np.zeros(4), 1, 1), nm.ReLU()),
         (1, 8, 8), capture_points=(1,))
-    feats = rng.normal(size=(100, 1, 8, 8))
-    a1 = st.collect_moments(netw, feats, row_budget=512, seed=3)[1]
-    a2 = st.collect_moments(netw, feats, row_budget=512, seed=3)[1]
-    assert a1.n == a2.n <= 512  # single forward batch, capped
+    x = sp._push(netw, rng.normal(size=(100, 1, 8, 8)), 0, 2, sp.BATCH_SIZE)
+
+    def moments(row_budget):
+        return sp._rows_to_acc(1, x, row_budget, np.random.default_rng(3), sp.BATCH_SIZE)
+
+    a1, a2 = moments(512), moments(512)
+    assert a1.n == a2.n <= 512  # single block, capped
     assert np.array_equal(a1.sum_outer, a2.sum_outer)
-    full = st.collect_moments(netw, feats, row_budget=0, seed=3)[1]
-    assert full.n == 100 * 64
+    assert moments(0).n == 100 * 64
