@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatch
+from .errors import FormatError, ShapeMismatch, TopologyError
 
 MODEL_MAGIC = "SPNM1"
 MODEL_VERSION = 1
@@ -315,7 +315,7 @@ def _coerced(layer):
         c = arrs[0].shape
         if any(a.shape != c for a in arrs):
             raise ShapeMismatch("batchnorm parameter shapes disagree")
-        if np.any(arrs[3] <= 0) or not layer.eps >= 0:  # else 1/sqrt(var + eps) is NaN
+        if not np.all(arrs[3] > 0) or not layer.eps >= 0:  # else 1/sqrt(var + eps) is NaN
             raise ValueError("batchnorm running variance must be positive "
                              "and eps non-negative")
         return BatchNorm(*arrs, eps=float(layer.eps), momentum=float(layer.momentum))
@@ -421,7 +421,7 @@ def _feeding_layer(net, cp):
             return i, layer
         if not isinstance(layer, (ReLU, BatchNorm)):
             break
-    raise ShapeMismatch(f"capture point {cp} has no feeding Dense/Conv layer")
+    raise TopologyError(f"capture point {cp} has no feeding Dense/Conv layer")
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def load_model(path):
     """Load a model directory written by save_model.
 
     Raises FormatError, naming the file or layer, for a missing, unreadable
-    or inconsistent part."""
+    or inconsistent part, or a NaN or Inf in any tensor."""
     manifest_path = os.path.join(path, "model.json")
     weights_path = os.path.join(path, "weights.bin")
     try:
@@ -562,6 +562,8 @@ def load_model(path):
         for layer, name, shape in index:
             size = int(np.prod(shape)) * 4
             arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{weights_path}: layer {layer} {name}: non-finite values")
             per_layer.setdefault(layer, {})[name] = arr.astype(np.float64)
             offset += size
     except (KeyError, TypeError, ValueError) as exc:

@@ -284,124 +284,46 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 # network surgery
 # ---------------------------------------------------------------------------
 
-def _locate_block(network, cp):
-    """(own_index, batchnorm_index_or_None, next_index) around a capture point.
+def apply_plan(network, cp, plan):
+    """Prune the layer captured at cp to the plan's nodes.
 
-    Dropout markers, Flatten, and MaxPool2 between the capture and the next
-    weighted layer are passed through. Folding across MaxPool2 treats channel
-    mixing as commuting with per-channel pooling, which is exact for pure
-    channel selection and approximate for reconstruction.
+    The Dense/Conv layer feeding cp, and any BatchNorm up to cp, keep the
+    rows of the selected nodes. The recovery matrix is folded into the next
+    Dense or Conv2D, found past Dropout, Flatten and MaxPool2. Folding across
+    MaxPool2 treats channel mixing as commuting with per-channel pooling,
+    which is exact for pure channel selection and approximate for
+    reconstruction.
     """
-    if cp >= len(network.layers) or not isinstance(network.layers[cp], nm.ReLU):
-        raise TopologyError(f"capture point {cp} is not an activation")
-    i = cp - 1
-    bn_idx = None
-    if i >= 0 and isinstance(network.layers[i], nm.BatchNorm):
-        bn_idx = i
-        i -= 1
-    if i < 0 or not isinstance(network.layers[i], (nm.Dense, nm.Conv2D)):
-        raise TopologyError(f"capture point {cp} has no feeding Dense/Conv layer")
-    own_idx = i
-    j = cp + 1
-    while j < len(network.layers):
-        layer = network.layers[j]
-        if isinstance(layer, (nm.Dense, nm.Conv2D)):
-            return own_idx, bn_idx, j
-        if isinstance(layer, (nm.Dropout, nm.Flatten, nm.MaxPool2)):
-            j += 1
-            continue
-        raise TopologyError(f"capture point {cp} feeds a {layer.kind} layer")
-    raise TopologyError(f"capture point {cp} feeds no downstream layer")
-
-
-def _sorted_plan(plan):
+    if cp not in network.capture_points:
+        raise TopologyError(f"{cp} is not a capture point")
+    own_idx, own = nm._feeding_layer(network, cp)
+    layers = list(network.layers)
+    nxt = cp + 1
+    while nxt < len(layers) and isinstance(layers[nxt], (nm.Dropout, nm.Flatten, nm.MaxPool2)):
+        nxt += 1
+    if nxt == len(layers) or not isinstance(layers[nxt], (nm.Dense, nm.Conv2D)):
+        raise TopologyError(f"capture point {cp} feeds no Dense/Conv layer")
+    m, a = own.weight.shape[0], plan.recovery  # columns follow sorted(selected)
+    if a.shape[0] != m:
+        raise ShapeMismatch(f"plan covers width {a.shape[0]}, layer has {m}", layer=own_idx)
     j = np.sort(np.asarray(plan.selected, dtype=np.intp))
-    return j, plan.recovery  # recovery columns follow sorted(selected)
-
-
-def _slice_own(layer, bn, j):
-    new_layer = dataclasses.replace(
-        layer, weight=layer.weight[j].copy(),
-        bias=None if layer.bias is None else layer.bias[j].copy())
-    new_bn = None
-    if bn is not None:
-        new_bn = nm.BatchNorm(bn.scale[j].copy(), bn.shift[j].copy(),
-                              bn.running_mean[j].copy(), bn.running_var[j].copy(),
-                              eps=bn.eps, momentum=bn.momentum)
-    return new_layer, new_bn
-
-
-def apply_plan_dense(network, cp, plan):
-    """Prune the layer captured at cp when it feeds a Dense layer.
-
-    Keeps rows/bias/BatchNorm channels in J and folds the recovery matrix
-    into the next Dense weight. A conv capture feeding a Dense through
-    Flatten folds per spatial position (channels-major flattening).
-    """
-    own_idx, bn_idx, next_idx = _locate_block(network, cp)
-    next_layer = network.layers[next_idx]
-    if not isinstance(next_layer, nm.Dense):
-        raise TopologyError(f"capture point {cp} feeds {next_layer.kind}, not dense")
-    own = network.layers[own_idx]
-    j, a = _sorted_plan(plan)
-    m = own.weight.shape[0]
-    if m != a.shape[0]:
-        raise ShapeMismatch(f"plan covers width {a.shape[0]}, layer has {m}")
-    new_own, new_bn = _slice_own(own, network.layers[bn_idx] if bn_idx is not None else None, j)
-
-    w = next_layer.weight
+    for i in range(own_idx, cp):  # layers without tensors stay the same objects
+        fields = nm.tensor_fields(layers[i])
+        if fields:
+            layers[i] = dataclasses.replace(
+                layers[i], **{f: getattr(layers[i], f)[j] for f in fields})
+    # The next weight read as (out, m, rest): rest is 1 after a Dense, the
+    # spatial positions of a flattened conv map, or a conv's filter grid.
+    # Dense into Dense keeps the plain product, which differs from the
+    # einsum in the last ulp and so in the reported ratios.
+    w = layers[nxt].weight
     if isinstance(own, nm.Dense):
-        if w.shape[1] != m:
-            raise TopologyError("next dense layer width disagrees with capture width")
         new_w = w @ a
     else:
-        # conv capture flattened to (channels, spatial) blocks
-        if w.shape[1] % m:
-            raise TopologyError("flattened width is not a multiple of the channel count")
-        spatial = w.shape[1] // m
-        new_w = np.einsum("pcs,cj->pjs", w.reshape(w.shape[0], m, spatial), a,
-                          optimize=True).reshape(w.shape[0], len(j) * spatial)
-    layers = list(network.layers)
-    layers[own_idx] = new_own
-    if bn_idx is not None:
-        layers[bn_idx] = new_bn
-    layers[next_idx] = nm.Dense(
-        new_w, None if next_layer.bias is None else next_layer.bias.copy())
+        new_w = np.einsum("pcs,cj->pjs", w.reshape(w.shape[0], m, -1), a,
+                          optimize=True).reshape((w.shape[0], -1) + w.shape[2:])
+    layers[nxt] = dataclasses.replace(layers[nxt], weight=new_w)
     return nm.with_layers(network, layers)
-
-
-def apply_plan_conv(network, cp, plan):
-    """Prune the conv layer captured at cp when it feeds another Conv2D:
-    keep output channels in J and right-multiply every filter-grid position
-    of the next conv by the recovery matrix."""
-    own_idx, bn_idx, next_idx = _locate_block(network, cp)
-    next_layer = network.layers[next_idx]
-    if not isinstance(next_layer, nm.Conv2D):
-        raise TopologyError(f"capture point {cp} feeds {next_layer.kind}, not conv")
-    own = network.layers[own_idx]
-    if not isinstance(own, nm.Conv2D):
-        raise TopologyError("dense capture cannot feed a conv layer")
-    j, a = _sorted_plan(plan)
-    m = own.weight.shape[0]
-    if m != a.shape[0] or next_layer.weight.shape[1] != m:
-        raise ShapeMismatch("plan width disagrees with the conv channel counts")
-    new_own, new_bn = _slice_own(own, network.layers[bn_idx] if bn_idx is not None else None, j)
-    new_t = np.einsum("oikl,ij->ojkl", next_layer.weight, a, optimize=True)
-    layers = list(network.layers)
-    layers[own_idx] = new_own
-    if bn_idx is not None:
-        layers[bn_idx] = new_bn
-    layers[next_idx] = dataclasses.replace(next_layer, weight=new_t,
-                                           bias=next_layer.bias.copy())
-    return nm.with_layers(network, layers)
-
-
-def apply_plan(network, cp, plan):
-    """Dispatch to the dense or conv surgery based on the downstream layer."""
-    _, _, next_idx = _locate_block(network, cp)
-    if isinstance(network.layers[next_idx], nm.Dense):
-        return apply_plan_dense(network, cp, plan)
-    return apply_plan_conv(network, cp, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_c04_lossless_pruning():
     sigma = moment_of(nm.forward(dense_net, x, capture=(1,))[1][0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.999))
     assert len(plan.selected) == 4
-    pruned = sp.apply_plan_dense(dense_net, 1, plan)
+    pruned = sp.apply_plan(dense_net, 1, plan)
     drift = np.abs(nm.forward(dense_net, x)[0] - nm.forward(pruned, x)[0]).max()
     assert drift < 1e-4
 
@@ -155,7 +155,7 @@ def test_c04_lossless_pruning():
     sigma_c = moment_of(nm.forward(conv_net, xi, capture=(1,))[1][0].samples)
     plan_c = sp.find_subset(sigma_c, sp.GreedyConfig(alpha=0.999))
     assert len(plan_c.selected) == 3
-    pruned_c = sp.apply_plan_conv(conv_net, 1, plan_c)
+    pruned_c = sp.apply_plan(conv_net, 1, plan_c)
     drift_c = np.abs(nm.forward(conv_net, xi)[0] - nm.forward(pruned_c, xi)[0]).max()
     assert drift_c < 1e-4
     ok(f"4 lossless pruning (dense drift {drift:.1e}, conv drift {drift_c:.1e})")

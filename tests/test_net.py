@@ -232,6 +232,33 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
         nm.load_model(tmp_path / "m")
 
 
+def test_load_rejects_non_finite_tensors(tmp_path):
+    import json
+    rng = np.random.default_rng(9)
+    ones = np.ones(3)
+    netw = nm.Network((nm.Dense(rng.normal(size=(3, 2)), rng.normal(size=3)),
+                       nm.BatchNorm(ones, 0 * ones, 0 * ones, ones), nm.ReLU(),
+                       nm.Dense(rng.normal(size=(2, 3)), None)), (2,), capture_points=(2,))
+    for layer, name, value in ((1, "running_var", np.nan), (3, "weight", np.inf)):
+        path = tmp_path / name
+        nm.save_model(netw, path)
+        offset = 0
+        for t in json.loads((path / "model.json").read_text())["tensors"]:
+            if (t["layer"], t["name"]) == (layer, name):
+                break
+            offset += 4 * int(np.prod(t["shape"]))
+        blob = bytearray((path / "weights.bin").read_bytes())
+        blob[offset + 4:offset + 8] = np.array([value], dtype="<f4").tobytes()
+        (path / "weights.bin").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"weights.bin: layer {layer} {name}"):
+            nm.load_model(path)
+
+    # a NaN running variance built in memory fails the positivity check too
+    bad_bn = nm.BatchNorm(ones, ones, ones, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="running variance"):
+        nm.Network((nm.Dense(np.eye(3)), bad_bn), (3,))
+
+
 def test_with_layers_keeps_untouched_layer_objects():
     rng = np.random.default_rng(8)
     netw = small_random_cnn(rng)

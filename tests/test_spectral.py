@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -11,7 +12,7 @@ from specprune import backend
 from specprune import net as nm
 from specprune import spectral as sp
 from specprune import stats as st
-from specprune.errors import DegenerateSigma, StatsMissing, TopologyError
+from specprune.errors import DegenerateSigma, ShapeMismatch, StatsMissing, TopologyError
 
 
 def moment_of(rows):
@@ -411,7 +412,7 @@ def test_apply_plan_dense_full_set_bit_identical():
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0))
     assert len(plan.selected) == 8
-    pruned = sp.apply_plan_dense(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
     out0, _ = nm.forward(netw, x)
     out1, _ = nm.forward(pruned, x)
     assert np.array_equal(out0, out1)
@@ -425,7 +426,7 @@ def test_apply_plan_dense_duplicated_lossless():
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.9999))
     assert len(plan.selected) == 4
-    pruned = sp.apply_plan_dense(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
     out0, _ = nm.forward(netw, x)
     out1, _ = nm.forward(pruned, x)
     assert np.abs(out0 - out1).max() < 1e-5
@@ -438,7 +439,7 @@ def test_apply_plan_dense_param_count_drop():
     _, caps = nm.forward(netw, x, capture=(1,))
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3))
-    pruned = sp.apply_plan_dense(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
     m, m_in, p, kept = 8, 6, 5, 3
     drop = (m - kept) * (m_in + 1 + p)  # own row+bias plus next-layer fan-in
     assert nm.count_params(netw) - nm.count_params(pruned) == drop
@@ -482,7 +483,7 @@ def test_apply_plan_conv_full_set_identical():
     _, caps = nm.forward(netw, x, capture=(1,))
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0))
-    pruned = sp.apply_plan_conv(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
     out0, _ = nm.forward(netw, x)
     out1, _ = nm.forward(pruned, x)
     assert np.array_equal(out0, out1)
@@ -496,7 +497,7 @@ def test_apply_plan_conv_duplicated_lossless():
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.9999))
     assert len(plan.selected) == 3
-    pruned = sp.apply_plan_conv(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
     out0, _ = nm.forward(netw, x)
     out1, _ = nm.forward(pruned, x)
     assert np.abs(out0 - out1).max() < 1e-4
@@ -510,7 +511,7 @@ def test_conv_channel_mixing_commutes_with_convolution():
     _, caps = nm.forward(netw, x, capture=(1,))
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=4))
-    pruned = sp.apply_plan_conv(netw, 1, plan)
+    pruned = sp.apply_plan(netw, 1, plan)
 
     j = sorted(plan.selected)
     h = nm.apply_layer(netw.layers[0], x)
@@ -530,13 +531,98 @@ def test_conv_capture_feeding_dense_through_flatten():
     _, caps = nm.forward(netw, x, capture=(3,))
     sigma = moment_of(caps[0].samples)
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0))  # keep everything
-    pruned = sp.apply_plan_dense(netw, 3, plan)
+    pruned = sp.apply_plan(netw, 3, plan)
     out0, _ = nm.forward(netw, x)
     out1, _ = nm.forward(pruned, x)
     assert np.array_equal(out0, out1)
     plan2 = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=2))
-    pruned2 = sp.apply_plan_dense(netw, 3, plan2)
+    pruned2 = sp.apply_plan(netw, 3, plan2)
     assert pruned2.layers[5].weight.shape[1] == 2 * 16
+
+
+def batchnorm_block_net(rng, fold):
+    """Dense or conv layer, BatchNorm and the captured ReLU (index 2), then
+    the next weighted layer: Dense through Dropout ('dense'), Conv2D
+    ('conv'), or Dense through MaxPool2 and Flatten ('conv_flatten')."""
+    m = 6
+    bn = nm.BatchNorm(rng.normal(size=m), rng.normal(size=m) * 0.1, rng.normal(size=m) * 0.1,
+                      rng.uniform(0.5, 2.0, size=m), eps=1e-3, momentum=0.3)
+    if fold == "dense":
+        layers = (nm.Dense(rng.normal(size=(m, 5)), rng.normal(size=m)), bn, nm.ReLU(),
+                  nm.Dropout(0.2), nm.Dense(rng.normal(size=(3, m)), rng.normal(size=3)))
+        return nm.Network(layers, (5,), capture_points=(2,)), rng.normal(size=(30, 5))
+    own = nm.Conv2D(rng.normal(size=(m, 1, 3, 3)), rng.normal(size=m), padding=1)
+    if fold == "conv":
+        tail = (nm.Conv2D(rng.normal(size=(4, m, 3, 3)), rng.normal(size=4), stride=2),
+                nm.Flatten(), nm.Dense(rng.normal(size=(3, 36)), rng.normal(size=3)))
+    else:
+        tail = (nm.MaxPool2(), nm.Flatten(),
+                nm.Dense(rng.normal(size=(3, m * 16)), rng.normal(size=3)))
+    return (nm.Network((own, bn, nm.ReLU()) + tail, (1, 8, 8), capture_points=(2,)),
+            rng.normal(size=(30, 1, 8, 8)))
+
+
+@pytest.mark.parametrize("fold", ["dense", "conv", "conv_flatten"])
+def test_apply_plan_folds_through_batchnorm(fold):
+    rng = np.random.default_rng(27)
+    netw, x = batchnorm_block_net(rng, fold)
+    sigma = moment_of(nm.forward(netw, x, capture=(2,))[1][0].samples)
+
+    def plan_of(selected):
+        return sp.PruningPlan(layer=2, selected=tuple(selected),
+                              recovery=sp.recovery_matrix(sigma, sorted(selected)),
+                              ratio_trace=(), achieved_ratio=0.0, plateau_flag=False)
+
+    full = sp.apply_plan(netw, 2, plan_of(range(6)))
+    assert np.array_equal(nm.forward(full, x)[0], nm.forward(netw, x)[0])
+
+    kept = [4, 0, 3]
+    pruned = sp.apply_plan(netw, 2, plan_of(kept))
+    bn, new_bn = netw.layers[1], pruned.layers[1]
+    for name in ("scale", "shift", "running_mean", "running_var"):
+        assert np.array_equal(getattr(new_bn, name), getattr(bn, name)[[0, 3, 4]])
+    assert (new_bn.eps, new_bn.momentum) == (bn.eps, bn.momentum)
+    assert pruned.layers[0].weight.shape[0] == 3
+    assert pruned.layers[2] is netw.layers[2]  # the ReLU is shared
+    assert nm.forward(pruned, x)[0].shape == (30, 3)
+
+    with pytest.raises(ShapeMismatch):
+        sp.apply_plan(netw, 2, dataclasses.replace(plan_of(kept), recovery=np.zeros((7, 3))))
+    with pytest.raises(TopologyError):
+        sp.apply_plan(netw, 1, plan_of(kept))  # the BatchNorm, not a capture point
+
+
+# sha256 prefixes of every float64 array compress_network returns, pinned so
+# that a last-ulp change in the recovery fold fails here, not in a report
+_COMPRESS_DIGESTS = {
+    "dense": {"0.weight": "427a5e42c83ad65a", "0.bias": "69422743e86e2a70",
+              "2.weight": "1e2d51c1dcc99e6c", "2.bias": "9c1f67113e1c82ff",
+              "plan1.recovery": "d7ecaaad1b19116f"},
+    "conv": {"0.weight": "8355e49df383d718", "0.bias": "04a2978893f54327",
+             "2.weight": "0b844a2d7681f833", "2.bias": "9b767bfce12261d6",
+             "5.weight": "361427fd1795ed53", "5.bias": "29ab15697b3d9fcb",
+             "plan1.recovery": "75a96065af6fe847", "plan3.recovery": "2be844ade8bd18cb"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COMPRESS_DIGESTS))
+def test_compress_network_arrays_pinned(kind):
+    if kind == "dense":
+        rng = np.random.default_rng(31)
+        netw = dense_net_with_capture(rng)
+        x, keep = rng.normal(size=(200, 6)), {1: 5}
+    else:
+        rng = np.random.default_rng(32)
+        netw = conv_net_with_capture(rng)
+        x, keep = rng.normal(size=(60, 1, 8, 8)), {1: 4, 3: 2}
+    pruned, plans = sp.compress_network(netw, x, sp.GreedyConfig(alpha=1.0),
+                                        keep_counts=keep)
+    arrays = {f"{i}.{name}": getattr(layer, name)
+              for i, layer in enumerate(pruned.layers) for name in nm.tensor_fields(layer)}
+    arrays.update({f"plan{cp}.recovery": p.recovery for cp, p in plans.items()})
+    digests = {key: hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+               .hexdigest()[:16] for key, a in arrays.items()}
+    assert digests == _COMPRESS_DIGESTS[kind]
 
 
 def test_topology_errors():
@@ -546,11 +632,7 @@ def test_topology_errors():
     _, caps = nm.forward(netw, x, capture=(1,))
     plan = sp.find_subset(moment_of(caps[0].samples), sp.GreedyConfig(alpha=1.0))
     with pytest.raises(TopologyError):
-        sp.apply_plan_dense(netw, 1, plan)  # next layer is conv
-    with pytest.raises(TopologyError):
-        sp.apply_plan_conv(netw, 3, plan)  # next layer is dense
-    with pytest.raises(TopologyError):
-        sp._locate_block(netw, 0)  # not an activation
+        sp.apply_plan(netw, 0, plan)  # not an activation
 
 
 def test_compress_network_matches_per_layer_reference():
