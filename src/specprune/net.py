@@ -82,11 +82,13 @@ class Dense(Layer):
 
 def conv2d_windows(x, kh, kw, stride, padding):
     """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw)."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     shape = (n, c, oh, ow, kh, kw)
     strides = (sn, sc, stride * sh, stride * sw, sh, sw)
@@ -103,30 +105,41 @@ class Conv2D(Layer):
     kind = "conv2d"
     params = ("weight", "bias")
 
+    # Each GEMM takes its operands in the order and layout of NumPy's
+    # optimized einsum over the same contraction, whose bits trained models
+    # pin; merging the nine input-gradient products or passing a transposed
+    # view instead of a copy changes the last bits.
     def forward(self, x, index=None, mode=None):
         oc, ic, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != ic:
             raise ShapeMismatch(f"conv expects (n, {ic}, h, w), got {x.shape}", layer=index)
         if x.shape[2] + 2 * self.padding < kh or x.shape[3] + 2 * self.padding < kw:
             raise ShapeMismatch(f"input {x.shape} smaller than kernel", layer=index)
-        windows, _ = conv2d_windows(x, kh, kw, self.stride, self.padding)
-        out = np.einsum("nihwkl,oikl->nohw", windows, self.weight, optimize=True)
+        windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding)
+        n = x.shape[0]
+        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(ic * kh * kw, n * oh * ow)
+        # (o, n, h, w) in memory: BatchNorm's batch statistics sum in that order
+        out = (self.weight.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
         return out + self.bias[None, :, None, None], (windows, x.shape)
 
     def backward(self, cache, dout):
         _, (n, _, h, w) = cache
-        _, ic, kh, kw = self.weight.shape
+        oc, ic, kh, kw = self.weight.shape
         pad, s = self.padding, self.stride
         oh, ow = dout.shape[2], dout.shape[3]
+        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)
         dxp = np.zeros((n, ic, h + 2 * pad, w + 2 * pad))
         for ki in range(kh):
             for kj in range(kw):
-                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += np.einsum(
-                    "nohw,oi->nihw", dout, self.weight[:, :, ki, kj], optimize=True)
+                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += (
+                    self.weight[:, :, ki, kj].T @ d2).reshape(ic, n, oh, ow).transpose(1, 0, 2, 3)
         return dxp[:, :, pad:pad + h, pad:pad + w]
 
     def param_grads(self, cache, dout):
-        return {"weight": np.einsum("nihwkl,nohw->oikl", cache[0], dout, optimize=True),
+        n, oc, oh, ow = dout.shape
+        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)
+        rows = cache[0].transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
+        return {"weight": (d2 @ rows).reshape(self.weight.shape),
                 "bias": dout.sum(axis=(0, 2, 3))}
 
 

@@ -23,7 +23,7 @@ from . import stats as st
 from . import train as tr
 from .config import REG_MODE_BY_METHOD, SPECTRAL_METHODS
 from .datasets import make_two_domain
-from .errors import PipelineStageError, SpecPruneError
+from .errors import FormatError, PipelineStageError, SpecPruneError
 
 CSV_COLUMNS = ("seed", "method", "sweep_value", "lambda", "data_choice",
                "params_before", "params_after", "flops_before", "flops_after",
@@ -95,11 +95,15 @@ def _model_cache_key(cfg, seed):
 
 def get_or_train_model(cfg, seed, source, target):
     """Disk-cached trained model. The returned network is always the reloaded
-    (float32-quantized) artifact so cache hits and misses are identical."""
+    (float32-quantized) artifact so cache hits and misses are identical. An
+    entry that does not load (say, a weights.bin missing or cut short) is
+    trained again and overwritten."""
     cache_dir = os.path.join(cfg.paths.out_dir, "models", _model_cache_key(cfg, seed)[:16])
-    if not os.path.exists(os.path.join(cache_dir, "model.json")):
-        trained = train_model(cfg, seed, source, target)
-        nm.save_model(trained, cache_dir)
+    try:
+        return nm.load_model(cache_dir)
+    except FormatError:  # no entry yet, or a damaged one
+        pass
+    nm.save_model(train_model(cfg, seed, source, target), cache_dir)
     return nm.load_model(cache_dir)
 
 

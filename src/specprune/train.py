@@ -128,8 +128,9 @@ class _Adam:
             i, name = key
             w = getattr(layers[i], name)
             g = g + self.wd * w
-            m = self.m.setdefault(key, np.zeros_like(w))
-            v = self.v.setdefault(key, np.zeros_like(w))
+            if key not in self.m:
+                self.m[key], self.v[key] = np.zeros_like(w), np.zeros_like(w)
+            m, v = self.m[key], self.v[key]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2

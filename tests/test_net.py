@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from specprune import net as nm
+from specprune import pipeline as pl
+from specprune import train as tr
+from specprune.config import ModelSection
+from specprune.datasets import make_two_domain
 from specprune.errors import FormatError, ShapeMismatch
 
 
@@ -68,6 +72,65 @@ def test_forward_matches_naive_loop():
         else:
             h = nm.apply_layer(layer, h)
     assert np.allclose(out, h, atol=1e-5)
+
+
+def einsum_conv_reference(layer, x, dout):
+    """The conv's forward, input gradient and weight gradient as the
+    optimized einsums they are lowered from; their bits are what trained
+    models pin."""
+    s, pad = layer.stride, layer.padding
+    _, _, kh, kw = layer.weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    out = np.einsum("nihwkl,oikl->nohw", windows, layer.weight, optimize=True)
+    oh, ow = dout.shape[2:]
+    dxp = np.zeros(xp.shape)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += np.einsum(
+                "nohw,oi->nihw", dout, layer.weight[:, :, ki, kj], optimize=True)
+    dx = dxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
+    dw = np.einsum("nihwkl,nohw->oikl", windows, dout, optimize=True)
+    return out + layer.bias[None, :, None, None], dx, dw
+
+
+@pytest.mark.parametrize("in_channels", (1, 3))
+@pytest.mark.parametrize("batch", (1, 7))
+@pytest.mark.parametrize("padding", (0, 1))
+@pytest.mark.parametrize("stride", (1, 2))
+def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
+    rng = np.random.default_rng(100 * stride + 10 * padding + batch + in_channels)
+    layer = nm.Conv2D(rng.normal(size=(5, in_channels, 3, 3)), rng.normal(size=5),
+                      stride=stride, padding=padding)
+    x = rng.normal(size=(batch, in_channels, 8, 8))
+    out, cache = layer.forward(x, mode=nm.TrainMode())
+    # (o, n, h, w) in memory, as einsum leaves it: BatchNorm sums in that order
+    assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+    # the output gradient in both memory orders, (n, o, h, w) and (o, n, h, w)
+    for dout in (rng.normal(size=out.shape),
+                 rng.normal(size=(5, batch) + out.shape[2:]).transpose(1, 0, 2, 3)):
+        ref_out, ref_dx, ref_dw = einsum_conv_reference(layer, x, dout)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(layer.backward(cache, dout), ref_dx)
+        grads = layer.param_grads(cache, dout)
+        assert np.array_equal(grads["weight"], ref_dw)
+        assert np.array_equal(grads["bias"], dout.sum(axis=(0, 2, 3)))
+
+
+def test_layer_engine_plans_no_einsum(monkeypatch):
+    import numpy._core.einsumfunc as einsumfunc  # NumPy 2's module path
+
+    plans = []
+    einsum_path = einsumfunc.einsum_path
+    monkeypatch.setattr(einsumfunc, "einsum_path",
+                        lambda *args, **kwargs: plans.append(1) or einsum_path(*args, **kwargs))
+    model = pl.build_digits_model(ModelSection(conv_channels=(4, 4, 8), dense_widths=(24, 24)), 0)
+    _, target = make_two_domain(0, 100)
+    trained = tr.train(model, [target.train], tr.TrainConfig(epochs=1, batch_size=32))
+    nm.forward(trained, target.test.features, capture=trained.capture_points)
+    assert plans == []
+    np.einsum("ij,jk->ik", np.ones((2, 2)), np.ones((2, 2)), optimize=True)
+    assert plans == [1]  # the counter sees the planner
 
 
 def test_forward_batch_order_equivariant():

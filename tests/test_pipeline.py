@@ -143,6 +143,31 @@ def test_interrupted_save_leaves_no_cache_entry(tmp_path, monkeypatch):
     assert np.array_equal(nm.forward(hit, x)[0], nm.forward(model, x)[0])
 
 
+def test_damaged_cache_entry_is_retrained(tmp_path, monkeypatch):
+    cfg = parse_config(tiny_doc(tmp_path / "damaged"))
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    pl.get_or_train_model(cfg, 0, source, target)
+    entry = os.path.join(cfg.paths.out_dir, "models", pl._model_cache_key(cfg, 0)[:16])
+    weights = os.path.join(entry, "weights.bin")
+    with open(weights, "r+b") as fh:
+        fh.truncate(os.path.getsize(weights) // 2)
+    trained = []
+    train_model = pl.train_model
+    monkeypatch.setattr(pl, "train_model",
+                        lambda *args: trained.append(args) or train_model(*args))
+    model = pl.get_or_train_model(cfg, 0, source, target)
+    assert len(trained) == 1
+    fresh = pl.get_or_train_model(parse_config(tiny_doc(tmp_path / "fresh")), 0,
+                                  source, target)
+    assert len(trained) == 2
+    assert len(model.layers) == len(fresh.layers)
+    for a, b in zip(model.layers, fresh.layers):
+        assert nm.tensor_fields(a) == nm.tensor_fields(b)
+        for name in nm.tensor_fields(a):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    nm.load_model(entry)  # the entry was overwritten whole
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(tiny_doc(tmp_path)))
