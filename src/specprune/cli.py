@@ -10,6 +10,7 @@ import sys
 
 from . import net as nm
 from . import pipeline as pl
+from . import spectral as sp
 from . import train as tr
 from .config import parse_config, read_config
 from .datasets import make_two_domain
@@ -55,19 +56,23 @@ def cmd_train(cfg, args):
 
 
 def cmd_compress(cfg, args):
+    """Compress and save the model at every sweep value; the values of one
+    seed share a SweepMemo, as in pipeline.run."""
     for seed in cfg.seeds:
         source, target, model = _load_run_inputs(cfg, seed)
         sigma_feats = pl.stats_features(cfg, source, target)
         src_feats, tgt_feats = pl.reg_features(cfg, source, target)
-        value = cfg.compress.sweep[0]
-        compressed, ratios = pl.compress_model(cfg, model, value, sigma_feats,
-                                               src_feats, tgt_feats, seed)
-        out = os.path.join(cfg.paths.out_dir, "compressed",
-                           f"seed{seed}_{cfg.compress.method}_{value}")
-        nm.save_model(compressed, out)
-        before, after = nm.count_params(model), nm.count_params(compressed)
-        print(f"seed {seed}: {before} -> {after} params "
-              f"(rate {1 - after / before:.4f}); saved to {out}")
+        memo = sp.SweepMemo()
+        before = nm.count_params(model)
+        for value in cfg.compress.sweep:
+            compressed, _ = pl.compress_model(cfg, model, value, sigma_feats,
+                                              src_feats, tgt_feats, seed, memo=memo)
+            out = os.path.join(cfg.paths.out_dir, "compressed",
+                               f"seed{seed}_{cfg.compress.method}_{value}")
+            nm.save_model(compressed, out)
+            after = nm.count_params(compressed)
+            print(f"seed {seed} at {value}: {before} -> {after} params "
+                  f"(rate {1 - after / before:.4f}); saved to {out}")
     return 0
 
 

@@ -60,7 +60,6 @@ class StatsSection:
     target_samples: int = 2000
     source_samples: int = 1000
     row_budget: int = 4096
-    covariance: str = "centered"
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ _RULES = {
     "stats.data_choice": _one_of(DATA_CHOICES),
     "stats.target_samples": _at_least(2),
     **{f"stats.{name}": _at_least(0) for name in ("source_samples", "row_budget")},
-    "stats.covariance": _one_of(("centered", "uncentered")),
     "compress.method": _one_of(METHODS),
     "compress.sweep_kind": _one_of(SWEEP_KINDS),
     "compress.conv_value": ((lambda v: v < 0 or 0 < v <= 1), "in (0, 1] or negative"),

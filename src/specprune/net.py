@@ -10,6 +10,7 @@ Models serialize to a JSON manifest plus a little-endian float32 weight blob.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -45,14 +46,29 @@ class Layer:
 
     `params` names the trainable arrays and `buffers` the arrays training
     updates without a gradient; a None array (a dense layer without bias) is
-    absent. `forward(x, index, mode)` returns (output, cache); mode is None
-    for inference, else a TrainMode. From the cache of a training-mode
-    forward and the output gradient, `backward` returns the input gradient
-    and, for a layer with parameters, `param_grads` their {name: gradient}.
+    absent. Construction makes them C-contiguous float64, and each other
+    field (a setting) a value of its declared type, then calls `_check`,
+    which raises ShapeMismatch or ValueError for an invalid layer.
+    `forward(x, index, mode)` returns (output, cache); mode is None for
+    inference, else a TrainMode. From the cache of a training-mode forward
+    and the output gradient, `backward` returns the input gradient and, for
+    a layer with parameters, `param_grads` their {name: gradient}.
     """
 
     params = ()
     buffers = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in self.params + self.buffers:
+                object.__setattr__(self, f.name, f.type(value))
+            elif value is not None:
+                object.__setattr__(self, f.name, np.ascontiguousarray(value, dtype=np.float64))
+        self._check()
+
+    def _check(self):
+        pass
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,11 @@ class Dense(Layer):
 
     kind = "dense"
     params = ("weight", "bias")
+
+    def _check(self):
+        w, b = self.weight, self.bias
+        if w.ndim != 2 or (b is not None and b.shape != (w.shape[0],)):
+            raise ShapeMismatch(f"dense weight {w.shape} / bias {getattr(b, 'shape', None)}")
 
     def forward(self, x, index=None, mode=None):
         if x.ndim != 2 or x.shape[1] != self.weight.shape[1]:
@@ -104,6 +125,13 @@ class Conv2D(Layer):
 
     kind = "conv2d"
     params = ("weight", "bias")
+
+    def _check(self):
+        w, b = self.weight, self.bias
+        if w.ndim != 4 or getattr(b, "shape", None) != (w.shape[0],):
+            raise ShapeMismatch(f"conv weight {w.shape} / bias {getattr(b, 'shape', None)}")
+        if self.stride < 1 or self.padding < 0:
+            raise ValueError("bad stride/padding")
 
     # Each GEMM takes its operands in the order and layout of NumPy's
     # optimized einsum over the same contraction, whose bits trained models
@@ -167,6 +195,12 @@ class BatchNorm(Layer):
     kind = "batchnorm"
     params = ("scale", "shift")
     buffers = ("running_mean", "running_var")
+
+    def _check(self):
+        if any(getattr(self, n).shape != self.scale.shape for n in self.params + self.buffers):
+            raise ShapeMismatch("batchnorm parameter shapes disagree")
+        if not np.all(self.running_var > 0) or not self.eps >= 0:  # else 1/sqrt(var + eps) is NaN
+            raise ValueError("batchnorm running variance must be positive and eps non-negative")
 
     def forward(self, x, index=None, mode=None):
         c = self.scale.shape[0]
@@ -269,6 +303,11 @@ class Dropout(Layer):
         return dout if mask is None else dout * mask
 
 
+# the layer classes by the `kind` a model manifest names
+LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, BatchNorm, MaxPool2, Flatten,
+                                         Dropout)}
+
+
 def param_fields(layer):
     """Names of the layer's trainable arrays (skips an absent dense bias)."""
     return tuple(n for n in layer.params if getattr(layer, n) is not None)
@@ -291,50 +330,6 @@ class ActivationBatch:
     samples: np.ndarray
 
 
-def _f64(a):
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-
-
-def _normalized(layer):
-    """Coerce array fields to contiguous float64 and sanity-check shapes.
-
-    A layer that needs no coercion is returned itself, so networks built from
-    one another share the layer objects they have in common."""
-    new = _coerced(layer)
-    unchanged = all(
-        a is b or (type(a) is type(b) and not isinstance(a, np.ndarray) and a == b)
-        for a, b in ((getattr(layer, f.name), getattr(new, f.name)) for f in fields(layer)))
-    return layer if unchanged else new
-
-
-def _coerced(layer):
-    if isinstance(layer, Dense):
-        w = _f64(layer.weight)
-        b = None if layer.bias is None else _f64(layer.bias)
-        if w.ndim != 2 or (b is not None and b.shape != (w.shape[0],)):
-            raise ShapeMismatch(f"dense weight {w.shape} / bias "
-                                f"{None if b is None else b.shape}")
-        return Dense(w, b)
-    if isinstance(layer, Conv2D):
-        w, b = _f64(layer.weight), _f64(layer.bias)
-        if w.ndim != 4 or b.shape != (w.shape[0],):
-            raise ShapeMismatch(f"conv weight {w.shape} / bias {b.shape}")
-        if layer.stride < 1 or layer.padding < 0:
-            raise ValueError("bad stride/padding")
-        return Conv2D(w, b, int(layer.stride), int(layer.padding))
-    if isinstance(layer, BatchNorm):
-        arrs = [_f64(getattr(layer, f)) for f in
-                ("scale", "shift", "running_mean", "running_var")]
-        c = arrs[0].shape
-        if any(a.shape != c for a in arrs):
-            raise ShapeMismatch("batchnorm parameter shapes disagree")
-        if not np.all(arrs[3] > 0) or not layer.eps >= 0:  # else 1/sqrt(var + eps) is NaN
-            raise ValueError("batchnorm running variance must be positive "
-                             "and eps non-negative")
-        return BatchNorm(*arrs, eps=float(layer.eps), momentum=float(layer.momentum))
-    return layer
-
-
 @dataclass(frozen=True)
 class Network:
     """Immutable network: layers, input shape, and capture-point indices.
@@ -349,7 +344,7 @@ class Network:
     capture_points: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(_normalized(l) for l in self.layers))
+        object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "capture_points", tuple(int(c) for c in self.capture_points))
         for cp in self.capture_points:
@@ -449,22 +444,12 @@ def count_params(net):
 
 def count_flops(net):
     """Multiply-accumulate count of Dense/Conv forward passes for one sample."""
-    shape = net.input_shape
+    x = np.zeros((1,) + net.input_shape)
     total = 0
     for layer in net.layers:
-        if isinstance(layer, Dense):
-            total += layer.weight.size
-            shape = (layer.weight.shape[0],)
-        elif isinstance(layer, Conv2D):
-            oc, ic, kh, kw = layer.weight.shape
-            oh = (shape[1] + 2 * layer.padding - kh) // layer.stride + 1
-            ow = (shape[2] + 2 * layer.padding - kw) // layer.stride + 1
-            total += oc * ic * kh * kw * oh * ow
-            shape = (oc, oh, ow)
-        elif isinstance(layer, MaxPool2):
-            shape = (shape[0], shape[1] // 2, shape[2] // 2)
-        elif isinstance(layer, Flatten):
-            shape = (int(np.prod(shape)),)
+        x = apply_layer(layer, x)
+        if isinstance(layer, (Dense, Conv2D)):
+            total += layer.weight.size * math.prod(x.shape[2:])  # conv: per output position
     return total
 
 
@@ -519,25 +504,16 @@ def save_model(net, path):
 
 
 def _build_layer(spec, arrays):
-    kind = spec.get("kind")
-    if kind == "dense":
-        return Dense(arrays["weight"], arrays.get("bias"))
-    if kind == "conv2d":
-        return Conv2D(arrays["weight"], arrays["bias"],
-                      stride=int(spec["stride"]), padding=int(spec["padding"]))
-    if kind == "batchnorm":
-        return BatchNorm(arrays["scale"], arrays["shift"],
-                         arrays["running_mean"], arrays["running_var"],
-                         eps=float(spec["eps"]), momentum=float(spec["momentum"]))
-    if kind == "relu":
-        return ReLU()
-    if kind == "maxpool2":
-        return MaxPool2()
-    if kind == "flatten":
-        return Flatten()
-    if kind == "dropout":
-        return Dropout(rate=float(spec["rate"]))
-    raise FormatError(f"unknown layer kind {kind!r}")
+    """The class of the entry's kind, called with the tensors and the
+    entry's values of its other fields."""
+    cls = LAYER_KINDS.get(spec.get("kind"))
+    if cls is None:
+        raise FormatError(f"unknown layer kind {spec.get('kind')!r}")
+    tensors = cls.params + cls.buffers
+    if not set(arrays) <= set(tensors):
+        raise FormatError(f"unexpected tensors {sorted(set(arrays) - set(tensors))}")
+    settings = {f.name: spec[f.name] for f in fields(cls) if f.name not in tensors}
+    return cls(**arrays, **settings)
 
 
 def load_model(path):
@@ -585,7 +561,7 @@ def load_model(path):
     for i, spec in enumerate(specs):
         try:
             layers.append(_build_layer(spec, per_layer.get(i, {})))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, FormatError, ShapeMismatch) as exc:
             raise FormatError(f"{manifest_path}: layer {i}: {exc!r}") from exc
     try:
         return Network(tuple(layers), tuple(manifest["input_shape"]),
@@ -595,7 +571,5 @@ def load_model(path):
 
 
 def with_layers(net, new_layers):
-    """Copy of the network with the given layer list (revalidates shapes).
-
-    Layers that need no coercion are kept as the same objects."""
+    """Copy of the network with the given layer objects (revalidates shapes)."""
     return replace(net, layers=tuple(new_layers))

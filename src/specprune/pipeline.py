@@ -151,7 +151,6 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
             lam=cfg.compress.lam,
             reg_mode=reg_mode,
             ridge=cfg.compress.ridge,
-            centered=cfg.stats.covariance == "centered",
         )
         conv_value = cfg.compress.conv_value
         conv_captures = {cp for cp in netw.capture_points
@@ -200,7 +199,7 @@ def _lowrank_compress(netw, method, k, sigma_feats, classifier_rate):
         if not lr.dalr_feasible(kk, m, n):
             continue  # factorization would not shrink the layer
         if method == "dalr":
-            x = sp._push(current, sigma_feats, 0, i, batch_size=256)
+            x = sp._push(current, sigma_feats, 0, i)
             fd = lr.dalr_compress(layer.weight, layer.bias, x.T, kk)
         else:
             fd = lr.svd_truncate(layer.weight, layer.bias, kk)
@@ -391,10 +390,9 @@ def node_specificity_analysis(cfg, log=None):
         for pos, cp in captures.items():
             per_domain = {}
             for domain, splits in (("source", source), ("target", target)):
-                x = sp._push(model, splits.train.features[:n], 0, cp + 1,
-                             sp.BATCH_SIZE)
+                x = sp._push(model, splits.train.features[:n], 0, cp + 1)
                 acc = sp._rows_to_acc(cp, x, cfg.stats.row_budget,
-                                      np.random.default_rng(seed), sp.BATCH_SIZE)
+                                      np.random.default_rng(seed))
                 per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(cfg.analysis.keep_fraction * widths[cp]))
             gcfg = sp.GreedyConfig(alpha=1.0, max_cardinality=keep,

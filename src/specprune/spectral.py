@@ -47,8 +47,6 @@ class GreedyConfig:
     max_cardinality: optional hard cap on |J|.
     ridge: diagonal regularization for the subset solves; None picks
         1e-8 * tr(sigma)/m.
-    centered: use centered covariances in the regularizer (False: raw second
-        moments).
     Ties in the selection score always break to the lowest index.
     """
 
@@ -57,7 +55,6 @@ class GreedyConfig:
     reg_mode: str = "none"
     max_cardinality: int = 0  # 0 means unbounded
     ridge: float = -1.0  # negative means automatic
-    centered: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -134,27 +131,25 @@ def recovery_matrix(sigma, j, ridge=None):
     return a
 
 
-def reg_subset(stats_source, stats_target, scaling, j, centered=True):
+def reg_subset(stats_source, stats_target, scaling, j):
     """Moment-matching discrepancy restricted to the subset j: mean-difference
     norm plus scaled covariance-difference Frobenius norm."""
     j = np.asarray(sorted(j), dtype=np.intp)
     if j.size == 0:
         raise ValueError("subset must be nonempty")
     d = stats_source.mean - stats_target.mean
-    m = scaling * (st.domain_cov(stats_source, centered)
-                   - st.domain_cov(stats_target, centered))
+    m = scaling * (stats_source.cov - stats_target.cov)
     if d.shape[0] != m.shape[0] or scaling.shape != m.shape:
         raise ShapeMismatch("statistics widths disagree")
     return float(np.linalg.norm(d[j]) + np.linalg.norm(m[np.ix_(j, j)]))
 
 
-def reg_node(stats_source, stats_target, scaling, centered=True):
+def reg_node(stats_source, stats_target, scaling):
     """Per-node moment-matching discrepancy: |mean difference| plus the norm
     of the node's full scaled covariance-difference row. Computed once for
     all nodes."""
     d = stats_source.mean - stats_target.mean
-    m = scaling * (st.domain_cov(stats_source, centered)
-                   - st.domain_cov(stats_target, centered))
+    m = scaling * (stats_source.cov - stats_target.cov)
     return np.abs(d) + np.sqrt((m * m).sum(axis=1))
 
 
@@ -166,10 +161,9 @@ class _SubsetReg:
     formula exactly (same sums of squares).
     """
 
-    def __init__(self, stats_source, stats_target, scaling, centered):
+    def __init__(self, stats_source, stats_target, scaling):
         self.d = stats_source.mean - stats_target.mean
-        self.m = scaling * (st.domain_cov(stats_source, centered)
-                            - st.domain_cov(stats_target, centered))
+        self.m = scaling * (stats_source.cov - stats_target.cov)
         self.mean_sq = 0.0
         self.fro_sq = 0.0
         self.col_sq = np.zeros(self.d.shape[0])
@@ -223,11 +217,11 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     if cfg.reg_mode != "none":
         if stats_source is None or stats_target is None:
             raise StatsMissing(f"reg_mode={cfg.reg_mode} needs source and target stats")
-        scaling = st.scaling_matrix(stats_target, centered=cfg.centered)
+        scaling = st.scaling_matrix(stats_target)
         if cfg.reg_mode == "node":
-            reg_vec = reg_node(stats_source, stats_target, scaling, cfg.centered)
+            reg_vec = reg_node(stats_source, stats_target, scaling)
         else:
-            subset_reg = _SubsetReg(stats_source, stats_target, scaling, cfg.centered)
+            subset_reg = _SubsetReg(stats_source, stats_target, scaling)
 
     max_card = cfg.max_cardinality if cfg.max_cardinality > 0 else m
     if strategy == "incremental":
@@ -476,8 +470,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         local = _local_config(cfg, cp, keep_counts, alphas)
         if rec is None:
             start = captures[k - 1] + 1 if k else 0
-            streams = [_push(network, x, start, cp + 1, BATCH_SIZE) for x in streams]
-            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng, BATCH_SIZE)
+            streams = [_push(network, x, start, cp + 1) for x in streams]
+            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng)
                     for name, i in slots.items()}
             stats = (st.finalize(accs["sigma"]).sigma,
                      st.finalize(accs["source"], "source") if "source" in accs else None,
@@ -509,13 +503,13 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     return network, plans
 
 
-def _push(network, x, start, stop, batch_size):
-    """Apply layers [start, stop) in inference mode, batched."""
+def _push(network, x, start, stop):
+    """Apply layers [start, stop) in inference mode, BATCH_SIZE samples at a time."""
     if start >= stop:
         return x
     out = None
-    for s in range(0, len(x), batch_size):
-        h = x[s:s + batch_size]
+    for s in range(0, len(x), BATCH_SIZE):
+        h = x[s:s + BATCH_SIZE]
         for i in range(start, stop):
             h = nm.apply_layer(network.layers[i], h, index=i)
         if out is None:
@@ -524,19 +518,19 @@ def _push(network, x, start, stop, batch_size):
     return out
 
 
-def _rows_to_acc(cp, x, row_budget, rng, batch_size):
+def _rows_to_acc(cp, x, row_budget, rng):
     """Moment accumulator of the capture rows of x (n, width[, h, w]).
 
-    The rows are taken per block of batch_size samples, and a block with
+    The rows are taken per block of BATCH_SIZE samples, and a block with
     more than row_budget rows (a conv capture has one row per spatial
     position) keeps a uniform random subset of row_budget of them, drawn
-    from rng. So with a row budget, batch_size changes which rows, and how
+    from rng. So with a row budget, BATCH_SIZE changes which rows, and how
     many, enter the moments; it is not a pure performance setting.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)
-    for s in range(0, len(x), batch_size):
-        rows = nm.capture_rows(x[s:s + batch_size])
+    for s in range(0, len(x), BATCH_SIZE):
+        rows = nm.capture_rows(x[s:s + BATCH_SIZE])
         if row_budget and rows.shape[0] > row_budget:
             keep = rng.choice(rows.shape[0], size=row_budget, replace=False)
             rows = rows[keep]

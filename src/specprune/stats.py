@@ -77,15 +77,10 @@ def finalize(acc, domain=""):
                            cov=cov, domain=domain)
 
 
-def domain_cov(stats, centered=True):
-    """The covariance carrier used by the moment-matching terms."""
-    return stats.cov if centered else stats.sigma
-
-
-def scaling_matrix(target_stats, floor=SCALING_FLOOR, centered=True):
+def scaling_matrix(target_stats, floor=SCALING_FLOOR):
     """Entrywise normalizer S_ij = (d_i * d_j)^(-1/4) from the target covariance
     diagonal, with the diagonal clamped below by `floor` before the power."""
-    d = np.maximum(np.diag(domain_cov(target_stats, centered)), floor)
+    d = np.maximum(np.diag(target_stats.cov), floor)
     return (d[:, None] * d[None, :]) ** -0.25
 
 

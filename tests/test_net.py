@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from specprune import lowrank as lr
 from specprune import net as nm
 from specprune import pipeline as pl
 from specprune import train as tr
@@ -317,8 +321,8 @@ def test_load_rejects_non_finite_tensors(tmp_path):
             nm.load_model(path)
 
     # a NaN running variance built in memory fails the positivity check too
-    bad_bn = nm.BatchNorm(ones, ones, ones, np.array([1.0, np.nan, 1.0]))
     with pytest.raises(ValueError, match="running variance"):
+        bad_bn = nm.BatchNorm(ones, ones, ones, np.array([1.0, np.nan, 1.0]))
         nm.Network((nm.Dense(np.eye(3)), bad_bn), (3,))
 
 
@@ -333,20 +337,118 @@ def test_with_layers_keeps_untouched_layer_objects():
     assert nm.shared_depth(netw, swapped) == 5
     assert nm.shared_depth(netw, netw) == len(netw.layers)
 
-    # float32 or non-contiguous arrays still make new, coerced objects
+    # float32 or non-contiguous arrays are coerced when the layer is built
     conv = netw.layers[0]
     f32 = nm.Conv2D(conv.weight.astype(np.float32), conv.bias, conv.stride, conv.padding)
     strided = nm.Dense(np.asfortranarray(dense.weight), dense.bias)
     fixed = nm.with_layers(netw, (f32,) + netw.layers[1:5] + (strided,) + netw.layers[6:])
     for k, given in ((0, f32), (5, strided)):
         got = fixed.layers[k]
-        assert got is not given
+        assert got is given
         assert all(a.dtype == np.float64 and a.flags.c_contiguous
                    for a in (got.weight, got.bias))
-        assert np.array_equal(got.weight, given.weight)
+        assert np.array_equal(got.weight, netw.layers[k].weight.astype(
+            np.float32 if k == 0 else np.float64))
     assert nm.shared_depth(netw, fixed) == 0
     assert fixed.layers[1] is netw.layers[1]
 
-    # a stride given as a float is coerced too
+    # a stride given as a float is stored as an int
     loose = nm.Conv2D(conv.weight, conv.bias, stride=1.0, padding=conv.padding)
-    assert nm.with_layers(netw, (loose,) + netw.layers[1:]).layers[0] is not loose
+    assert type(loose.stride) is int and loose.stride == 1
+    assert nm.with_layers(netw, (loose,) + netw.layers[1:]).layers[0] is loose
+
+
+def every_kind_network():
+    """A seeded network with every layer kind: BatchNorm on a conv map and
+    on a dense layer, and Dense with and without a bias."""
+    rng = np.random.default_rng(21)
+
+    def bn(c):
+        return nm.BatchNorm(rng.normal(size=c), rng.normal(size=c), rng.normal(size=c),
+                            rng.uniform(0.5, 2.0, size=c), eps=1e-3, momentum=0.2)
+
+    layers = (
+        nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), rng.normal(size=4), stride=1, padding=1),
+        bn(4), nm.ReLU(), nm.MaxPool2(),
+        nm.Conv2D(rng.normal(size=(5, 4, 3, 3)), rng.normal(size=5), stride=2, padding=1),
+        nm.ReLU(), nm.Flatten(), nm.Dropout(0.25),
+        nm.Dense(rng.normal(size=(6, 20)), rng.normal(size=6)), bn(6), nm.ReLU(),
+        nm.Dense(rng.normal(size=(3, 6)), None),
+    )
+    return nm.Network(layers, (1, 8, 8), capture_points=(2, 5, 10))
+
+
+def saved_digest(path):
+    return hashlib.sha256((path / "model.json").read_bytes()
+                          + (path / "weights.bin").read_bytes()).hexdigest()
+
+
+def test_every_kind_saves_the_same_bytes_and_flops(tmp_path):
+    # the digest pins the saved bytes of every layer kind's manifest entry and tensors
+    netw = every_kind_network()
+    nm.save_model(netw, tmp_path / "m")
+    assert saved_digest(tmp_path / "m") == \
+        "4d9a96d002e2dd452a3bd928d37c26b8e89949dd23e8637731d9777896b825a6"
+    nm.save_model(nm.load_model(tmp_path / "m"), tmp_path / "again")
+    assert saved_digest(tmp_path / "again") == saved_digest(tmp_path / "m")
+    # conv 4*1*9 at 8x8 and 5*4*9 at 2x2 (stride 2 after the pool), dense 6*20 and 3*6
+    assert nm.count_flops(netw) == 3162 == 4 * 9 * 64 + 5 * 4 * 9 * 4 + 6 * 20 + 3 * 6
+
+
+def test_count_flops_digits_and_factored():
+    digits = pl.build_digits_model(ModelSection(), 0)
+    assert nm.count_flops(digits) == 109824
+    fd = lr.svd_truncate(digits.layers[14].weight, digits.layers[14].bias, 7)
+    # the 256x256 dense layer becomes two rank-7 factors: 65536 -> 2 * 7 * 256
+    assert nm.count_flops(lr.replace_dense(digits, 14, fd)) == 47872
+
+
+def test_layers_coerce_and_check_themselves():
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(3, 2, 3, 3))
+    for layer in (nm.Conv2D(w.astype(np.float32), np.zeros(3, dtype=np.float32)),
+                  nm.Dense(np.asfortranarray(rng.normal(size=(4, 5))), rng.normal(size=4)),
+                  nm.BatchNorm(*(np.ones(6, dtype=np.float32) for _ in range(4)), eps=0)):
+        for name in nm.tensor_fields(layer):
+            a = getattr(layer, name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert np.array_equal(nm.Conv2D(w.astype(np.float32), np.zeros(3)).weight,
+                          w.astype(np.float32))
+    bn = nm.BatchNorm(*(np.ones(2) for _ in range(4)), eps=0, momentum=1)
+    assert (type(bn.eps), type(bn.momentum), type(nm.Dropout(0).rate)) == (float,) * 3
+    conv = nm.Conv2D(w, np.zeros(3), stride=2.0, padding=1.0)
+    assert (type(conv.stride), type(conv.padding)) == (int, int)
+    # an array that needs no coercion is kept as the same object
+    assert nm.Conv2D(w, np.zeros(3)).weight is w
+
+    for bad in (lambda: nm.Dense(np.ones(3)),
+                lambda: nm.Dense(np.ones((2, 3)), np.ones(3)),
+                lambda: nm.Conv2D(np.ones((2, 3, 3)), np.ones(2)),
+                lambda: nm.Conv2D(w, np.ones(2)),
+                lambda: nm.Conv2D(w, None),
+                lambda: nm.BatchNorm(np.ones(2), np.ones(2), np.ones(3), np.ones(2))):
+        with pytest.raises(ShapeMismatch):
+            bad()
+    for bad in (lambda: nm.Conv2D(w, np.zeros(3), stride=0),
+                lambda: nm.Conv2D(w, np.zeros(3), padding=-1),
+                lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, np.nan])),
+                lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, 0.0])),
+                lambda: nm.BatchNorm(*(np.ones(2) for _ in range(4)), eps=-1.0)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+@pytest.mark.parametrize("edit, layer, message", (
+    (lambda m: m["layers"][5].update(kind="softmax"), 5, "unknown layer kind 'softmax'"),
+    (lambda m: m["tensors"][2].update(name="gamma"), 1, r"unexpected tensors \['gamma'\]"),
+    (lambda m: m["tensors"][-1].update(layer=10), 10, r"unexpected tensors \['weight'\]"),
+    (lambda m: m["layers"][4].pop("stride"), 4, "KeyError.*stride"),
+    (lambda m: m["layers"][7].pop("rate"), 7, "KeyError.*rate"),
+))
+def test_load_rejects_bad_layer_entries(tmp_path, edit, layer, message):
+    nm.save_model(every_kind_network(), tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    edit(manifest)
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"model.json: layer {layer}: .*{message}"):
+        nm.load_model(tmp_path)

@@ -288,9 +288,9 @@ class _Counter:
             self.selects += 1
             return find_subset(*args, **kwargs)
 
-        def counted_push(network, x, start, stop, batch_size):
+        def counted_push(network, x, start, stop):
             self.pushed += len(x) if start < stop else 0
-            return push(network, x, start, stop, batch_size)
+            return push(network, x, start, stop)
 
         monkeypatch.setattr(sp, "_rows_to_acc", counted_rows_to_acc)
         monkeypatch.setattr(sp, "find_subset", counted_find_subset)
@@ -586,6 +586,21 @@ def test_cli_train_run(tmp_path, capsys):
         assert cli.main([command, "--config", str(cfg_path), "--model", str(compressed)]) == 0
         printed = re.search(r"acc_target=(\S+)", capsys.readouterr().out).group(1)
         assert printed == f"{tr.evaluate([nm.load_model(saved)], target.test)[0]:.4f}"
+
+
+def test_cli_compress_saves_every_sweep_value(tiny_setup, tmp_path):
+    out, cfg, source, target, model = tiny_setup
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_doc(out, sweep=[0.9, 0.7])))  # the trained model
+    assert cli.main(["compress", "--config", str(cfg_path)]) == 0
+    saved = sorted(os.listdir(out / "compressed"))
+    assert saved == ["seed0_spectral_0.7", "seed0_spectral_0.9"]
+    feats = pl.stats_features(cfg, source, target)
+    for value in (0.9, 0.7):  # each as compressed alone, without the shared memo
+        fresh, _ = pl.compress_model(cfg, model, value, feats, None, None, 0)
+        nm.save_model(fresh, tmp_path / "fresh")
+        assert (tmp_path / "fresh" / "weights.bin").read_bytes() == \
+            (out / "compressed" / f"seed0_spectral_{value}" / "weights.bin").read_bytes()
 
 
 def test_cli_model_commands_fail_before_work(tmp_path, capsys):

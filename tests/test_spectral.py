@@ -304,7 +304,7 @@ def test_plan_from_record_equals_find_subset(reg_mode):
             assert got.recovery.tobytes() == plan_b.recovery.tobytes()
         cfg = configs[0]
         for other in (dict(lam=0.5), dict(reg_mode="none" if reg_mode != "none" else "node"),
-                      dict(ridge=1e-3), dict(centered=False)):
+                      dict(ridge=1e-3)):
             for alpha, cap in ((cfg.alpha, cfg.max_cardinality), (0.5, 1)):
                 changed = dataclasses.replace(cfg, alpha=alpha, max_cardinality=cap, **other)
                 assert sp._plan_from_record(plans[0], cfg, changed, sigma) is None

@@ -156,10 +156,10 @@ def test_rows_to_acc_row_budget_and_determinism():
     netw = nm.Network(
         (nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), np.zeros(4), 1, 1), nm.ReLU()),
         (1, 8, 8), capture_points=(1,))
-    x = sp._push(netw, rng.normal(size=(100, 1, 8, 8)), 0, 2, sp.BATCH_SIZE)
+    x = sp._push(netw, rng.normal(size=(100, 1, 8, 8)), 0, 2)
 
     def moments(row_budget):
-        return sp._rows_to_acc(1, x, row_budget, np.random.default_rng(3), sp.BATCH_SIZE)
+        return sp._rows_to_acc(1, x, row_budget, np.random.default_rng(3))
 
     a1, a2 = moments(512), moments(512)
     assert a1.n == a2.n <= 512  # single block, capped
