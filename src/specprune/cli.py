@@ -10,7 +10,6 @@ import sys
 
 from . import net as nm
 from . import pipeline as pl
-from . import spectral as sp
 from . import train as tr
 from .config import parse_config, read_config
 from .datasets import make_two_domain
@@ -39,34 +38,31 @@ def _apply_overrides(doc, args):
     return doc
 
 
-def _load_run_inputs(cfg, seed):
-    source, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-    model = pl.get_or_train_model(cfg, seed, source, target)
-    return source, target, model
+def _accuracies(model, source, target):
+    acc_s, acc_t = (pl._stage("eval", tr.evaluate, [model], d.test)[0] for d in (source, target))
+    return f"acc_source={acc_s:.4f} acc_target={acc_t:.4f}"
+
+
+def _domains(cfg, seed):
+    return pl._stage("gen-data", make_two_domain, seed, cfg.data.n_per_split,
+                     cfg.data.shift)
 
 
 def cmd_train(cfg, args):
     for seed in cfg.seeds:
-        source, target, model = _load_run_inputs(cfg, seed)
-        acc_s = tr.evaluate([model], source.test)[0]
-        acc_t = tr.evaluate([model], target.test)[0]
+        source, target, model = pl.load_inputs(cfg, seed)
         print(f"seed {seed}: params={nm.count_params(model)} "
-              f"acc_source={acc_s:.4f} acc_target={acc_t:.4f}")
+              f"{_accuracies(model, source, target)}")
     return 0
 
 
 def cmd_compress(cfg, args):
-    """Compress and save the model at every sweep value; the values of one
-    seed share a SweepMemo, as in pipeline.run."""
+    """Compress and save the model at every sweep value, as pipeline.run
+    compresses them."""
     for seed in cfg.seeds:
-        source, target, model = _load_run_inputs(cfg, seed)
-        sigma_feats = pl.stats_features(cfg, source, target)
-        src_feats, tgt_feats = pl.reg_features(cfg, source, target)
-        memo = sp.SweepMemo()
+        source, target, model = pl.load_inputs(cfg, seed)
         before = nm.count_params(model)
-        for value in cfg.compress.sweep:
-            compressed, _ = pl.compress_model(cfg, model, value, sigma_feats,
-                                              src_feats, tgt_feats, seed, memo=memo)
+        for value, compressed, _, _ in pl.compress_sweep(cfg, seed, source, target, model):
             out = os.path.join(cfg.paths.out_dir, "compressed",
                                f"seed{seed}_{cfg.compress.method}_{value}")
             nm.save_model(compressed, out)
@@ -82,20 +78,19 @@ def cmd_finetune(cfg, args):
         raise ConfigError(f"seeds: finetune writes one model to {out}; "
                           f"pick one of {list(cfg.seeds)} with --seed")
     seed = cfg.seeds[0]
-    _, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-    tuned = pl.finetune_model(cfg, nm.load_model(args.model), target, seed)
+    model = nm.load_model(args.model)
+    source, target = _domains(cfg, seed)
+    tuned = pl._stage("finetune", pl.finetune_model, cfg, model, target, seed)
     nm.save_model(tuned, out)
     print(f"seed {seed}: fine-tuned model saved to {out} "
-          f"acc_target={tr.evaluate([tuned], target.test)[0]:.4f}")
+          f"{_accuracies(tuned, source, target)}")
     return 0
 
 
 def cmd_eval(cfg, args):
     model = nm.load_model(args.model)
     for seed in cfg.seeds:
-        source, target = make_two_domain(seed, cfg.data.n_per_split, cfg.data.shift)
-        print(f"seed {seed}: acc_source={tr.evaluate([model], source.test)[0]:.4f} "
-              f"acc_target={tr.evaluate([model], target.test)[0]:.4f}")
+        print(f"seed {seed}: {_accuracies(model, *_domains(cfg, seed))}")
     return 0
 
 

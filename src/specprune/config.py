@@ -69,8 +69,6 @@ class CompressSection:
     sweep_kind: str = "alpha"  # "rank" for svd/dalr when the document omits it
     conv_value: float = -1.0  # separate alpha/keep fraction for conv captures; <0 follows sweep
     lam: float = field(default=1.0, metadata={"key": "lambda"})
-    ridge: float = -1.0
-    classifier_rank_rate: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -80,11 +78,6 @@ class FineTuneSection:
     weight_decay: float = 5e-4
     batch_size: int = 50
     epochs: int = 2
-
-
-@dataclass(frozen=True)
-class AnalysisSection:
-    keep_fraction: float = 0.4
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,6 @@ class ExperimentConfig:
     stats: StatsSection
     compress: CompressSection
     fine_tune: FineTuneSection  # None when the document has no fine_tune section
-    analysis: AnalysisSection
     paths: PathsSection
 
 
@@ -146,7 +138,6 @@ _RULES = {
     "fine_tune.batch_size": _at_least(1),
     **{f"fine_tune.{name}": _at_least(0)
        for name in ("learning_rate", "weight_decay", "epochs")},
-    "analysis.keep_fraction": ((lambda v: 0 < v < 1), "in (0, 1)"),
 }
 
 

@@ -292,6 +292,10 @@ class Dropout(Layer):
 
     kind = "dropout"
 
+    def _check(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
+
     def forward(self, x, index=None, mode=None):
         if mode is None or mode.rng is None or self.rate <= 0.0:
             return x, None
@@ -549,6 +553,9 @@ def load_model(path):
         per_layer = {}
         offset = 0
         for layer, name, shape in index:
+            if not 0 <= layer < len(specs):
+                raise FormatError(f"{manifest_path}: layer {layer}: no such layer, "
+                                  f"the manifest lists {len(specs)}")
             size = int(np.prod(shape)) * 4
             arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
             if not np.isfinite(arr).all():

@@ -29,6 +29,8 @@ CSV_COLUMNS = ("seed", "method", "sweep_value", "lambda", "data_choice",
                "params_before", "params_after", "flops_before", "flops_after",
                "compression_rate", "ratio_achieved", "acc_source", "acc_target",
                "seconds")
+CLASSIFIER_RANK_RATE = 0.5  # svd/dalr classifier rank, as a share of its break-even rank
+SPECIFICITY_KEEP_FRACTION = 0.4  # nodes kept per domain in node_specificity_analysis
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +115,12 @@ def get_or_train_model(cfg, seed, source, target):
 
 def stats_features(cfg, source, target):
     """Selection-statistics samples under the configured data-choice mixture."""
-    n = cfg.stats.target_samples
-    m = cfg.stats.source_samples
-    tgt = target.train.features[:n]
+    n, m = cfg.stats.target_samples, cfg.stats.source_samples
     if cfg.stats.data_choice == "target_only":
-        return tgt
+        return target.train.features[:n]
     if cfg.stats.data_choice == "target_source_mix":
-        half = n // 2
-        return np.concatenate([target.train.features[:half],
-                               source.train.features[:half]])
-    return np.concatenate([tgt, source.train.features[:m]])
+        n = m = n // 2
+    return np.concatenate([target.train.features[:n], source.train.features[:m]])
 
 
 def reg_features(cfg, source, target):
@@ -139,63 +137,44 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
                    memo=None):
     """One sweep point: returns (compressed network, per-layer achieved ratios).
 
+    A spectral point is one GreedyConfig per capture: a keep_fraction v caps
+    it at max(1, round(v * width)) nodes, an alpha is its alpha, and a conv
+    capture takes conv_value instead when that is set.
+
     memo: a spectral.SweepMemo shared by the points of one sweep over netw
     and the same features and seed; spectral methods reuse the capture work
     those points share. The factorization methods ignore it.
     """
     method = cfg.compress.method
-    if method in SPECTRAL_METHODS:
-        reg_mode = REG_MODE_BY_METHOD[method]
-        gcfg = sp.GreedyConfig(
-            alpha=float(sweep_value) if cfg.compress.sweep_kind == "alpha" else 1.0,
-            lam=cfg.compress.lam,
-            reg_mode=reg_mode,
-            ridge=cfg.compress.ridge,
-        )
-        conv_value = cfg.compress.conv_value
-        conv_captures = {cp for cp in netw.capture_points
-                         if isinstance(nm._feeding_layer(netw, cp)[1], nm.Conv2D)}
-
-        def value_for(cp):
-            return conv_value if (conv_value > 0 and cp in conv_captures) \
-                else float(sweep_value)
-
-        keep_counts = alphas = None
-        if cfg.compress.sweep_kind == "keep_fraction":
-            widths = nm.layer_widths(netw)
-            keep_counts = {cp: max(1, round(value_for(cp) * w))
-                           for cp, w in widths.items()}
-        elif conv_value > 0:
-            alphas = {cp: value_for(cp) for cp in netw.capture_points}
-        compressed, plans = sp.compress_network(
-            netw, sigma_feats, gcfg,
-            source_features=src_feats if reg_mode != "none" else None,
-            target_features=tgt_feats if reg_mode != "none" else None,
-            keep_counts=keep_counts, alphas=alphas,
-            row_budget=cfg.stats.row_budget, seed=seed, memo=memo)
-        ratios = tuple(plans[cp].achieved_ratio for cp in sorted(plans))
-        return compressed, ratios
-    return _lowrank_compress(netw, method, int(sweep_value), sigma_feats,
-                             cfg.compress.classifier_rank_rate), ()
+    if method not in SPECTRAL_METHODS:
+        return _lowrank_compress(netw, method, int(sweep_value), sigma_feats), ()
+    gcfg = sp.GreedyConfig(lam=cfg.compress.lam, reg_mode=REG_MODE_BY_METHOD[method])
+    conv_value = cfg.compress.conv_value
+    configs = {}
+    for cp, width in nm.layer_widths(netw).items():
+        conv = isinstance(nm._feeding_layer(netw, cp)[1], nm.Conv2D)
+        value = conv_value if conv and conv_value > 0 else float(sweep_value)
+        configs[cp] = (dataclasses.replace(gcfg, max_cardinality=max(1, round(value * width)))
+                       if cfg.compress.sweep_kind == "keep_fraction"
+                       else dataclasses.replace(gcfg, alpha=value))
+    compressed, plans = sp.compress_network(
+        netw, sigma_feats, configs, source_features=src_feats, target_features=tgt_feats,
+        row_budget=cfg.stats.row_budget, seed=seed, memo=memo)
+    return compressed, tuple(plans[cp].achieved_ratio for cp in sorted(plans))
 
 
-def _lowrank_compress(netw, method, k, sigma_feats, classifier_rate):
-    """Factor the hidden dense layers at rank k (classifier at a fixed rate),
-    input to output, recomputing layer inputs on the compressed prefix."""
+def _lowrank_compress(netw, method, k, sigma_feats):
+    """Factor the hidden dense layers at rank k (the classifier at
+    CLASSIFIER_RANK_RATE), input to output, recomputing layer inputs on the
+    compressed prefix."""
     dense_idx = [i for i, l in enumerate(netw.layers) if isinstance(l, nm.Dense)]
-    hidden, out_idx = dense_idx[:-1], dense_idx[-1]
-    current = netw
-    offset = 0
-    for idx in hidden + [out_idx]:
+    current, offset = netw, 0
+    for idx in dense_idx:
         i = idx + offset
         layer = current.layers[i]
         m, n = layer.weight.shape
-        if idx == out_idx:
-            if classifier_rate <= 0:
-                continue
-            kk = max(1, math.floor(classifier_rate * m * n / (m + n)))
-        else:
-            kk = min(k, m, n)
+        kk = min(k, m, n) if idx != dense_idx[-1] \
+            else max(1, math.floor(CLASSIFIER_RANK_RATE * m * n / (m + n)))
         if not lr.dalr_feasible(kk, m, n):
             continue  # factorization would not shrink the layer
         if method == "dalr":
@@ -314,40 +293,51 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineStageError(name, exc) from exc
 
 
+def load_inputs(cfg, seed):
+    """The seed's (source, target) domains and its trained model, from the
+    model cache when it holds one."""
+    source, target = _stage("gen-data", make_two_domain, seed,
+                            cfg.data.n_per_split, cfg.data.shift)
+    model = _stage("train", get_or_train_model, cfg, seed, source, target)
+    return source, target, model
+
+
+def compress_sweep(cfg, seed, source, target, model):
+    """Yield (value, compressed network, per-layer ratios, compress seconds)
+    for each sweep value in order. The points share one SweepMemo, so a
+    point reuses the capture work of the point before it where their pruned
+    prefixes agree; the memo is freed once the generator is exhausted."""
+    sigma_feats = stats_features(cfg, source, target)
+    src_feats, tgt_feats = reg_features(cfg, source, target)
+    memo = sp.SweepMemo()
+    for value in cfg.compress.sweep:
+        t0 = time.perf_counter()
+        compressed, ratios = _stage("compress", compress_model, cfg, model, value,
+                                    sigma_feats, src_feats, tgt_feats, seed, memo=memo)
+        yield value, compressed, ratios, time.perf_counter() - t0
+
+
 def run(cfg, log=None):
     """Full sweep: train -> collect stats -> compress -> (fine-tune) -> evaluate,
     one record per (seed, sweep point). Deterministic per seed.
 
-    The points of one seed share a SweepMemo, so a point reuses the capture
-    work of the point before it where their pruned prefixes agree; a row's
-    `seconds` is the compress time of its own point. Once every point of
-    the seed is compressed (and fine-tuned), one `train.evaluate` call per
-    test split evaluates them in sweep order, each point resuming from the
-    leading layers it shares with the point before it. Fine-tuned points
-    share no layers and are evaluated from the input. The memo, which holds
-    the activations of every capture, is dropped before evaluation."""
+    The points of one seed come from compress_sweep; a row's `seconds` is
+    the compress time of its own point. Once every point of the seed is
+    compressed (and fine-tuned), and so the sweep's memo is freed, one
+    `train.evaluate` call per test split evaluates them in sweep order, each
+    point resuming from the leading layers it shares with the point before
+    it. Fine-tuned points share no layers and are evaluated from the input."""
     say = log or (lambda *_: None)
     records = []
     for seed in cfg.seeds:
-        source, target = _stage("gen-data", make_two_domain, seed,
-                                cfg.data.n_per_split, cfg.data.shift)
-        model = _stage("train", get_or_train_model, cfg, seed, source, target)
+        source, target, model = load_inputs(cfg, seed)
         params_before = nm.count_params(model)
         flops_before = nm.count_flops(model)
-        sigma_feats = stats_features(cfg, source, target)
-        src_feats, tgt_feats = reg_features(cfg, source, target)
-        memo = sp.SweepMemo()
         points = []
-        for value in cfg.compress.sweep:
-            t0 = time.perf_counter()
-            compressed, ratios = _stage("compress", compress_model, cfg, model,
-                                        value, sigma_feats, src_feats, tgt_feats, seed,
-                                        memo=memo)
-            seconds = time.perf_counter() - t0
-            compressed = _stage("finetune", finetune_model, cfg, compressed,
-                                target, seed)
+        for value, compressed, ratios, seconds in compress_sweep(cfg, seed, source,
+                                                                 target, model):
+            compressed = _stage("finetune", finetune_model, cfg, compressed, target, seed)
             points.append((value, compressed, ratios, seconds))
-        del memo
         networks = [compressed for _, compressed, _, _ in points]
         accs_source = _stage("eval", tr.evaluate, networks, source.test)
         accs_target = _stage("eval", tr.evaluate, networks, target.test)
@@ -380,9 +370,7 @@ def node_specificity_analysis(cfg, log=None):
     say = log or (lambda *_: None)
     rows = []
     for seed in cfg.seeds:
-        source, target = _stage("gen-data", make_two_domain, seed,
-                                cfg.data.n_per_split, cfg.data.shift)
-        model = _stage("train", get_or_train_model, cfg, seed, source, target)
+        source, target, model = load_inputs(cfg, seed)
         widths = nm.layer_widths(model)
         n = cfg.stats.target_samples
         captures = {"first": min(model.capture_points),
@@ -394,9 +382,8 @@ def node_specificity_analysis(cfg, log=None):
                 acc = sp._rows_to_acc(cp, x, cfg.stats.row_budget,
                                       np.random.default_rng(seed))
                 per_domain[domain] = st.finalize(acc, domain).sigma
-            keep = max(1, round(cfg.analysis.keep_fraction * widths[cp]))
-            gcfg = sp.GreedyConfig(alpha=1.0, max_cardinality=keep,
-                                   ridge=cfg.compress.ridge)
+            keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
+            gcfg = sp.GreedyConfig(max_cardinality=keep)
             j_source = set(sp.find_subset(per_domain["source"], gcfg, layer=cp).selected)
             j_target = set(sp.find_subset(per_domain["target"], gcfg, layer=cp).selected)
             classes = {

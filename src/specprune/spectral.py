@@ -407,16 +407,6 @@ def _same_cut(plan, other):
                              and np.array_equal(plan.recovery, other.recovery))
 
 
-def _local_config(cfg, cp, keep_counts, alphas):
-    local = cfg
-    if alphas and cp in alphas:
-        local = dataclasses.replace(local, alpha=alphas[cp])
-    if keep_counts and cp in keep_counts:
-        local = dataclasses.replace(local, alpha=1.0,
-                                    max_cardinality=int(keep_counts[cp]))
-    return local
-
-
 def _distinct_streams(inputs):
     """Map each named input to one of the distinct arrays among the inputs.
 
@@ -436,8 +426,8 @@ def _distinct_streams(inputs):
 
 
 def compress_network(network, sigma_features, cfg, source_features=None,
-                     target_features=None, keep_counts=None, alphas=None,
-                     row_budget=st.DEFAULT_ROW_BUDGET, seed=0, memo=None):
+                     target_features=None, row_budget=st.DEFAULT_ROW_BUDGET, seed=0,
+                     memo=None):
     """Prune every capture point, input to output.
 
     Selection statistics are always computed on the already-compressed prefix
@@ -445,14 +435,20 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     is considered), so each layer sees the activations the deployed network
     will actually produce.
 
-    sigma_features defines the selection second moment; source/target
-    features feed the moment-matching statistics when cfg.reg_mode != 'none'.
-    keep_counts / alphas optionally override cfg per capture point id.
+    cfg is one GreedyConfig for every capture point, or a map with one
+    GreedyConfig per capture point id. sigma_features defines the selection
+    second moment; source/target features feed the moment-matching
+    statistics when any capture's reg_mode is not 'none'.
     memo, a SweepMemo, lets the calls of one sweep share the work of the
     captures whose prefix they share; without one, nothing is kept.
     """
+    captures = sorted(network.capture_points)
+    configs = dict.fromkeys(captures, cfg) if isinstance(cfg, GreedyConfig) else cfg
+    if set(configs) != set(captures):
+        raise ValueError(f"one GreedyConfig per capture point {captures} is needed, "
+                         f"got {sorted(configs)}")
     inputs = {"sigma": sigma_features}
-    if cfg.reg_mode != "none":
+    if any(c.reg_mode != "none" for c in configs.values()):
         if source_features is None or target_features is None:
             raise StatsMissing("regularized compression needs both domain streams")
         inputs["source"] = source_features
@@ -463,11 +459,10 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     records = []
     rng = np.random.default_rng(seed)
     plans = {}
-    captures = sorted(network.capture_points)
     for k, cp in enumerate(captures):
         rec = previous[k] if k < len(previous) else None
         last = k + 1 == len(captures)
-        local = _local_config(cfg, cp, keep_counts, alphas)
+        local = configs[cp]
         if rec is None:
             start = captures[k - 1] + 1 if k else 0
             streams = [_push(network, x, start, cp + 1) for x in streams]

@@ -333,6 +333,59 @@ def test_c09_regularization_trend():
 
 
 # ---------------------------------------------------------------------------
+# 13. spectral pruning vs DALR at high compression (the c09 models, no
+#     fine-tuning)
+# ---------------------------------------------------------------------------
+
+def test_c13_spectral_beats_dalr_at_high_compression():
+    # The rule, fixed before the first run: every spectral point with
+    # compression >= 0.90 is compared with the DALR point of the highest
+    # compression not above it (which favours DALR: less compression, more
+    # accuracy), on the 10-seed mean target accuracy.
+    base = parse_config({
+        "schema_version": 1, "scenario": "pretrain_finetune",
+        "seeds": list(range(10)),
+        "data": {"n_per_split": 1500,
+                 "shift": {"gain": 0.8, "offset": 0.15, "dx": 1,
+                           "noise_std_extra": 0.02}},
+        "train": {"epochs": 8, "pretrain_epochs": 10, "finetune_epochs": 6},
+        "stats": {"target_samples": 1500, "source_samples": 750},
+        "compress": {"method": "spectral", "sweep": [0.5, 0.35, 0.25, 0.18, 0.12],
+                     "sweep_kind": "keep_fraction", "conv_value": 0.6},
+        "paths": {"out_dir": os.path.join(CACHE_DIR, "c09")},
+    })
+    dalr = dataclasses.replace(base, compress=dataclasses.replace(
+        base.compress, method="dalr", sweep=(64, 32, 16, 8, 4, 2), sweep_kind="rank",
+        conv_value=-1.0))
+    points = {}  # method -> [(compression, per-seed acc_target, sweep value)]
+    for cfg in (base, dalr):
+        report = pl.run(cfg)
+        for value in cfg.compress.sweep:
+            rows = sorted((r for r in report.rows if r.sweep_value == value),
+                          key=lambda r: r.seed)
+            assert len(rows) == 10
+            rates = {round(r.compression_rate, 12) for r in rows}
+            assert len(rates) == 1  # the sweep value pins the architecture
+            points.setdefault(cfg.compress.method, []).append(
+                (rates.pop(), np.array([r.acc_target for r in rows]), value))
+    high = [p for p in points["spectral"] if p[0] >= 0.90]
+    assert high, "no spectral point reaches compression 0.90"
+    lines = []
+    for rate, acc, keep in high:
+        below = [p for p in points["dalr"] if p[0] <= rate]
+        assert below, f"no DALR point at or below compression {rate:.4f}"
+        d_rate, d_acc, rank = max(below, key=lambda p: p[0])
+        print(f"  keep={keep} (cr={rate:.4f}): spectral {np.round(acc, 4).tolist()}")
+        print(f"  rank={rank} (cr={d_rate:.4f}): dalr     {np.round(d_acc, 4).tolist()}")
+        assert acc.mean() > d_acc.mean(), (
+            f"spectral mean {acc.mean():.4f} at cr {rate:.4f} <= DALR mean "
+            f"{d_acc.mean():.4f} at cr {d_rate:.4f}")
+        lines.append(f"cr {rate:.3f}: {acc.mean():.4f} > {d_acc.mean():.4f} "
+                     f"(DALR rank {rank}, cr {d_rate:.3f})")
+    ok(f"13 spectral vs DALR at high compression ({'; '.join(lines)})")
+
+
+# ---------------------------------------------------------------------------
 # 11. gradient checks
 # ---------------------------------------------------------------------------
 

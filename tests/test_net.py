@@ -444,6 +444,10 @@ def test_layers_coerce_and_check_themselves():
     (lambda m: m["tensors"][-1].update(layer=10), 10, r"unexpected tensors \['weight'\]"),
     (lambda m: m["layers"][4].pop("stride"), 4, "KeyError.*stride"),
     (lambda m: m["layers"][7].pop("rate"), 7, "KeyError.*rate"),
+    (lambda m: m["tensors"][-1].update(layer=99), 99, "no such layer"),
+    (lambda m: m["tensors"][0].update(layer=-1), -1, "no such layer"),
+    # a keep probability of 0 would divide by zero in a training forward
+    (lambda m: m["layers"][7].update(rate=1.0), 7, r"dropout rate must be in \[0, 1\)"),
 ))
 def test_load_rejects_bad_layer_entries(tmp_path, edit, layer, message):
     nm.save_model(every_kind_network(), tmp_path)

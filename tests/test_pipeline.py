@@ -16,7 +16,7 @@ from specprune import stats as st
 from specprune import train as tr
 from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
-from specprune.errors import ConfigError
+from specprune.errors import ConfigError, Diverged
 
 
 def tiny_doc(out_dir, **compress):
@@ -56,6 +56,17 @@ def test_config_unknown_key_reports_path(tmp_path):
     doc2["stats"] = {"data_choise": "target_only"}
     with pytest.raises(ConfigError, match="stats.data_choise"):
         parse_config(doc2)
+    # removed options: the greedy ridge, the classifier rank rate of the
+    # factorization baselines and the node-specificity keep fraction
+    for section, key, value, path in (("compress", "ridge", -1.0, "compress.ridge"),
+                                      ("compress", "classifier_rank_rate", 0.5,
+                                       "compress.classifier_rank_rate"),
+                                      (None, "analysis", {"keep_fraction": 0.4},
+                                       "config.analysis")):
+        doc3 = tiny_doc(tmp_path)
+        (doc3[section] if section else doc3)[key] = value
+        with pytest.raises(ConfigError, match=f"{path}: unknown key"):
+            parse_config(doc3)
 
 
 def test_config_method_sweep_compatibility(tmp_path):
@@ -376,11 +387,11 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     memo = sp.SweepMemo()
     work = []
     for k, alphas in enumerate(sweep):
-        kwargs = dict(source_features=src, target_features=tgt, alphas=alphas,
-                      row_budget=100, seed=3)
-        fresh, fresh_plans = sp.compress_network(model, feats, gcfg, **kwargs)
+        configs = {cp: dataclasses.replace(gcfg, alpha=a) for cp, a in alphas.items()}
+        kwargs = dict(source_features=src, target_features=tgt, row_budget=100, seed=3)
+        fresh, fresh_plans = sp.compress_network(model, feats, configs, **kwargs)
         before = counter.work()
-        network, plans = sp.compress_network(model, feats, gcfg, memo=memo, **kwargs)
+        network, plans = sp.compress_network(model, feats, configs, memo=memo, **kwargs)
         work.append(tuple(b - a for a, b in zip(before, counter.work())))
         _assert_same_plans(plans, fresh_plans)
         assert _model_bytes(network, tmp_path / f"m{k}") \
@@ -601,6 +612,32 @@ def test_cli_compress_saves_every_sweep_value(tiny_setup, tmp_path):
         nm.save_model(fresh, tmp_path / "fresh")
         assert (tmp_path / "fresh" / "weights.bin").read_bytes() == \
             (out / "compressed" / f"seed0_spectral_{value}" / "weights.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command, owner, attr, stage", [
+    ("train", pl, "train_model", "train"),
+    ("compress", sp, "find_subset", "compress"),
+    ("eval", tr, "evaluate", "eval"),
+    ("finetune", tr, "train", "finetune"),
+], ids=["train", "compress", "eval", "finetune"])
+def test_cli_errors_name_their_stage(tmp_path, monkeypatch, capsys, command, owner, attr,
+                                     stage):
+    cfg_path = tmp_path / "cfg.json"
+    doc = dict(tiny_doc(tmp_path / "out"), fine_tune={"epochs": 1})
+    cfg_path.write_text(json.dumps(doc))
+    model = tmp_path / "m"
+    nm.save_model(pl.build_digits_model(parse_config(doc).model, 0), model)
+
+    def diverge(*args, **kwargs):
+        raise Diverged("loss became nan")
+
+    monkeypatch.setattr(owner, attr, diverge)
+    args = [command, "--config", str(cfg_path)]
+    if command in ("eval", "finetune"):
+        args += ["--model", str(model)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{stage}] loss became nan") and "Traceback" not in err
 
 
 def test_cli_model_commands_fail_before_work(tmp_path, capsys):

@@ -615,8 +615,8 @@ def test_compress_network_arrays_pinned(kind):
         rng = np.random.default_rng(32)
         netw = conv_net_with_capture(rng)
         x, keep = rng.normal(size=(60, 1, 8, 8)), {1: 4, 3: 2}
-    pruned, plans = sp.compress_network(netw, x, sp.GreedyConfig(alpha=1.0),
-                                        keep_counts=keep)
+    pruned, plans = sp.compress_network(
+        netw, x, {cp: sp.GreedyConfig(max_cardinality=k) for cp, k in keep.items()})
     arrays = {f"{i}.{name}": getattr(layer, name)
               for i, layer in enumerate(pruned.layers) for name in nm.tensor_fields(layer)}
     arrays.update({f"plan{cp}.recovery": p.recovery for cp, p in plans.items()})
@@ -641,9 +641,8 @@ def test_compress_network_matches_per_layer_reference():
     netw = conv_net_with_capture(rng)
     feats = rng.normal(size=(150, 1, 8, 8))
     keep = {1: 3, 3: 2}
-    cfg = sp.GreedyConfig(alpha=1.0)
-    fast, plans = sp.compress_network(netw, feats, cfg, keep_counts=keep,
-                                      row_budget=0, seed=0)
+    cfg = {cp: sp.GreedyConfig(alpha=1.0, max_cardinality=k) for cp, k in keep.items()}
+    fast, plans = sp.compress_network(netw, feats, cfg, row_budget=0, seed=0)
 
     current = netw
     for cp in (1, 3):
@@ -670,9 +669,20 @@ def test_compress_network_end_to_end_runs():
     assert nm.count_params(pruned) <= nm.count_params(netw)
     out, _ = nm.forward(pruned, feats[:4])
     assert out.shape == (4, 3)
-    # keep_counts pin the architecture exactly
-    pruned2, plans2 = sp.compress_network(netw, feats, cfg, seed=0,
-                                          keep_counts={1: 3, 3: 2})
+    # per-capture cardinality caps pin the architecture exactly
+    pruned2, plans2 = sp.compress_network(
+        netw, feats, {cp: sp.GreedyConfig(max_cardinality=k) for cp, k in ((1, 3), (3, 2))},
+        seed=0)
     assert len(plans2[1].selected) == 3 and len(plans2[3].selected) == 2
     assert pruned2.layers[0].weight.shape[0] == 3
     assert pruned2.layers[2].weight.shape == (2, 3, 3, 3)
+
+
+def test_compress_network_needs_one_config_per_capture():
+    rng = np.random.default_rng(25)
+    netw = conv_net_with_capture(rng)
+    feats = rng.normal(size=(40, 1, 8, 8))
+    for configs in ({1: sp.GreedyConfig()},
+                    {cp: sp.GreedyConfig() for cp in (1, 3, 5)}):
+        with pytest.raises(ValueError, match=r"one GreedyConfig per capture point \[1, 3\]"):
+            sp.compress_network(netw, feats, configs)
