@@ -145,7 +145,7 @@ def main(argv=None):
     try:
         cfg = parse_config(_apply_overrides(read_config(args.config), args))
         return args.fn(cfg, args)
-    except SpecPruneError as exc:
+    except (SpecPruneError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,23 +6,12 @@ bookkeeping and the typed errors. The recovery solve and the naive greedy
 path factor through here; the incremental greedy kernel is in backend.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
 
 #: Relative ridge applied to near-singular moment matrices: ridge = RIDGE_SCALE * tr(A) / dim.
 RIDGE_SCALE = 1e-8
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T == A + ridge * I."""
-
-    dim: int
-    lower: np.ndarray
-    ridge: float
 
 
 def default_ridge(a):
@@ -34,7 +23,8 @@ def default_ridge(a):
 
 
 def cholesky(a, ridge=0.0):
-    """Factor a symmetric positive definite matrix A (+ ridge * I).
+    """Lower-triangular L with L @ L.T == A + ridge * I, for a symmetric
+    positive definite matrix A.
 
     Raises NotPositiveDefinite when a pivot is non-positive even after
     ridging, which signals the caller to raise the ridge.
@@ -49,10 +39,9 @@ def cholesky(a, ridge=0.0):
         raise ValueError("matrix is not symmetric within 1e-9")
     ridged = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
     try:
-        lower = np.linalg.cholesky(ridged)
+        return np.linalg.cholesky(ridged)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    return CholeskyFactor(dim=a.shape[0], lower=lower, ridge=float(ridge))
 
 
 def svd(m):

@@ -26,14 +26,6 @@ class FactoredDense:
     second: np.ndarray  # (m, k)
     bias: np.ndarray  # (m,)
 
-    def param_count(self):
-        k, n = self.first.shape
-        m = self.second.shape[0]
-        return k * (m + n) + m
-
-    def compose(self):
-        return self.second @ self.first
-
 
 def svd_truncate(weight, bias, k):
     """Best rank-k approximation of the weight matrix (data-independent)."""

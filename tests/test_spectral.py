@@ -110,11 +110,20 @@ def test_recovery_matches_least_squares_oracle():
 # regularizers
 # ---------------------------------------------------------------------------
 
+def reg_subset(stats_source, stats_target, scaling, j):
+    """The subset regularizer of find_subset for the subset j: _SubsetReg
+    with the first nodes of j absorbed, evaluated at the last one."""
+    reg = sp._SubsetReg(stats_source, stats_target, scaling)
+    for i in j[:-1]:
+        reg.absorb(i)
+    return float(reg.candidate_values(np.array(j[-1:]))[0])
+
+
 def test_reg_subset_identical_stats_zero():
     rng = np.random.default_rng(4)
     s, _ = random_stats_pair(rng, 5)
     scaling = st.scaling_matrix(s)
-    assert sp.reg_subset(s, s, scaling, [0, 2]) == 0.0
+    assert reg_subset(s, s, scaling, [0, 2]) == 0.0
     assert np.allclose(sp.reg_node(s, s, scaling), 0.0)
 
 
@@ -126,7 +135,7 @@ def test_reg_subset_mean_only_difference():
     t = make_stats(cov, mean=np.zeros(4), domain="target")
     scaling = st.scaling_matrix(t)
     j = [1, 3]
-    assert sp.reg_subset(s, t, scaling, j) == pytest.approx(np.linalg.norm(d[j]))
+    assert reg_subset(s, t, scaling, j) == pytest.approx(np.linalg.norm(d[j]))
 
 
 def test_reg_subset_matches_direct_formula():
@@ -136,7 +145,7 @@ def test_reg_subset_matches_direct_formula():
     for j in ([0], [1, 4], [0, 2, 3, 5]):
         direct = np.linalg.norm((s.mean - t.mean)[j]) + np.linalg.norm(
             (scaling * (s.cov - t.cov))[np.ix_(j, j)], "fro")
-        assert sp.reg_subset(s, t, scaling, j) == pytest.approx(direct, rel=1e-12)
+        assert reg_subset(s, t, scaling, j) == pytest.approx(direct, rel=1e-12)
 
 
 def test_reg_node_single_mean_bump_and_direct():
@@ -192,7 +201,7 @@ def test_find_subset_duplicated_nodes():
 def test_find_subset_greedy_close_to_exhaustive():
     rng = np.random.default_rng(10)
     sigma = moment_of(random_activations(rng, 200, 10))
-    plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3, ridge=0.0))
+    plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3))
     best = max(sp.retention_ratio(sigma, list(j), ridge=0.0)
                for j in itertools.combinations(range(10), 3))
     assert plan.achieved_ratio <= best + 1e-9
@@ -303,8 +312,7 @@ def test_plan_from_record_equals_find_subset(reg_mode):
             assert got.recovery.shape == plan_b.recovery.shape
             assert got.recovery.tobytes() == plan_b.recovery.tobytes()
         cfg = configs[0]
-        for other in (dict(lam=0.5), dict(reg_mode="none" if reg_mode != "none" else "node"),
-                      dict(ridge=1e-3)):
+        for other in (dict(lam=0.5), dict(reg_mode="none" if reg_mode != "none" else "node")):
             for alpha, cap in ((cfg.alpha, cfg.max_cardinality), (0.5, 1)):
                 changed = dataclasses.replace(cfg, alpha=alpha, max_cardinality=cap, **other)
                 assert sp._plan_from_record(plans[0], cfg, changed, sigma) is None
@@ -312,11 +320,12 @@ def test_plan_from_record_equals_find_subset(reg_mode):
 
 
 def test_plan_from_record_stops_where_the_ratio_equals_alpha():
-    sigma = np.eye(4)  # without a ridge the ratios are exactly 0.25, 0.5, 0.75, 1
-    full = sp.GreedyConfig(alpha=1.0, ridge=0.0)
-    half = dataclasses.replace(full, alpha=0.5)
-    got = sp._plan_from_record(sp.find_subset(sigma, full), full, half, sigma)
-    assert got.ratio_trace == sp.find_subset(sigma, half).ratio_trace == (0.25, 0.5)
+    sigma = np.eye(4)
+    full = sp.GreedyConfig(alpha=1.0)
+    plan = sp.find_subset(sigma, full)
+    half = dataclasses.replace(full, alpha=plan.ratio_trace[1])  # reached exactly at step 2
+    got = sp._plan_from_record(plan, full, half, sigma)
+    assert got.ratio_trace == sp.find_subset(sigma, half).ratio_trace == plan.ratio_trace[:2]
 
 
 def test_non_finite_sigma_is_degenerate():
@@ -543,7 +552,8 @@ def test_conv_capture_feeding_dense_through_flatten():
 def batchnorm_block_net(rng, fold):
     """Dense or conv layer, BatchNorm and the captured ReLU (index 2), then
     the next weighted layer: Dense through Dropout ('dense'), Conv2D
-    ('conv'), or Dense through MaxPool2 and Flatten ('conv_flatten')."""
+    ('conv'), or Dense through Flatten and Dropout ('conv_flatten', the
+    digits model's path)."""
     m = 6
     bn = nm.BatchNorm(rng.normal(size=m), rng.normal(size=m) * 0.1, rng.normal(size=m) * 0.1,
                       rng.uniform(0.5, 2.0, size=m), eps=1e-3, momentum=0.3)
@@ -556,8 +566,8 @@ def batchnorm_block_net(rng, fold):
         tail = (nm.Conv2D(rng.normal(size=(4, m, 3, 3)), rng.normal(size=4), stride=2),
                 nm.Flatten(), nm.Dense(rng.normal(size=(3, 36)), rng.normal(size=3)))
     else:
-        tail = (nm.MaxPool2(), nm.Flatten(),
-                nm.Dense(rng.normal(size=(3, m * 16)), rng.normal(size=3)))
+        tail = (nm.Flatten(), nm.Dropout(0.2),
+                nm.Dense(rng.normal(size=(3, m * 64)), rng.normal(size=3)))
     return (nm.Network((own, bn, nm.ReLU()) + tail, (1, 8, 8), capture_points=(2,)),
             rng.normal(size=(30, 1, 8, 8)))
 
@@ -569,7 +579,7 @@ def test_apply_plan_folds_through_batchnorm(fold):
     sigma = moment_of(nm.forward(netw, x, capture=(2,))[1][0].samples)
 
     def plan_of(selected):
-        return sp.PruningPlan(layer=2, selected=tuple(selected),
+        return sp.PruningPlan(selected=tuple(selected),
                               recovery=sp.recovery_matrix(sigma, sorted(selected)),
                               ratio_trace=(), achieved_ratio=0.0, plateau_flag=False)
 
@@ -651,8 +661,7 @@ def test_compress_network_matches_per_layer_reference():
             _, caps = nm.forward(current, feats[start:start + 256], capture=(cp,))
             st.accumulate(acc, caps[0])
         plan = sp.find_subset(st.finalize(acc).sigma,
-                              sp.GreedyConfig(alpha=1.0, max_cardinality=keep[cp]),
-                              layer=cp)
+                              sp.GreedyConfig(alpha=1.0, max_cardinality=keep[cp]))
         assert plan.selected == plans[cp].selected
         current = sp.apply_plan(current, cp, plan)
     x = feats[:8]

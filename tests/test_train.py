@@ -6,6 +6,8 @@ from specprune import train as tr
 from specprune.datasets import DomainDataset
 from specprune.errors import Diverged, ShapeMismatch
 
+from gradcheck import grad_check, gradients
+
 
 def blob_data(rng, n=200, sep=2.0, std=0.3):
     """Two linearly separable 2-d blobs; separability asserted, not assumed."""
@@ -30,8 +32,8 @@ def tiny_cnn(rng, with_bn=True, bias_scale=0.3):
     if with_bn:
         layers.append(nm.BatchNorm(np.full(3, 1.2), rng.normal(size=3) * 0.1,
                                    np.zeros(3), np.ones(3)))
-    layers += [nm.ReLU(), nm.MaxPool2(), nm.Flatten(),
-               nm.Dense(rng.normal(size=(4, 3 * 4)) * 0.4, rng.normal(size=4) * 0.1)]
+    layers += [nm.ReLU(), nm.Flatten(), nm.Dropout(0.25),
+               nm.Dense(rng.normal(size=(4, 3 * 16)) * 0.4, rng.normal(size=4) * 0.1)]
     return nm.Network(tuple(layers), (1, 4, 4), capture_points=(2 if with_bn else 1,))
 
 
@@ -143,7 +145,7 @@ def test_grad_check_dense_only():
     # keep pre-activations away from the ReLU kink for the difference step
     pre = feats @ netw.layers[0].weight.T + netw.layers[0].bias
     assert np.abs(pre).min() > 1e-2
-    assert tr.grad_check(netw, feats, labels, epsilon=1e-3) < 1e-4
+    assert grad_check(netw, feats, labels, epsilon=1e-3) < 1e-4
 
 
 def test_grad_check_conv_net():
@@ -151,7 +153,7 @@ def test_grad_check_conv_net():
     netw = tiny_cnn(rng)
     feats = rng.normal(size=(6, 1, 4, 4))
     labels = rng.integers(0, 4, 6)
-    assert tr.grad_check(netw, feats, labels, epsilon=1e-3) < 1e-3
+    assert grad_check(netw, feats, labels, epsilon=1e-3) < 1e-3
 
 
 def test_grad_zero_for_dead_relu_net():
@@ -161,7 +163,7 @@ def test_grad_zero_for_dead_relu_net():
          nm.Dense(rng.normal(size=(3, 6)), np.zeros(3))), (4,))
     feats = np.zeros((5, 4))
     labels = np.zeros(5, dtype=np.int64)
-    grads = tr.gradients(netw, feats, labels)
+    grads = gradients(netw, feats, labels)
     assert np.allclose(grads[(0, "weight")], 0.0)
     assert np.allclose(grads[(2, "weight")], 0.0)
     assert not np.allclose(grads[(2, "bias")], 0.0)
@@ -196,21 +198,14 @@ def test_train_rejects_feature_shape_before_first_step(monkeypatch):
         tr.evaluate([netw], ds)
 
 
-def _grads(netw, feats, labels, freeze):
-    logits, caches = tr._forward_train(netw.layers, freeze, feats, None,
-                                       update_buffers=False)
-    _, dlogits = tr.softmax_cross_entropy(logits, labels)
-    return tr._backward(netw.layers, freeze, caches, dlogits)
-
-
 def test_frozen_prefix_leaves_upper_gradients_bit_equal():
     rng = np.random.default_rng(16)
     netw = tiny_cnn(rng, with_bn=False)
     feats, labels = rng.normal(size=(8, 1, 4, 4)), rng.integers(0, 4, 8)
-    full = _grads(netw, feats, labels, frozenset())
+    full = gradients(netw, feats, labels, frozenset())
     assert sorted(full) == [(0, "bias"), (0, "weight"), (4, "bias"), (4, "weight")]
     for k in range(1, len(netw.layers) + 1):
-        part = _grads(netw, feats, labels, frozenset(range(k)))
+        part = gradients(netw, feats, labels, frozenset(range(k)))
         assert sorted(part) == sorted(key for key in full if key[0] >= k)
         for key, g in part.items():
             assert np.array_equal(g, full[key]), (k, key)
@@ -219,7 +214,7 @@ def test_frozen_prefix_leaves_upper_gradients_bit_equal():
 @pytest.mark.parametrize("freeze, lowest", [((), 0), ((0,), 1), ((0, 1), 5)])
 def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
     rng = np.random.default_rng(17)
-    netw = tiny_cnn(rng)  # conv, bn, relu, pool, flatten, dense
+    netw = tiny_cnn(rng)  # conv, bn, relu, flatten, dropout, dense
     index = {id(layer): i for i, layer in enumerate(netw.layers)}
     visits = []
 
@@ -235,7 +230,7 @@ def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
         spy(cls, "backward")
         if cls.params:
             spy(cls, "param_grads")
-    grads = _grads(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6),
+    grads = gradients(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6),
                    frozenset(freeze))
     assert min(i for i, _ in visits) == lowest
     assert (lowest, "param_grads") in visits
