@@ -206,6 +206,9 @@ def parse_config(doc):
         raise ConfigError("compress.sweep: alpha/keep_fraction values must be in (0, 1]")
     if not spectral and not all(type(v) is int and v >= 1 for v in compress.sweep):
         raise ConfigError("compress.sweep: rank values must be positive integers")
+    if not spectral and compress.conv_value > 0:
+        raise ConfigError(f"compress.conv_value: {compress.method} factors only the dense "
+                          "layers and would ignore it")
     values["compress"] = dataclasses.replace(compress, sweep_kind=kind)
     return ExperimentConfig(**values)
 

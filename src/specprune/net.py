@@ -30,15 +30,14 @@ MODEL_VERSION = 1
 class TrainMode:
     """Training context of a layer's forward. BatchNorm normalizes with the
     batch statistics when batch_stats (moving its running statistics toward
-    them in place when update_buffers), else with its running statistics;
-    rng draws the dropout masks, and None disables dropout."""
+    them in place), else with its running statistics; rng draws the dropout
+    masks, and None disables dropout."""
 
     rng: object = None
     batch_stats: bool = True
-    update_buffers: bool = True
 
 
-FROZEN = TrainMode(batch_stats=False, update_buffers=False)
+FROZEN = TrainMode(batch_stats=False)
 
 
 class Layer:
@@ -217,12 +216,11 @@ class BatchNorm(Layer):
         if mode.batch_stats:
             axes = (0,) if x.ndim == 2 else (0, 2, 3)
             mu, var = x.mean(axis=axes), x.var(axis=axes)
-            if mode.update_buffers:
-                run_mu, run_var = self.running_mean, self.running_var
-                run_mu *= 1.0 - self.momentum
-                run_mu += self.momentum * mu
-                run_var *= 1.0 - self.momentum
-                run_var += self.momentum * var
+            run_mu, run_var = self.running_mean, self.running_var
+            run_mu *= 1.0 - self.momentum
+            run_mu += self.momentum * mu
+            run_var *= 1.0 - self.momentum
+            run_var += self.momentum * var
         else:
             mu, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)

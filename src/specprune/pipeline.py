@@ -165,10 +165,11 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
 
 def _lowrank_compress(netw, method, k, sigma_feats):
     """Factor the hidden dense layers at rank k (the classifier at
-    CLASSIFIER_RANK_RATE), input to output, recomputing layer inputs on the
-    compressed prefix."""
+    CLASSIFIER_RANK_RATE), input to output; dalr pushes its samples on
+    through the compressed prefix from the last layer it factored."""
     dense_idx = [i for i, l in enumerate(netw.layers) if isinstance(l, nm.Dense)]
     current, offset = netw, 0
+    x, pushed = sigma_feats, 0  # x is the input of layer `pushed` of current
     for idx in dense_idx:
         i = idx + offset
         layer = current.layers[i]
@@ -178,7 +179,7 @@ def _lowrank_compress(netw, method, k, sigma_feats):
         if not lr.dalr_feasible(kk, m, n):
             continue  # factorization would not shrink the layer
         if method == "dalr":
-            x = sp._push(current, sigma_feats, 0, i)
+            x, pushed = sp._push(current, x, pushed, i), i
             fd = lr.dalr_compress(layer.weight, layer.bias, x.T, kk)
         else:
             fd = lr.svd_truncate(layer.weight, layer.bias, kk)
@@ -366,20 +367,29 @@ def node_specificity_analysis(cfg, log=None):
     """Prune a layer under source-only vs target-only statistics and compare
     the activation rates of the selection-specific node classes on both
     domains; repeated at the first and last capture points. The moments are
-    sampled by the compressor's own sampler, spectral._rows_to_acc."""
+    sampled by the compressor's own sampler, spectral._rows_to_acc. Each
+    domain's statistics samples and test split are pushed once, to the first
+    capture and from there on to the last."""
     say = log or (lambda *_: None)
     rows = []
     for seed in cfg.seeds:
         source, target, model = load_inputs(cfg, seed)
         widths = nm.layer_widths(model)
         n = cfg.stats.target_samples
-        captures = {"first": min(model.capture_points),
-                    "last": max(model.capture_points)}
-        for pos, cp in captures.items():
+        first, last = min(model.capture_points), max(model.capture_points)
+
+        def push(x):
+            a = sp._push(model, x, 0, first + 1)
+            return {"first": a, "last": sp._push(model, a, first + 1, last + 1)}
+
+        domains = {"source": source, "target": target}
+        train_acts = {d: push(ds.train.features[:n]) for d, ds in domains.items()}
+        rates = {d: {pos: st.activation_rates(a) for pos, a in push(ds.test.features).items()}
+                 for d, ds in domains.items()}
+        for pos, cp in (("first", first), ("last", last)):
             per_domain = {}
-            for domain, splits in (("source", source), ("target", target)):
-                x = sp._push(model, splits.train.features[:n], 0, cp + 1)
-                acc = sp._rows_to_acc(cp, x, cfg.stats.row_budget,
+            for domain, acts in train_acts.items():
+                acc = sp._rows_to_acc(cp, acts[pos], cfg.stats.row_budget,
                                       np.random.default_rng(seed))
                 per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
@@ -396,10 +406,8 @@ def node_specificity_analysis(cfg, log=None):
                        "specificity": name, "count": len(nodes),
                        "rate_on_source": None, "rate_on_target": None}
                 if nodes:
-                    row["rate_on_source"] = st.activation_rate(model, cp, nodes,
-                                                               source.test)
-                    row["rate_on_target"] = st.activation_rate(model, cp, nodes,
-                                                               target.test)
+                    row["rate_on_source"] = float(rates["source"][pos][nodes].mean())
+                    row["rate_on_target"] = float(rates["target"][pos][nodes].mean())
                 rows.append(row)
             say(f"seed={seed} {pos} layer: "
                 + ", ".join(f"{k}:{len(v)}" for k, v in classes.items()))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import net as nm
 from .errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
 
 DEFAULT_ROW_BUDGET = 4096
@@ -84,24 +83,12 @@ def scaling_matrix(target_stats, floor=SCALING_FLOOR):
     return (d[:, None] * d[None, :]) ** -0.25
 
 
-def activation_rate(network, layer, nodes, data, batch_size=512):
-    """Mean fraction of capture rows with strictly positive activation,
-    averaged over the given node set."""
-    nodes = np.asarray(sorted(nodes), dtype=np.int64)
-    width = nm.layer_widths(network)[layer]
-    if len(nodes) and (nodes.min() < 0 or nodes.max() >= width):
-        raise ValueError(f"node indices out of range for width {width}")
-    if len(nodes) == 0:
-        raise ValueError("empty node set")
-    positive = np.zeros(len(nodes))
-    total = 0
-    for start in range(0, len(data), batch_size):
-        _, caps = nm.forward(network, data.features[start:start + batch_size],
-                             capture=(layer,))
-        rows = caps[0].samples
-        positive += (rows[:, nodes] > 0).sum(axis=0)
-        total += rows.shape[0]
-    return float((positive / total).mean())
+def activation_rates(x):
+    """Per-node fraction of strictly positive capture rows of activations x
+    (n, width[, h, w]) that the caller pushed; a conv capture has one row
+    per spatial position of each sample."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    return np.count_nonzero(x > 0, axis=axes) / (x.size // x.shape[1])
 
 
 def content_key(*parts):

@@ -65,13 +65,13 @@ def _private(layers, freeze):
             for i, layer in enumerate(layers)]
 
 
-def _forward_train(layers, freeze, x, rng, update_buffers=True):
+def _forward_train(layers, freeze, x, rng):
     """Training-mode forward: (logits, per-layer backward caches).
 
     Frozen layers run with running BatchNorm statistics and no dropout.
     rng=None disables dropout everywhere.
     """
-    live = nm.TrainMode(rng, batch_stats=True, update_buffers=update_buffers)
+    live = nm.TrainMode(rng, batch_stats=True)
     caches = []
     for i, layer in enumerate(layers):
         x, cache = layer.forward(x, i, nm.FROZEN if i in freeze else live)

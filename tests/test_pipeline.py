@@ -249,6 +249,27 @@ def test_run_lowrank_methods(tiny_setup):
         assert row.ratio_achieved == ()
 
 
+@pytest.mark.parametrize("method, digest", [
+    ("dalr", "06e4da5d197bb068996f909e760684a8507ea642b9eb2d7fa8a2e138ac788437"),
+    ("svd", "5f44b8c47b83d5e152f56b38115b76257df5f5bb6371e1af076b42d2d6599b67"),
+], ids=("dalr", "svd"))
+def test_lowrank_sweep_models_are_pinned(tiny_setup, tmp_path, method, digest):
+    # The save_model bytes of every point of a rank sweep. Inference layers
+    # act row by row on the same blocks, so pushing from the input and
+    # pushing on from the last factored layer give these bytes alike. Rank 16
+    # factors only the classifier; 600 samples span three push blocks.
+    _, cfg, _, _, model = tiny_setup
+    cfg = dataclasses.replace(
+        cfg, stats=dataclasses.replace(cfg.stats, target_samples=600),
+        compress=dataclasses.replace(cfg.compress, method=method, sweep=(16, 8, 4, 2),
+                                     sweep_kind="rank"))
+    source, target = make_two_domain(0, 600, cfg.data.shift)
+    h = hashlib.sha256()
+    for value, compressed, _, _ in pl.compress_sweep(cfg, 0, source, target, model):
+        h.update(_model_bytes(compressed, tmp_path / str(value)))
+    assert h.hexdigest() == digest
+
+
 def test_fine_tune_runs_and_disables_dropout(tiny_setup):
     out, cfg, source, target, model = tiny_setup
     from specprune.config import FineTuneSection
@@ -571,6 +592,20 @@ def test_specificity_identical_domains(tmp_path):
             assert abs(r["rate_on_source"] - r["rate_on_target"]) < 0.1
 
 
+def test_node_specificity_rows_are_pinned(tmp_path):
+    # The rates do not depend on how a split is cut into blocks, nor on
+    # whether it is pushed per node class or once; 600 samples span several
+    # push blocks.
+    doc = tiny_doc(tmp_path)
+    doc["seeds"] = [0, 1, 2]
+    doc["data"]["n_per_split"] = 600
+    doc["stats"]["target_samples"] = 600
+    rows = pl.node_specificity_analysis(parse_config(doc))
+    assert len(rows) == 18
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "3d2b6da99c583f663e4527545e7b81f47c5e355b5646e778aa88d29bb7b22be5"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -753,6 +788,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
             assert cli.main([command, "--config", str(cfg_path)]) == 1
             err = capsys.readouterr().err
             assert ".".join(keys) + ":" in err and "Traceback" not in err
+
+    # svd/dalr factor only the dense layers, so a conv value would be ignored
+    for method in ("svd", "dalr"):
+        doc = tiny_doc(tmp_path / "out", method=method, sweep=[8], conv_value=0.5)
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "compress.conv_value:" in err and "Traceback" not in err
 
     # overrides go through the same validator, before any model is trained
     cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out", sweep=[0.35, 0.12],

@@ -4,7 +4,6 @@ import pytest
 from specprune import net as nm
 from specprune import spectral as sp
 from specprune import stats as st
-from specprune.datasets import DomainDataset
 from specprune.errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
 
 
@@ -136,19 +135,20 @@ def relu_capture_net(weight, bias):
                       capture_points=(1,))
 
 
-def test_activation_rate_extremes_and_order_invariance():
+def test_activation_rates_extremes_and_order_invariance():
     rng = np.random.default_rng(6)
     w = np.vstack([np.ones((1, 3)), np.ones((1, 3))])
     netw = relu_capture_net(w, np.array([100.0, -100.0]))
     feats = rng.normal(size=(50, 3))
-    ds = DomainDataset("target", "test", feats, np.zeros(50, dtype=np.int64), n_classes=2)
-    assert st.activation_rate(netw, 1, [0], ds) == 1.0
-    assert st.activation_rate(netw, 1, [1], ds) == 0.0
-    shuffled = DomainDataset("target", "test", feats[rng.permutation(50)],
-                             np.zeros(50, dtype=np.int64), n_classes=2)
-    r1 = st.activation_rate(netw, 1, [0, 1], ds)
-    r2 = st.activation_rate(netw, 1, [0, 1], shuffled)
-    assert r1 == r2 == 0.5
+    rates = st.activation_rates(sp._push(netw, feats, 0, 2))
+    assert rates[0] == 1.0
+    assert rates[1] == 0.0
+    shuffled = st.activation_rates(sp._push(netw, feats[rng.permutation(50)], 0, 2))
+    assert rates.mean() == shuffled.mean() == 0.5
+    assert np.array_equal(rates, shuffled)
+    # a conv capture has one row per spatial position of each sample
+    x = rng.normal(size=(5, 3, 2, 2))
+    assert np.array_equal(st.activation_rates(x), (nm.capture_rows(x) > 0).mean(axis=0))
 
 
 def test_rows_to_acc_row_budget_and_determinism():

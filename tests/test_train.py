@@ -6,6 +6,7 @@ from specprune import train as tr
 from specprune.datasets import DomainDataset
 from specprune.errors import Diverged, ShapeMismatch
 
+import gradcheck
 from gradcheck import grad_check, gradients
 
 
@@ -26,14 +27,15 @@ def blob_net(rng):
          nm.Dense(rng.normal(size=(2, 8)) * 0.5, np.zeros(2))), (2,))
 
 
-def tiny_cnn(rng, with_bn=True, bias_scale=0.3):
+def tiny_cnn(rng, with_bn=True, bias_scale=0.3, stride=1):
     layers = [nm.Conv2D(rng.normal(size=(3, 1, 3, 3)) * 0.6,
-                        rng.normal(size=3) * bias_scale, stride=1, padding=1)]
+                        rng.normal(size=3) * bias_scale, stride=stride, padding=1)]
     if with_bn:
         layers.append(nm.BatchNorm(np.full(3, 1.2), rng.normal(size=3) * 0.1,
                                    np.zeros(3), np.ones(3)))
+    side = 3 // stride + 1  # of the 4x4 input at padding 1
     layers += [nm.ReLU(), nm.Flatten(), nm.Dropout(0.25),
-               nm.Dense(rng.normal(size=(4, 3 * 16)) * 0.4, rng.normal(size=4) * 0.1)]
+               nm.Dense(rng.normal(size=(4, 3 * side * side)) * 0.4, rng.normal(size=4) * 0.1)]
     return nm.Network(tuple(layers), (1, 4, 4), capture_points=(2 if with_bn else 1,))
 
 
@@ -154,6 +156,22 @@ def test_grad_check_conv_net():
     feats = rng.normal(size=(6, 1, 4, 4))
     labels = rng.integers(0, 4, 6)
     assert grad_check(netw, feats, labels, epsilon=1e-3) < 1e-3
+    # BatchNorm's batch statistics cancel the conv bias gradient; without
+    # BatchNorm the check covers it
+    assert grad_check(tiny_cnn(rng, with_bn=False), feats, labels, epsilon=1e-3) < 1e-3
+
+
+def test_grad_check_steps_around_a_relu_kink(monkeypatch):
+    # With a stride-2 conv, a step of 1e-3 on some entries moves a ReLU input
+    # across 0, where a central difference is no derivative. The check
+    # retakes such entries at a 100 times smaller step.
+    rng = np.random.default_rng(12)
+    netw = tiny_cnn(rng, stride=2)
+    feats = rng.normal(size=(6, 1, 4, 4))
+    labels = rng.integers(0, 4, 6)
+    assert grad_check(netw, feats, labels, epsilon=1e-3) < 1e-3
+    monkeypatch.setattr(gradcheck, "KINK_STEP", 1.0)  # retake at the same step
+    assert grad_check(netw, feats, labels, epsilon=1e-3) > 1e-2
 
 
 def test_grad_zero_for_dead_relu_net():
@@ -215,14 +233,15 @@ def test_frozen_prefix_leaves_upper_gradients_bit_equal():
 def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
     rng = np.random.default_rng(17)
     netw = tiny_cnn(rng)  # conv, bn, relu, flatten, dropout, dense
-    index = {id(layer): i for i, layer in enumerate(netw.layers)}
+    # by kind: the gradients are taken on private copies of the layers
+    index = {type(layer): i for i, layer in enumerate(netw.layers)}
     visits = []
 
     def spy(cls, method):
         original = getattr(cls, method)
 
         def counting(self, cache, dout):
-            visits.append((index[id(self)], method))
+            visits.append((index[type(self)], method))
             return original(self, cache, dout)
         monkeypatch.setattr(cls, method, counting)
 
