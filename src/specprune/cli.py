@@ -31,8 +31,8 @@ def _apply_overrides(doc, args):
         doc["seeds"] = [args.seed]
     if args.method is not None:
         _override(doc, "compress", method=args.method)
-    if args.alpha is not None:
-        _override(doc, "compress", sweep=[args.alpha], sweep_kind="alpha")
+    if args.alpha is not None:  # at every capture, conv ones included
+        _override(doc, "compress", sweep=[args.alpha], sweep_kind="alpha", conv_value=-1.0)
     if args.out is not None:
         _override(doc, "paths", out_dir=args.out)
     return doc
@@ -124,7 +124,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--seed", type=int, help="restrict to one seed")
         p.add_argument("--method", help="override compress.method")
-        p.add_argument("--alpha", type=float, help="override the sweep with one alpha")
+        p.add_argument("--alpha", type=float,
+                       help="override the sweep with one alpha at every capture")
         p.add_argument("--out", help="override paths.out_dir")
         if needs_model:
             p.add_argument("--model", required=True, help="model directory")

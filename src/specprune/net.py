@@ -50,8 +50,9 @@ class Layer:
     which raises ShapeMismatch or ValueError for an invalid layer.
     `forward(x, index, mode)` returns (output, cache); mode is None for
     inference, else a TrainMode. From the cache of a training-mode forward
-    and the output gradient, `backward` returns the input gradient and, for
-    a layer with parameters, `param_grads` their {name: gradient}.
+    and the output gradient, `backward(cache, dout, need_dx)` returns
+    (dx, grads): the input gradient, None when need_dx is false, and the
+    {name: gradient} of the layer's parameters, {} for a layer without any.
     """
 
     params = ()
@@ -90,14 +91,11 @@ class Dense(Layer):
         out = x @ self.weight.T
         return (out if self.bias is None else out + self.bias), x
 
-    def backward(self, x, dout):
-        return dout @ self.weight
-
-    def param_grads(self, x, dout):
+    def backward(self, x, dout, need_dx):
         grads = {"weight": dout.T @ x}
         if self.bias is not None:
             grads["bias"] = dout.sum(axis=0)
-        return grads
+        return (dout @ self.weight if need_dx else None), grads
 
 
 def conv2d_windows(x, kh, kw, stride, padding):
@@ -149,25 +147,23 @@ class Conv2D(Layer):
         out = (self.weight.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
         return out + self.bias[None, :, None, None], (windows, x.shape)
 
-    def backward(self, cache, dout):
-        _, (n, _, h, w) = cache
+    def backward(self, cache, dout, need_dx):
+        windows, (n, _, h, w) = cache
         oc, ic, kh, kw = self.weight.shape
-        pad, s = self.padding, self.stride
         oh, ow = dout.shape[2], dout.shape[3]
-        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)
+        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)  # both GEMMs read this one copy
+        rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
+        grads = {"weight": (d2 @ rows).reshape(self.weight.shape),
+                 "bias": dout.sum(axis=(0, 2, 3))}
+        if not need_dx:
+            return None, grads
+        pad, s = self.padding, self.stride
         dxp = np.zeros((n, ic, h + 2 * pad, w + 2 * pad))
         for ki in range(kh):
             for kj in range(kw):
                 dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += (
                     self.weight[:, :, ki, kj].T @ d2).reshape(ic, n, oh, ow).transpose(1, 0, 2, 3)
-        return dxp[:, :, pad:pad + h, pad:pad + w]
-
-    def param_grads(self, cache, dout):
-        n, oc, oh, ow = dout.shape
-        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)
-        rows = cache[0].transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
-        return {"weight": (d2 @ rows).reshape(self.weight.shape),
-                "bias": dout.sum(axis=(0, 2, 3))}
+        return dxp[:, :, pad:pad + h, pad:pad + w], grads
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,8 @@ class ReLU(Layer):
         out = np.maximum(x, 0.0)
         return out, out
 
-    def backward(self, out, dout):
-        return np.where(out > 0, dout, 0.0)
+    def backward(self, out, dout, need_dx):
+        return (np.where(out > 0, dout, 0.0) if need_dx else None), {}
 
 
 @dataclass(frozen=True)
@@ -228,22 +224,21 @@ class BatchNorm(Layer):
         return xhat * self.scale.reshape(shape) + self.shift.reshape(shape), \
             (xhat, inv, mode.batch_stats)
 
-    def backward(self, cache, dout):
+    def backward(self, cache, dout, need_dx):
         xhat, inv, batch_stats = cache
+        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
+        grads = {"scale": (dout * xhat).sum(axis=axes), "shift": dout.sum(axis=axes)}
+        if not need_dx:
+            return None, grads
         c = self.scale.shape[0]
         shape = (1, c) + (1,) * (dout.ndim - 2)
         dxhat = dout * self.scale.reshape(shape)
         if not batch_stats:
-            return dxhat * inv.reshape(shape)
-        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
+            return dxhat * inv.reshape(shape), grads
         count = dout.size // c
         sum_d = dxhat.sum(axis=axes).reshape(shape)
         sum_dx = (dxhat * xhat).sum(axis=axes).reshape(shape)
-        return (dxhat - sum_d / count - xhat * sum_dx / count) * inv.reshape(shape)
-
-    def param_grads(self, cache, dout):
-        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
-        return {"scale": (dout * cache[0]).sum(axis=axes), "shift": dout.sum(axis=axes)}
+        return (dxhat - sum_d / count - xhat * sum_dx / count) * inv.reshape(shape), grads
 
 
 @dataclass(frozen=True)
@@ -253,8 +248,8 @@ class Flatten(Layer):
     def forward(self, x, index=None, mode=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, shape, dout):
-        return dout.reshape(shape)
+    def backward(self, shape, dout, need_dx):
+        return (dout.reshape(shape) if need_dx else None), {}
 
 
 @dataclass(frozen=True)
@@ -276,8 +271,10 @@ class Dropout(Layer):
         mask = (mode.rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, mask, dout):
-        return dout if mask is None else dout * mask
+    def backward(self, mask, dout, need_dx):
+        if not need_dx:
+            return None, {}
+        return (dout if mask is None else dout * mask), {}
 
 
 # the layer classes by the `kind` a model manifest names

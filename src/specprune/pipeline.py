@@ -29,6 +29,8 @@ CSV_COLUMNS = ("seed", "method", "sweep_value", "lambda", "data_choice",
                "params_before", "params_after", "flops_before", "flops_after",
                "compression_rate", "ratio_achieved", "acc_source", "acc_target",
                "seconds")
+ANALYSIS_COLUMNS = ("seed", "layer_pos", "capture", "specificity", "count",
+                    "rate_on_source", "rate_on_target")
 CLASSIFIER_RANK_RATE = 0.5  # svd/dalr classifier rank, as a share of its break-even rank
 SPECIFICITY_KEEP_FRACTION = 0.4  # nodes kept per domain in node_specificity_analysis
 
@@ -248,27 +250,33 @@ def _record_to_flat(r):
             "seconds": r.seconds}
 
 
+def _record_to_json(r):
+    d = dataclasses.asdict(r)
+    d["lambda"] = d.pop("lam")
+    d["ratio_achieved"] = list(r.ratio_achieved)
+    return d
+
+
+def _write_table(rows, columns, path, fmt):
+    """Write dict rows to path: as CSV with the given columns (None as an
+    empty field), or as JSON {"rows": rows}. Any other fmt is a ValueError."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        if fmt == "json":
+            json.dump({"rows": rows}, fh, indent=1)
+        else:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+
+
 def emit_report(report, path, fmt="csv"):
     """Write the report. CSV flattens ratio_achieved to its mean; JSON keeps
     the per-layer tuple and round-trips to an identical in-memory report."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for r in report.rows:
-                writer.writerow(_record_to_flat(r))
-    elif fmt == "json":
-        rows = []
-        for r in report.rows:
-            d = dataclasses.asdict(r)
-            d["lambda"] = d.pop("lam")
-            d["ratio_achieved"] = list(r.ratio_achieved)
-            rows.append(d)
-        with open(path, "w") as fh:
-            json.dump({"rows": rows}, fh, indent=1)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    flat = _record_to_flat if fmt == "csv" else _record_to_json
+    _write_table([flat(r) for r in report.rows], CSV_COLUMNS, path, fmt)
 
 
 def load_report(path):
@@ -415,15 +423,5 @@ def node_specificity_analysis(cfg, log=None):
 
 
 def emit_analysis(rows, path, fmt="csv"):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump({"rows": rows}, fh, indent=1)
-        return
-    cols = ("seed", "layer_pos", "capture", "specificity", "count",
-            "rate_on_source", "rate_on_target")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in cols})
+    """Write node_specificity_analysis rows as CSV or JSON."""
+    _write_table(rows, ANALYSIS_COLUMNS, path, fmt)

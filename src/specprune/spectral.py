@@ -61,6 +61,8 @@ class GreedyConfig:
             raise ValueError("lambda must be non-negative")
         if self.reg_mode not in REG_MODES:
             raise ValueError(f"reg_mode must be one of {REG_MODES}")
+        if self.max_cardinality < 0:
+            raise ValueError("max_cardinality must be non-negative (0 means no cap)")
 
 
 @dataclass(frozen=True)

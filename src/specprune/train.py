@@ -83,7 +83,8 @@ def _backward(layers, freeze, caches, dout):
     """{(layer, name): grad} for the parameters of every unfrozen layer.
 
     Back-propagates from the top down to the lowest layer with an unfrozen
-    parameter, and does not compute that layer's input gradient.
+    parameter, one backward call per layer, and asks that layer for no
+    input gradient.
     """
     trainable = [i for i, layer in enumerate(layers)
                  if i not in freeze and nm.param_fields(layer)]
@@ -92,11 +93,9 @@ def _backward(layers, freeze, caches, dout):
     stop = trainable[0]
     grads = {}
     for i in range(len(layers) - 1, stop - 1, -1):
-        if i in trainable:
-            for name, g in layers[i].param_grads(caches[i], dout).items():
-                grads[(i, name)] = g
-        if i > stop:
-            dout = layers[i].backward(caches[i], dout)
+        dout, layer_grads = layers[i].backward(caches[i], dout, i > stop)
+        if i not in freeze:
+            grads.update(((i, name), g) for name, g in layer_grads.items())
     return grads
 
 

@@ -115,8 +115,9 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
                  rng.normal(size=(5, batch) + out.shape[2:]).transpose(1, 0, 2, 3)):
         ref_out, ref_dx, ref_dw = einsum_conv_reference(layer, x, dout)
         assert np.array_equal(out, ref_out)
-        assert np.array_equal(layer.backward(cache, dout), ref_dx)
-        grads = layer.param_grads(cache, dout)
+        dx, grads = layer.backward(cache, dout, True)
+        assert np.array_equal(dx, ref_dx)
+        assert sorted(grads) == ["bias", "weight"]
         assert np.array_equal(grads["weight"], ref_dw)
         assert np.array_equal(grads["bias"], dout.sum(axis=(0, 2, 3)))
 

@@ -128,6 +128,33 @@ def test_model_cache_tag_pins_training_arithmetic(tmp_path):
         "pipeline._model_cache_key together with this digest")
 
 
+def weights_digest(netw, path):
+    nm.save_model(netw, path)
+    return hashlib.sha256((path / "weights.bin").read_bytes()).hexdigest()
+
+
+def test_pretrain_finetune_training_is_pinned(tmp_path):
+    # fine-tuning freezes the conv stack, so the lowest trainable layer is a
+    # dense layer under frozen convs and BatchNorms
+    doc = tiny_doc(tmp_path)
+    doc["scenario"] = "pretrain_finetune"
+    doc["train"] = {"pretrain_epochs": 2, "finetune_epochs": 2, "batch_size": 32}
+    cfg = parse_config(doc)
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    assert weights_digest(pl.train_model(cfg, 0, source, target), tmp_path / "m") == \
+        "2db939cb2ab361f79b21652a6d37d722142e32ff1805a10e2162771f5f92f46c"
+
+
+def test_finetune_model_is_pinned(tiny_setup, tmp_path):
+    # fine-tuning after compression trains every layer of the pruned model
+    out, _, source, target, model = tiny_setup
+    cfg = parse_config({**tiny_doc(out), "fine_tune": {"epochs": 1}})
+    (_, compressed, _, _), = pl.compress_sweep(cfg, 0, source, target, model)
+    tuned = pl.finetune_model(cfg, compressed, target, 0)
+    assert weights_digest(tuned, tmp_path / "m") == \
+        "c66eef35beb4bdf5746e84b1d6ef2b46d3d78ae145e3b61dbeeab051908b66d4"
+
+
 def test_interrupted_save_leaves_no_cache_entry(tmp_path, monkeypatch):
     cfg = parse_config(tiny_doc(tmp_path))
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
@@ -540,6 +567,22 @@ def test_conv_pinned_sweep_evaluates_the_conv_stack_once(tiny_setup, monkeypatch
 # reporting
 # ---------------------------------------------------------------------------
 
+def test_emit_refuses_an_unknown_format(tmp_path):
+    for emit, rows in ((pl.emit_report, pl.CompressionReport(())), (pl.emit_analysis, [])):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit(rows, tmp_path / "out" / "r.xml", "xml")
+    assert not (tmp_path / "out").exists()
+
+
+def test_emit_analysis_csv_leaves_missing_rates_empty(tmp_path):
+    row = {"seed": 0, "layer_pos": "first", "capture": 2, "specificity": "source",
+           "count": 0, "rate_on_source": None, "rate_on_target": None}
+    pl.emit_analysis([row, dict(row, count=2, rate_on_source=0.5, rate_on_target=0.25)],
+                     tmp_path / "n.csv", "csv")
+    assert (tmp_path / "n.csv").read_text().splitlines() == [
+        ",".join(pl.ANALYSIS_COLUMNS), "0,first,2,source,0,,", "0,first,2,source,2,0.5,0.25"]
+
+
 def test_emit_report_empty_csv(tmp_path):
     pl.emit_report(pl.CompressionReport(()), tmp_path / "r.csv", "csv")
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
@@ -647,6 +690,25 @@ def test_cli_compress_saves_every_sweep_value(tiny_setup, tmp_path):
         nm.save_model(fresh, tmp_path / "fresh")
         assert (tmp_path / "fresh" / "weights.bin").read_bytes() == \
             (out / "compressed" / f"seed0_spectral_{value}" / "weights.bin").read_bytes()
+
+
+def test_cli_alpha_sets_every_capture(tmp_path, monkeypatch):
+    # a keep-fraction sweep with its own conv value: --alpha replaces both
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out", sweep=[0.35],
+                                            sweep_kind="keep_fraction", conv_value=0.75)))
+    seen = []
+    compress_network = sp.compress_network
+
+    def spy(netw, feats, configs, **kwargs):
+        seen.append(configs)
+        return compress_network(netw, feats, configs, **kwargs)
+
+    monkeypatch.setattr(sp, "compress_network", spy)
+    assert cli.main(["compress", "--config", str(cfg_path), "--alpha", "0.9"]) == 0
+    (configs,) = seen
+    assert sorted(configs) == [2, 5, 8, 13, 16]
+    assert all(c.alpha == 0.9 and c.max_cardinality == 0 for c in configs.values())
 
 
 @pytest.mark.parametrize("command, owner, attr, stage", [

@@ -173,6 +173,17 @@ def test_reg_node_single_mean_bump_and_direct():
 # greedy selection
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", 0.0, "alpha"), ("alpha", 1.5, "alpha"), ("lam", -0.1, "lambda"),
+    ("reg_mode", "both", "reg_mode"), ("max_cardinality", -2, "max_cardinality"),
+])
+def test_greedy_config_refuses_bad_settings(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        sp.GreedyConfig(**{field: value})
+    # the boundary values are accepted; a cap of 0 means no cap
+    sp.GreedyConfig(alpha=1.0, lam=0.0, reg_mode="subset", max_cardinality=0)
+
+
 def test_find_subset_lambda_zero_matches_unregularized():
     rng = np.random.default_rng(8)
     for _ in range(10):

@@ -229,7 +229,7 @@ def test_frozen_prefix_leaves_upper_gradients_bit_equal():
             assert np.array_equal(g, full[key]), (k, key)
 
 
-@pytest.mark.parametrize("freeze, lowest", [((), 0), ((0,), 1), ((0, 1), 5)])
+@pytest.mark.parametrize("freeze, lowest", [((), 0), ((0,), 1), ((0, 1), 5), ((1, 5), 0)])
 def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
     rng = np.random.default_rng(17)
     netw = tiny_cnn(rng)  # conv, bn, relu, flatten, dropout, dense
@@ -237,25 +237,23 @@ def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
     index = {type(layer): i for i, layer in enumerate(netw.layers)}
     visits = []
 
-    def spy(cls, method):
-        original = getattr(cls, method)
+    def spy(cls):
+        original = cls.backward
 
-        def counting(self, cache, dout):
-            visits.append((index[type(self)], method))
-            return original(self, cache, dout)
-        monkeypatch.setattr(cls, method, counting)
+        def counting(self, cache, dout, need_dx):
+            visits.append((index[type(self)], need_dx))
+            return original(self, cache, dout, need_dx)
+        monkeypatch.setattr(cls, "backward", counting)
 
     for cls in nm.Layer.__subclasses__():
-        spy(cls, "backward")
-        if cls.params:
-            spy(cls, "param_grads")
+        spy(cls)
     grads = gradients(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6),
-                   frozenset(freeze))
-    assert min(i for i, _ in visits) == lowest
-    assert (lowest, "param_grads") in visits
-    assert (lowest, "backward") not in visits
-    assert sorted(i for i, m in visits if m == "backward") == list(range(lowest + 1, 6))
-    assert {i for i, _ in grads} == {i for i, m in visits if m == "param_grads"}
+                      frozenset(freeze))
+    # one call per layer from the top down to the lowest trainable layer,
+    # which alone is asked for no input gradient
+    assert visits == [(i, i > lowest) for i in range(5, lowest - 1, -1)]
+    assert sorted(grads) == sorted((i, name) for i, layer in enumerate(netw.layers)
+                                   if i not in freeze for name in nm.param_fields(layer))
 
 
 def test_training_forward_all_frozen_matches_inference():
