@@ -130,10 +130,13 @@ class Conv2D(Layer):
         if self.stride < 1 or self.padding < 0:
             raise ValueError("bad stride/padding")
 
-    # Each GEMM takes its operands in the order and layout of NumPy's
-    # optimized einsum over the same contraction, whose bits trained models
-    # pin; merging the nine input-gradient products or passing a transposed
-    # view instead of a copy changes the last bits.
+    # The forward GEMM takes its operands in the order and layout of NumPy's
+    # optimized einsum over the same contraction, so inference (and every
+    # selection on a saved model) keeps those bits. The backward computes the
+    # input gradient as one GEMM scattered back into the windows (col2im),
+    # and the weight gradient from the forward's im2col matrix through a
+    # contiguous copy of its transpose: a transposed view changes the bits
+    # with the BLAS thread count.
     def forward(self, x, index=None, mode=None):
         oc, ic, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != ic:
@@ -143,27 +146,27 @@ class Conv2D(Layer):
         windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding)
         n = x.shape[0]
         cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(ic * kh * kw, n * oh * ow)
-        # (o, n, h, w) in memory: BatchNorm's batch statistics sum in that order
+        # (o, n, h, w) in memory: BatchNorm reads it per channel without a copy
         out = (self.weight.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-        return out + self.bias[None, :, None, None], (windows, x.shape)
+        return out + self.bias[None, :, None, None], (cols, x.shape)
 
     def backward(self, cache, dout, need_dx):
-        windows, (n, _, h, w) = cache
+        cols, (n, _, h, w) = cache
         oc, ic, kh, kw = self.weight.shape
         oh, ow = dout.shape[2], dout.shape[3]
-        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)  # both GEMMs read this one copy
-        rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
-        grads = {"weight": (d2 @ rows).reshape(self.weight.shape),
+        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)  # a view of a channel-major dout
+        grads = {"weight": (d2 @ np.ascontiguousarray(cols.T)).reshape(self.weight.shape),
                  "bias": dout.sum(axis=(0, 2, 3))}
         if not need_dx:
             return None, grads
         pad, s = self.padding, self.stride
-        dxp = np.zeros((n, ic, h + 2 * pad, w + 2 * pad))
+        dcols = (self.weight.reshape(oc, -1).T @ d2).reshape(ic, kh, kw, n, oh, ow)
+        dxp = np.zeros((ic, n, h + 2 * pad, w + 2 * pad))
         for ki in range(kh):
             for kj in range(kw):
-                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += (
-                    self.weight[:, :, ki, kj].T @ d2).reshape(ic, n, oh, ow).transpose(1, 0, 2, 3)
-        return dxp[:, :, pad:pad + h, pad:pad + w], grads
+                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += dcols[:, ki, kj]
+        # channel-major like the forward's output
+        return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3), grads
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class ReLU(Layer):
         return out, out
 
     def backward(self, out, dout, need_dx):
-        return (np.where(out > 0, dout, 0.0) if need_dx else None), {}
+        return (dout * (out > 0) if need_dx else None), {}
 
 
 @dataclass(frozen=True)
@@ -201,44 +204,61 @@ class BatchNorm(Layer):
         c = self.scale.shape[0]
         if x.shape[1] != c:
             raise ShapeMismatch(f"batchnorm over {c} channels, got {x.shape}", layer=index)
-        shape = (1, c) + (1,) * (x.ndim - 2)
         # Running statistics keep two arithmetic forms: inference folds the
         # scale into 1/std, training keeps xhat for the backward. Either form
         # in both places changes saved fine-tuned weights or reported ratios.
         if mode is None:
+            shape = (1, c) + (1,) * (x.ndim - 2)
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             return (x - self.running_mean.reshape(shape)) * (self.scale * inv).reshape(shape) \
                 + self.shift.reshape(shape), None
+        xc = channel_rows(x)
         if mode.batch_stats:
-            axes = (0,) if x.ndim == 2 else (0, 2, 3)
-            mu, var = x.mean(axis=axes), x.var(axis=axes)
+            mu = xc.mean(axis=1)
+            centered = xc - mu[:, None]
+            var = (centered * centered).mean(axis=1)
             run_mu, run_var = self.running_mean, self.running_var
             run_mu *= 1.0 - self.momentum
             run_mu += self.momentum * mu
             run_var *= 1.0 - self.momentum
             run_var += self.momentum * var
         else:
-            mu, var = self.running_mean, self.running_var
+            centered = xc - self.running_mean[:, None]
+            var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
-        return xhat * self.scale.reshape(shape) + self.shift.reshape(shape), \
-            (xhat, inv, mode.batch_stats)
+        xhat = centered * inv[:, None]
+        out = xhat * self.scale[:, None] + self.shift[:, None]
+        return from_channel_rows(out, x.shape), (xhat, inv, mode.batch_stats)
 
     def backward(self, cache, dout, need_dx):
         xhat, inv, batch_stats = cache
-        axes = (0,) if dout.ndim == 2 else (0, 2, 3)
-        grads = {"scale": (dout * xhat).sum(axis=axes), "shift": dout.sum(axis=axes)}
+        dc = channel_rows(dout)
+        grads = {"scale": (dc * xhat).sum(axis=1), "shift": dc.sum(axis=1)}
         if not need_dx:
             return None, grads
-        c = self.scale.shape[0]
-        shape = (1, c) + (1,) * (dout.ndim - 2)
-        dxhat = dout * self.scale.reshape(shape)
-        if not batch_stats:
-            return dxhat * inv.reshape(shape), grads
-        count = dout.size // c
-        sum_d = dxhat.sum(axis=axes).reshape(shape)
-        sum_dx = (dxhat * xhat).sum(axis=axes).reshape(shape)
-        return (dxhat - sum_d / count - xhat * sum_dx / count) * inv.reshape(shape), grads
+        gain = (self.scale * inv)[:, None]
+        if batch_stats:  # the fused gradient: the two sums above also give dx
+            count = dc.shape[1]
+            dc = dc - (xhat * grads["scale"][:, None] + grads["shift"][:, None]) / count
+        return from_channel_rows(dc * gain, dout.shape), grads
+
+
+def channel_rows(x):
+    """(c, n·h·w) view of an (n, c) or (n, c, h, w) array, one row per
+    channel: BatchNorm's training statistics reduce along its rows. A 4-D
+    array is copied unless it is contiguous (c, n, h, w) in memory, as
+    Conv2D's output is, and so the BatchNorm and ReLU outputs and gradients
+    computed from it in training."""
+    return x.T if x.ndim == 2 else x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def from_channel_rows(rows, shape):
+    """The inverse of channel_rows: an array of the given (n, c[, h, w])
+    shape viewing the (c, n·h·w) rows."""
+    if len(shape) == 2:
+        return rows.T
+    n, c, h, w = shape
+    return rows.reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,9 @@ def test_forward_matches_naive_loop():
 
 
 def einsum_conv_reference(layer, x, dout):
-    """The conv's forward, input gradient and weight gradient as the
-    optimized einsums they are lowered from; their bits are what trained
-    models pin."""
+    """The conv's forward, input gradient and weight gradient as optimized
+    einsums. The layer's forward GEMM reproduces the first bit for bit; its
+    backward sums the same products in another order."""
     s, pad = layer.stride, layer.padding
     _, _, kh, kw = layer.weight.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -108,7 +108,7 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
                       stride=stride, padding=padding)
     x = rng.normal(size=(batch, in_channels, 8, 8))
     out, cache = layer.forward(x, mode=nm.TrainMode())
-    # (o, n, h, w) in memory, as einsum leaves it: BatchNorm sums in that order
+    # (o, n, h, w) in memory, as einsum leaves it
     assert out.transpose(1, 0, 2, 3).flags.c_contiguous
     # the output gradient in both memory orders, (n, o, h, w) and (o, n, h, w)
     for dout in (rng.normal(size=out.shape),
@@ -116,10 +116,46 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
         ref_out, ref_dx, ref_dw = einsum_conv_reference(layer, x, dout)
         assert np.array_equal(out, ref_out)
         dx, grads = layer.backward(cache, dout, True)
-        assert np.array_equal(dx, ref_dx)
+        # one GEMM for the input gradient, and the weight gradient from the
+        # forward's im2col matrix: the same sums in another order
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
         assert sorted(grads) == ["bias", "weight"]
-        assert np.array_equal(grads["weight"], ref_dw)
+        np.testing.assert_allclose(grads["weight"], ref_dw, rtol=1e-12, atol=1e-12)
         assert np.array_equal(grads["bias"], dout.sum(axis=(0, 2, 3)))
+
+
+def test_training_keeps_conv_activations_channel_major():
+    # Conv2D's output and input gradient are (c, n, h, w) in memory, and so
+    # are BatchNorm's and ReLU's outputs and gradients on them: BatchNorm's
+    # per-channel rows view them without a copy, and Conv2D's backward reads
+    # its output gradient as one (o, n*h*w) view
+    rng = np.random.default_rng(20)
+    conv = nm.Conv2D(rng.normal(size=(5, 3, 3, 3)), rng.normal(size=5), stride=2, padding=1)
+    bn = nm.BatchNorm(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
+    x = rng.normal(size=(4, 3, 8, 8))
+    assert not np.shares_memory(nm.channel_rows(x), x)  # batch-major: a copy
+    mode = nm.TrainMode()
+    out, conv_cache = conv.forward(x, mode=mode)
+    assert np.shares_memory(nm.channel_rows(out), out)
+    y, bn_cache = bn.forward(out, mode=mode)
+    z, relu_cache = nm.ReLU().forward(y, mode=mode)
+    for a in (y, z):
+        assert np.shares_memory(nm.channel_rows(a), a)
+    dz = nm.from_channel_rows(rng.normal(size=(5, out.size // 5)), out.shape)
+    dy, _ = nm.ReLU().backward(relu_cache, dz, True)
+    assert np.shares_memory(nm.channel_rows(dy), dy)
+    dout, _ = bn.backward(bn_cache, dy, True)
+    assert np.shares_memory(nm.channel_rows(dout), dout)
+    dx, _ = conv.backward(conv_cache, dout, True)
+    assert dx.shape == x.shape
+    # channel-major: a padded view, which the ReLU below it materializes
+    assert dx.strides[1] > dx.strides[0] > dx.strides[2] > dx.strides[3]
+    relu_out = nm.from_channel_rows(np.abs(rng.normal(size=(3, x.size // 3))), x.shape)
+    below, _ = nm.ReLU().backward(relu_out, dx, True)
+    assert np.shares_memory(nm.channel_rows(below), below)
+    # a dense BatchNorm's rows are the transpose of its (n, c) input
+    h = rng.normal(size=(6, 5))
+    assert np.shares_memory(nm.channel_rows(h), h)
 
 
 def test_layer_engine_plans_no_einsum(monkeypatch):

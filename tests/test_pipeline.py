@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,7 +101,7 @@ def test_model_cache_key_is_pinned(tmp_path):
                            "configs", "example.json")
     cfg = parse_config(read_config(example))
     assert pl._model_cache_key(cfg, 0) == \
-        "88174e3f962fd6d5bfc9d08fe82222ac35d05c0df52e9879feab8c0df25dc30b"
+        "ce51f6f9b8fa87fe8a0f8e15e2cac745ab549654bb287e0c70ef683487ff6b4d"
     c09 = parse_config({  # the regularization-trend acceptance document
         "schema_version": 1, "scenario": "pretrain_finetune", "seeds": list(range(10)),
         "data": {"n_per_split": 1500,
@@ -111,7 +113,7 @@ def test_model_cache_key_is_pinned(tmp_path):
         "paths": {"out_dir": str(tmp_path)},
     })
     assert pl._model_cache_key(c09, 0) == \
-        "f2056d3cb16f040880739e1471c2e9f17f6caaad592b44025c0ea15b608a8443"
+        "230f735d5681eb817b9f65e894e36b5b8aaf4397586f3bb9ddde672781366f59"
 
 
 def test_model_cache_tag_pins_training_arithmetic(tmp_path):
@@ -119,12 +121,12 @@ def test_model_cache_tag_pins_training_arithmetic(tmp_path):
     # serve models that changed training arithmetic no longer produces
     cfg = parse_config(tiny_doc(tmp_path))
     assert pl._model_cache_key(cfg, 0) == st.content_key(
-        "model-v1", cfg.scenario, repr(cfg.data), repr(cfg.model), repr(cfg.train), 0)
+        "model-v2", cfg.scenario, repr(cfg.data), repr(cfg.model), repr(cfg.train), 0)
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
     nm.save_model(pl.train_model(cfg, 0, source, target), tmp_path / "m")
     digest = hashlib.sha256((tmp_path / "m" / "weights.bin").read_bytes()).hexdigest()
-    assert digest == "b3e0e3de0bf3f9da05f2e84078aed59355a16ea464c0965b3201b0e54f54cd1f", (
-        "the trained weights changed: bump the \"model-v1\" tag in "
+    assert digest == "212d4b1b0de289a12cb1953864c5af9a796b811fc8449d759a46677516225722", (
+        "the trained weights changed: bump the \"model-v2\" tag in "
         "pipeline._model_cache_key together with this digest")
 
 
@@ -142,7 +144,7 @@ def test_pretrain_finetune_training_is_pinned(tmp_path):
     cfg = parse_config(doc)
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
     assert weights_digest(pl.train_model(cfg, 0, source, target), tmp_path / "m") == \
-        "2db939cb2ab361f79b21652a6d37d722142e32ff1805a10e2162771f5f92f46c"
+        "6926378aa55d282f74850e2db7bc9ba0d7ca5d2c1337c13d6e3f131f2d296eac"
 
 
 def test_finetune_model_is_pinned(tiny_setup, tmp_path):
@@ -152,7 +154,41 @@ def test_finetune_model_is_pinned(tiny_setup, tmp_path):
     (_, compressed, _, _), = pl.compress_sweep(cfg, 0, source, target, model)
     tuned = pl.finetune_model(cfg, compressed, target, 0)
     assert weights_digest(tuned, tmp_path / "m") == \
-        "c66eef35beb4bdf5746e84b1d6ef2b46d3d78ae145e3b61dbeeab051908b66d4"
+        "7c535411bf2bc3545a45ee6b378befb383b0dde53e56ee7cbe63ac1f52e69ce0"
+
+
+_TRAIN_SCRIPT = """
+import hashlib, os, sys
+from specprune import net as nm
+from specprune import pipeline as pl
+from specprune.config import parse_config
+from specprune.datasets import make_two_domain
+cfg = parse_config({"schema_version": 1, "scenario": "digits_joint", "seeds": [0],
+                    "data": {"n_per_split": 100}, "train": {"epochs": 1, "batch_size": 100},
+                    "compress": {"method": "spectral", "sweep": [0.5]},
+                    "paths": {"out_dir": sys.argv[1]}})
+source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+nm.save_model(pl.train_model(cfg, 0, source, target), sys.argv[1])
+with open(os.path.join(sys.argv[1], "weights.bin"), "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_training_independent_of_blas_threads(tmp_path):
+    # The default architecture at batch 100: its conv GEMMs are large enough
+    # for OpenBLAS to split them across threads (a weight gradient taken
+    # through a transposed view of the im2col matrix differs at 2 threads).
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_SCRIPT, str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_interrupted_save_leaves_no_cache_entry(tmp_path, monkeypatch):
@@ -277,8 +313,8 @@ def test_run_lowrank_methods(tiny_setup):
 
 
 @pytest.mark.parametrize("method, digest", [
-    ("dalr", "06e4da5d197bb068996f909e760684a8507ea642b9eb2d7fa8a2e138ac788437"),
-    ("svd", "5f44b8c47b83d5e152f56b38115b76257df5f5bb6371e1af076b42d2d6599b67"),
+    ("dalr", "dbe0b5ba2a841c3e66ebaa2517abdbbc2b8ebaa58cd3b1b28ee801aa59c1b88f"),
+    ("svd", "b85bda19e15291af702209c650741b3ea921055a814272059e2877c867aa7da7"),
 ], ids=("dalr", "svd"))
 def test_lowrank_sweep_models_are_pinned(tiny_setup, tmp_path, method, digest):
     # The save_model bytes of every point of a rank sweep. Inference layers
@@ -646,7 +682,7 @@ def test_node_specificity_rows_are_pinned(tmp_path):
     rows = pl.node_specificity_analysis(parse_config(doc))
     assert len(rows) == 18
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-    assert digest == "3d2b6da99c583f663e4527545e7b81f47c5e355b5646e778aa88d29bb7b22be5"
+    assert digest == "f8428a88d334ef3a5de3264d50ae7f452cdc61ed91b693c3ea4ec2fb40891df1"
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,37 @@ def test_grad_check_conv_net():
     assert grad_check(tiny_cnn(rng, with_bn=False), feats, labels, epsilon=1e-3) < 1e-3
 
 
+@pytest.mark.parametrize("batch_stats", (False, True), ids=("running", "batch"))
+@pytest.mark.parametrize("shape", ((7, 3), (4, 3, 2, 3)), ids=("2d", "4d"))
+def test_batchnorm_backward_matches_central_differences(shape, batch_stats):
+    # grad_check runs BatchNorm only on 4-D inputs with batch statistics;
+    # fine-tuning a frozen BatchNorm, and the dense stack's BatchNorms, take
+    # the other paths. The loss is <forward(x), g>, so backward(g) is its
+    # gradient.
+    rng = np.random.default_rng(19)
+    c = shape[1]
+    layer = nm.BatchNorm(rng.uniform(0.5, 2.0, c), rng.normal(size=c),
+                         rng.normal(size=c) * 0.3, rng.uniform(0.5, 2.0, c))
+    x, g = rng.normal(size=shape), rng.normal(size=shape)
+    mode = nm.TrainMode(batch_stats=batch_stats)
+    _, cache = layer.forward(x, mode=mode)
+    dx, grads = layer.backward(cache, g, True)
+    step = 1e-5
+    for arr, analytic in ((x, dx), (layer.scale, grads["scale"]), (layer.shift, grads["shift"])):
+        flat = arr.reshape(-1)  # a view: steps move the layer's own arrays
+        numeric = np.empty(flat.size)
+        for k in range(flat.size):
+            orig = flat[k]
+            sides = []
+            for value in (orig + step, orig - step):
+                flat[k] = value
+                sides.append(float((layer.forward(x, mode=mode)[0] * g).sum()))
+            flat[k] = orig
+            numeric[k] = (sides[0] - sides[1]) / (2.0 * step)
+        assert analytic.shape == arr.shape
+        np.testing.assert_allclose(analytic.reshape(-1), numeric, rtol=0, atol=1e-7)
+
+
 def test_grad_check_steps_around_a_relu_kink(monkeypatch):
     # With a stride-2 conv, a step of 1e-3 on some entries moves a ReLU input
     # across 0, where a central difference is no derivative. The check
