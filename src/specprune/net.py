@@ -133,10 +133,13 @@ class Conv2D(Layer):
     # The forward GEMM takes its operands in the order and layout of NumPy's
     # optimized einsum over the same contraction, so inference (and every
     # selection on a saved model) keeps those bits. The backward computes the
-    # input gradient as one GEMM scattered back into the windows (col2im),
-    # and the weight gradient from the forward's im2col matrix through a
-    # contiguous copy of its transpose: a transposed view changes the bits
-    # with the BLAS thread count.
+    # input gradient as one GEMM over the output gradient's columns in
+    # (h, w, n) order, scattered back into the windows (col2im) of a
+    # batch-inner (c, h, w, n) buffer, so each strided add runs over the
+    # batch; one copy returns it channel-major. The weight gradient comes
+    # from the forward's im2col matrix through a contiguous copy of its
+    # transpose: a transposed view changes the bits with the BLAS thread
+    # count.
     def forward(self, x, index=None, mode=None):
         oc, ic, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != ic:
@@ -160,13 +163,15 @@ class Conv2D(Layer):
         if not need_dx:
             return None, grads
         pad, s = self.padding, self.stride
-        dcols = (self.weight.reshape(oc, -1).T @ d2).reshape(ic, kh, kw, n, oh, ow)
-        dxp = np.zeros((ic, n, h + 2 * pad, w + 2 * pad))
+        dhwn = dout.transpose(1, 2, 3, 0).reshape(oc, -1)
+        dcols = (self.weight.reshape(oc, -1).T @ dhwn).reshape(ic, kh, kw, oh, ow, n)
+        dxp = np.zeros((ic, h + 2 * pad, w + 2 * pad, n))
         for ki in range(kh):
             for kj in range(kw):
-                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += dcols[:, ki, kj]
+                dxp[:, ki:ki + s * oh:s, kj:kj + s * ow:s] += dcols[:, ki, kj]
         # channel-major like the forward's output
-        return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3), grads
+        dx = np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
+        return dx.transpose(1, 0, 2, 3), grads
 
 
 @dataclass(frozen=True)
@@ -212,22 +217,29 @@ class BatchNorm(Layer):
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
             return (x - self.running_mean.reshape(shape)) * (self.scale * inv).reshape(shape) \
                 + self.shift.reshape(shape), None
+        # In training, xhat is the centered input scaled in place and the
+        # output overwrites the squares: each element takes the operations
+        # of the plain expressions in their order, and each array keeps its
+        # memory order, so the bits match with fewer new arrays.
         xc = channel_rows(x)
         if mode.batch_stats:
             mu = xc.mean(axis=1)
-            centered = xc - mu[:, None]
-            var = (centered * centered).mean(axis=1)
+            xhat = xc - mu[:, None]
+            out = xhat * xhat
+            var = out.mean(axis=1)
             run_mu, run_var = self.running_mean, self.running_var
             run_mu *= 1.0 - self.momentum
             run_mu += self.momentum * mu
             run_var *= 1.0 - self.momentum
             run_var += self.momentum * var
         else:
-            centered = xc - self.running_mean[:, None]
+            xhat = xc - self.running_mean[:, None]
+            out = np.empty_like(xhat)
             var = self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = centered * inv[:, None]
-        out = xhat * self.scale[:, None] + self.shift[:, None]
+        xhat *= inv[:, None]
+        np.multiply(xhat, self.scale[:, None], out=out)
+        out += self.shift[:, None]
         return from_channel_rows(out, x.shape), (xhat, inv, mode.batch_stats)
 
     def backward(self, cache, dout, need_dx):
@@ -237,10 +249,15 @@ class BatchNorm(Layer):
         if not need_dx:
             return None, grads
         gain = (self.scale * inv)[:, None]
-        if batch_stats:  # the fused gradient: the two sums above also give dx
-            count = dc.shape[1]
-            dc = dc - (xhat * grads["scale"][:, None] + grads["shift"][:, None]) / count
-        return from_channel_rows(dc * gain, dout.shape), grads
+        if not batch_stats:
+            return from_channel_rows(dc * gain, dout.shape), grads
+        # the fused gradient: the two sums above also give dx
+        mean_part = xhat * grads["scale"][:, None]
+        mean_part += grads["shift"][:, None]
+        mean_part /= dc.shape[1]
+        dx = dc - mean_part
+        dx *= gain
+        return from_channel_rows(dx, dout.shape), grads
 
 
 def channel_rows(x):

@@ -114,9 +114,15 @@ class _Sgd:
 
 
 class _Adam:
+    """Adam with the weight decay folded into the gradient: g + wd·w feeds
+    both moments, and w -= lr·(m/bc1)/(√(v/bc2) + eps). Each product and
+    quotient is taken in that order, but written into two scratch arrays per
+    parameter instead of new ones, so the update keeps the bits of the
+    expression as written."""
+
     def __init__(self, lr, wd):
         self.lr, self.wd = lr, wd
-        self.m, self.v = {}, {}
+        self.m, self.v, self.scratch = {}, {}, {}
         self.t = 0
 
     def step(self, layers, grads):
@@ -126,15 +132,26 @@ class _Adam:
         for key, g in grads.items():
             i, name = key
             w = getattr(layers[i], name)
-            g = g + self.wd * w
             if key not in self.m:
                 self.m[key], self.v[key] = np.zeros_like(w), np.zeros_like(w)
+                self.scratch[key] = np.empty_like(w), np.empty_like(w)
             m, v = self.m[key], self.v[key]
+            a, b = self.scratch[key]
+            np.multiply(w, self.wd, out=a)
+            a += g  # the decayed gradient
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(a, 1.0 - ADAM_BETA1, out=b)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            w -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            np.multiply(a, 1.0 - ADAM_BETA2, out=b)
+            b *= a
+            v += b
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            a /= b
+            w -= a
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from specprune.config import ModelSection
 from specprune.datasets import make_two_domain
 from specprune.errors import FormatError, ShapeMismatch
 
+import references
+
 
 def naive_conv2d(x, weight, bias, stride, padding):
     """Nested-loop conv reference, used as the oracle for the fast path."""
@@ -122,6 +124,67 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
         assert sorted(grads) == ["bias", "weight"]
         np.testing.assert_allclose(grads["weight"], ref_dw, rtol=1e-12, atol=1e-12)
         assert np.array_equal(grads["bias"], dout.sum(axis=(0, 2, 3)))
+        # and exactly the bits of the reference col2im (channel-major scatter)
+        col2im_dx, col2im_dw = references.conv_backward(layer, cache, dout)
+        assert np.array_equal(dx, col2im_dx)
+        assert np.array_equal(grads["weight"], col2im_dw)
+
+
+@pytest.mark.parametrize("batch", (100, 37))
+def test_default_model_conv_backward_keeps_its_bits(batch):
+    # the benchmark's conv shapes, at its training batch and at a short last
+    # batch: the batch-inner col2im gives the bits of the channel-major one
+    rng = np.random.default_rng(batch)
+    model = pl.build_digits_model(ModelSection(), 0)
+    h = rng.normal(size=(batch, 1, 8, 8))
+    convs = 0
+    for layer in model.layers[:9]:
+        out, cache = layer.forward(h, mode=nm.TrainMode())
+        if isinstance(layer, nm.Conv2D):
+            convs += 1
+            for dout in (rng.normal(size=out.shape),
+                         rng.normal(size=(out.shape[1], batch) + out.shape[2:]).transpose(1, 0, 2, 3)):
+                dx, grads = layer.backward(cache, dout, True)
+                ref_dx, ref_dw = references.conv_backward(layer, cache, dout)
+                assert np.array_equal(dx, ref_dx)
+                assert np.array_equal(grads["weight"], ref_dw)
+        h = out
+    assert convs == 3
+
+
+@pytest.mark.parametrize("batch_stats", (True, False))
+@pytest.mark.parametrize("layout", ("dense", "channel_major", "batch_major"))
+def test_batchnorm_training_keeps_its_bits(layout, batch_stats):
+    # the in-place training forward and backward against the reference
+    # expressions: the same bits, in the same memory order
+    rng = np.random.default_rng(7)
+    c = 6
+    if layout == "dense":
+        x, dout = rng.normal(size=(40, c)), rng.normal(size=(40, c))
+    else:
+        x, dout = (rng.normal(size=(c, 9, 5, 5)).transpose(1, 0, 2, 3) for _ in range(2))
+        if layout == "batch_major":
+            x, dout = np.ascontiguousarray(x), np.ascontiguousarray(dout)
+
+    def layer():
+        return nm.BatchNorm(np.linspace(0.5, 1.5, c), np.linspace(-0.2, 0.3, c),
+                            np.linspace(-0.1, 0.1, c), np.linspace(0.8, 1.2, c))
+
+    bn, ref = layer(), layer()
+    mode = nm.TrainMode(batch_stats=batch_stats)
+    out, cache = bn.forward(x, mode=mode)
+    ref_out, ref_cache = references.batchnorm_forward(ref, x, batch_stats)
+    assert np.array_equal(out, ref_out) and out.strides == ref_out.strides
+    for a, b in zip(cache, ref_cache):
+        assert np.array_equal(a, b)
+    for name in bn.buffers:
+        assert np.array_equal(getattr(bn, name), getattr(ref, name))
+    dx, grads = bn.backward(cache, dout, True)
+    ref_dx, ref_grads = references.batchnorm_backward(ref, ref_cache, dout)
+    assert np.array_equal(dx, ref_dx) and dx.strides == ref_dx.strides
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name])
 
 
 def test_training_keeps_conv_activations_channel_major():
@@ -148,8 +211,8 @@ def test_training_keeps_conv_activations_channel_major():
     assert np.shares_memory(nm.channel_rows(dout), dout)
     dx, _ = conv.backward(conv_cache, dout, True)
     assert dx.shape == x.shape
-    # channel-major: a padded view, which the ReLU below it materializes
-    assert dx.strides[1] > dx.strides[0] > dx.strides[2] > dx.strides[3]
+    # channel-major and contiguous: one copy out of the padded buffer
+    assert np.shares_memory(nm.channel_rows(dx), dx)
     relu_out = nm.from_channel_rows(np.abs(rng.normal(size=(3, x.size // 3))), x.shape)
     below, _ = nm.ReLU().backward(relu_out, dx, True)
     assert np.shares_memory(nm.channel_rows(below), below)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from specprune.datasets import DomainDataset
 from specprune.errors import Diverged, ShapeMismatch
 
 import gradcheck
+import references
 from gradcheck import grad_check, gradients
 
 
@@ -103,6 +106,26 @@ def test_zero_lr_zero_wd_unchanged():
         out = tr.train(netw, [data], tr.TrainConfig(
             optimizer=opt, learning_rate=0.0, weight_decay=0.0, epochs=2, seed=0))
         assert np.array_equal(out.layers[0].weight, netw.layers[0].weight)
+
+
+def test_adam_step_keeps_the_textbook_bits():
+    # the in-place update against the reference expression, three steps
+    # with weight decay on parameters of mixed shapes; parameters of the
+    # update's size, so a changed last bit of an update shows in them
+    rng = np.random.default_rng(3)
+    shapes = ((5, 3, 3, 3), (5,), (7, 20), (1,))
+    params = [rng.normal(size=s) * 1e-3 for s in shapes]
+    grad_steps = [[rng.normal(size=s) for s in shapes] for _ in range(3)]
+    layers = [types.SimpleNamespace(w=p.copy()) for p in params]
+    opt = tr._Adam(1e-3, 5e-4)
+    for grads in grad_steps:
+        opt.step(layers, {(i, "w"): g.copy() for i, g in enumerate(grads)})
+    want, m, v = references.adam(params, grad_steps, 1e-3, 5e-4)
+    for i in range(len(shapes)):
+        assert np.array_equal(layers[i].w, want[i])
+        assert np.array_equal(opt.m[i, "w"], m[i])
+        assert np.array_equal(opt.v[i, "w"], v[i])
+    assert not np.array_equal(layers[0].w, params[0])
 
 
 def test_divergence_detected():
