@@ -47,12 +47,20 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     pivot = diag[isel] + ridge
     if pivot <= 0.0:
         return 0.0
-    zs = z[:t]
-    zt = sigma[isel] - zs[:, isel] @ zs
+    zs, zt = z[:t], z[t]
+    np.matmul(zs[:, isel], zs, out=zt)
+    np.subtract(sigma[isel], zt, out=zt)
     zt /= np.sqrt(pivot)
-    y = sigma @ zt - (zs @ zt) @ zs
+    y = sigma @ zt
+    y -= (zs @ zt) @ zs
     zz = float(zt @ zt)
-    rownorm2 += zt * (zt * zz - 2.0 * y)
-    diag -= zt * zt
-    z[t] = zt
+    # rownorm2 += zt * (zt * zz - 2 y), with -2y formed in place: a + (-2y)
+    # rounds exactly as a - 2y
+    y *= -2.0
+    step = zt * zz
+    step += y
+    step *= zt
+    rownorm2 += step
+    np.multiply(zt, zt, out=step)
+    diag -= step
     return zz

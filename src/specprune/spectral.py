@@ -18,6 +18,7 @@ kernel in backend). They agree to rounding and are cross-checked in the tests.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +148,37 @@ class _SubsetReg:
     def __init__(self, stats_source, stats_target, scaling):
         self.d = stats_source.mean - stats_target.mean
         self.m = scaling * (stats_source.cov - stats_target.cov)
+        self.d_sq = self.d * self.d
+        self.diag_sq = np.diagonal(self.m) ** 2
         self.mean_sq = 0.0
         self.fro_sq = 0.0
         self.col_sq = np.zeros(self.d.shape[0])
 
     def candidate_values(self, cand):
-        term1 = np.sqrt(self.mean_sq + self.d[cand] ** 2)
-        diag = np.diagonal(self.m)[cand]
-        term2 = np.sqrt(self.fro_sq + 2.0 * self.col_sq[cand] + diag * diag)
-        return term1 + term2
+        term1 = self.d_sq[cand]
+        term1 += self.mean_sq
+        np.sqrt(term1, out=term1)
+        term2 = self.col_sq[cand]
+        term2 *= 2.0
+        term2 += self.fro_sq
+        term2 += self.diag_sq[cand]
+        np.sqrt(term2, out=term2)
+        term1 += term2
+        return term1
 
     def absorb(self, i):
+        # scalar ** 2 is pow(), which may round differently from d[i] * d[i]
         self.mean_sq += float(self.d[i] ** 2)
         self.fro_sq += 2.0 * float(self.col_sq[i]) + float(self.m[i, i] ** 2)
         self.col_sq += self.m[i] ** 2
+
+
+def _std(values):
+    """np.std(values) of a 1-d float64 array, bit for bit: the ufuncs of
+    numpy's _var in its order, without its Python-level dispatch."""
+    dev = values - np.add.reduce(values) / len(values)
+    np.square(dev, out=dev)
+    return math.sqrt(np.add.reduce(dev) / len(values))
 
 
 def _naive_gains(sigma, selected, cand, ridge):
@@ -200,15 +218,16 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     if cfg.reg_mode != "none":
         if stats_source is None or stats_target is None:
             raise StatsMissing(f"reg_mode={cfg.reg_mode} needs source and target stats")
-        scaling = st.scaling_matrix(stats_target)
-        if cfg.reg_mode == "node":
-            reg_vec = reg_node(stats_source, stats_target, scaling)
-        else:
-            subset_reg = _SubsetReg(stats_source, stats_target, scaling)
+        if cfg.lam > 0.0:  # at lambda 0 no score reads the regularizer
+            scaling = st.scaling_matrix(stats_target)
+            if cfg.reg_mode == "node":
+                reg_vec = reg_node(stats_source, stats_target, scaling)
+            else:
+                subset_reg = _SubsetReg(stats_source, stats_target, scaling)
 
-    max_card = cfg.max_cardinality if cfg.max_cardinality > 0 else m
+    limit = min(cfg.max_cardinality, m) if cfg.max_cardinality > 0 else m
     if strategy == "incremental":
-        diag, rownorm2, factor = backend.residual_init(sigma, min(max_card, m))
+        diag, rownorm2, factor = backend.residual_init(sigma, limit)
     active = np.ones(m, dtype=bool)
     selected = []
     trace = []
@@ -216,27 +235,34 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     ratio = 0.0
     plateau = False
 
-    while ratio < cfg.alpha and len(selected) < max_card and active.any():
-        cand = np.flatnonzero(active)
+    # The candidates stay in index order, so the std of the values sums in
+    # one fixed order, and argmax breaks ties to the lowest index.
+    while ratio < cfg.alpha and len(selected) < limit:
+        cand = active.nonzero()[0]
         if strategy == "incremental":
-            eff = diag[cand] + ridge
+            eff = diag[cand]
+            eff += ridge
             gains = np.where(eff > 0, rownorm2[cand] / np.maximum(eff, 1e-300), 0.0)
         else:
             gains = _naive_gains(sigma, selected, list(cand), ridge)
         if float(gains.max()) / total < PLATEAU_TOL:
             plateau = True
             break
-        values = (num + gains) / total
+        values = gains
+        values += num
+        values /= total
 
         scores = values
-        if cfg.reg_mode != "none" and cfg.lam > 0.0:
+        if reg_vec is not None or subset_reg is not None:
             rvals = reg_vec[cand] if reg_vec is not None \
                 else subset_reg.candidate_values(cand)
             rmax = float(rvals.max())
             if rmax > 0.0:
-                scores = values - cfg.lam * float(np.std(values)) * (rvals / rmax)
+                rvals /= rmax
+                rvals *= cfg.lam * _std(values)
+                scores = np.subtract(values, rvals, out=rvals)
 
-        pick = int(cand[int(np.argmax(scores))])
+        pick = int(cand[scores.argmax()])
         if strategy == "incremental":
             num += backend.residual_update(diag, rownorm2, factor, sigma,
                                            len(selected), pick, ridge)
@@ -418,7 +444,9 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     cfg is one GreedyConfig for every capture point, or a map with one
     GreedyConfig per capture point id. sigma_features defines the selection
     second moment; source/target features feed the moment-matching
-    statistics when any capture's reg_mode is not 'none'.
+    statistics when any capture's reg_mode is not 'none'. Inputs that are
+    one array (equal slices) are pushed as one stream, and share its moments
+    at every capture where no block of it is subsampled to row_budget.
     memo, a SweepMemo, lets the calls of one sweep share the work of the
     captures whose prefix they share; without one, nothing is kept.
     """
@@ -446,11 +474,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         if rec is None:
             start = captures[k - 1] + 1 if k else 0
             streams = [_push(network, x, start, cp + 1) for x in streams]
-            accs = {name: _rows_to_acc(cp, streams[i], row_budget, rng)
-                    for name, i in slots.items()}
-            stats = (st.finalize(accs["sigma"]).sigma,
-                     st.finalize(accs["source"], "source") if "source" in accs else None,
-                     st.finalize(accs["target"], "target") if "target" in accs else None)
+            named = _capture_stats(cp, streams, slots, row_budget, rng)
+            stats = (named["sigma"].sigma, named.get("source"), named.get("target"))
             plan = None
         else:
             stats, streams = rec.stats, rec.acts
@@ -493,6 +518,28 @@ def _push(network, x, start, stop):
     return out
 
 
+def _capture_stats(cp, streams, slots, row_budget, rng):
+    """{name: LayerStatistics} at capture cp for the names that slots maps
+    to the pushed streams; "sigma" gets domain "", the others their name.
+
+    The names bound to one stream share its moments, accumulated and
+    finalized once, unless a block of it is subsampled: then each name
+    draws its own rows from rng, in the order of slots, as if every name
+    were a stream of its own.
+    """
+    named, shared = {}, {}
+    for name, i in slots.items():
+        domain = "" if name == "sigma" else name
+        if i in shared:
+            named[name] = dataclasses.replace(shared[i], domain=domain)
+            continue
+        before = rng.bit_generator.state
+        named[name] = st.finalize(_rows_to_acc(cp, streams[i], row_budget, rng), domain)
+        if rng.bit_generator.state == before:  # no block drew rows
+            shared[i] = named[name]
+    return named
+
+
 def _rows_to_acc(cp, x, row_budget, rng):
     """Moment accumulator of the capture rows of x (n, width[, h, w]).
 
@@ -500,7 +547,9 @@ def _rows_to_acc(cp, x, row_budget, rng):
     more than row_budget rows (a conv capture has one row per spatial
     position) keeps a uniform random subset of row_budget of them, drawn
     from rng. So with a row budget, BATCH_SIZE changes which rows, and how
-    many, enter the moments; it is not a pure performance setting.
+    many, enter the moments; it is not a pure performance setting. Where no
+    block is subsampled nothing is drawn, and compress_network accumulates
+    a stream once for all the names bound to it.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)

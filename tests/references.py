@@ -1,10 +1,15 @@
-"""Reference forms of training arithmetic. The faster forms in src/ must
-reproduce them bit for bit."""
+"""Reference forms of training and selection arithmetic. The faster forms
+in src/ must reproduce them bit for bit."""
 
 import numpy as np
 
+from specprune import backend
 from specprune import net as nm
+from specprune import spectral as sp
+from specprune import stats as st
 from specprune import train as tr
+from specprune.errors import StatsMissing
+from specprune.linalg import default_ridge
 
 
 def conv_backward(layer, cache, dout):
@@ -75,3 +80,109 @@ def adam(params, grad_steps, lr, wd):
             vk += (1.0 - tr.ADAM_BETA2) * g * g
             w -= lr * (mk / bc1) / (np.sqrt(vk / bc2) + tr.ADAM_EPS)
     return params, m, v
+
+
+# ---------------------------------------------------------------------------
+# greedy selection: the step loop, the subset regularizer and the factor-form
+# update as they were before the loop reused its arrays
+# ---------------------------------------------------------------------------
+
+class SubsetReg:
+    """spectral._SubsetReg with a new array for each step."""
+
+    def __init__(self, stats_source, stats_target, scaling):
+        self.d = stats_source.mean - stats_target.mean
+        self.m = scaling * (stats_source.cov - stats_target.cov)
+        self.mean_sq = 0.0
+        self.fro_sq = 0.0
+        self.col_sq = np.zeros(self.d.shape[0])
+
+    def candidate_values(self, cand):
+        term1 = np.sqrt(self.mean_sq + self.d[cand] ** 2)
+        diag = np.diagonal(self.m)[cand]
+        term2 = np.sqrt(self.fro_sq + 2.0 * self.col_sq[cand] + diag * diag)
+        return term1 + term2
+
+    def absorb(self, i):
+        self.mean_sq += float(self.d[i] ** 2)
+        self.fro_sq += 2.0 * float(self.col_sq[i]) + float(self.m[i, i] ** 2)
+        self.col_sq += self.m[i] ** 2
+
+
+def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
+    """backend.residual_update with a new array for each intermediate."""
+    pivot = diag[isel] + ridge
+    if pivot <= 0.0:
+        return 0.0
+    zs = z[:t]
+    zt = sigma[isel] - zs[:, isel] @ zs
+    zt /= np.sqrt(pivot)
+    y = sigma @ zt - (zs @ zt) @ zs
+    zz = float(zt @ zt)
+    rownorm2 += zt * (zt * zz - 2.0 * y)
+    diag -= zt * zt
+    z[t] = zt
+    return zz
+
+
+def find_subset(sigma, cfg, stats_source=None, stats_target=None):
+    """spectral.find_subset's incremental path with the loop that gathers
+    its candidates, calls np.std and builds the regularizer at any lambda:
+    a PruningPlan."""
+    sigma = sp._check_sigma(sigma)
+    m = sigma.shape[0]
+    total = float(np.trace(sigma))
+    ridge = default_ridge(sigma)
+
+    reg_vec = None
+    subset_reg = None
+    if cfg.reg_mode != "none":
+        if stats_source is None or stats_target is None:
+            raise StatsMissing(f"reg_mode={cfg.reg_mode} needs source and target stats")
+        scaling = st.scaling_matrix(stats_target)
+        if cfg.reg_mode == "node":
+            reg_vec = sp.reg_node(stats_source, stats_target, scaling)
+        else:
+            subset_reg = SubsetReg(stats_source, stats_target, scaling)
+
+    max_card = cfg.max_cardinality if cfg.max_cardinality > 0 else m
+    diag, rownorm2, factor = backend.residual_init(sigma, min(max_card, m))
+    active = np.ones(m, dtype=bool)
+    selected = []
+    trace = []
+    num = 0.0
+    ratio = 0.0
+    plateau = False
+
+    while ratio < cfg.alpha and len(selected) < max_card and active.any():
+        cand = np.flatnonzero(active)
+        eff = diag[cand] + ridge
+        gains = np.where(eff > 0, rownorm2[cand] / np.maximum(eff, 1e-300), 0.0)
+        if float(gains.max()) / total < sp.PLATEAU_TOL:
+            plateau = True
+            break
+        values = (num + gains) / total
+
+        scores = values
+        if cfg.reg_mode != "none" and cfg.lam > 0.0:
+            rvals = reg_vec[cand] if reg_vec is not None \
+                else subset_reg.candidate_values(cand)
+            rmax = float(rvals.max())
+            if rmax > 0.0:
+                scores = values - cfg.lam * float(np.std(values)) * (rvals / rmax)
+
+        pick = int(cand[int(np.argmax(scores))])
+        num += residual_update(diag, rownorm2, factor, sigma, len(selected), pick, ridge)
+        ratio = num / total
+        selected.append(pick)
+        trace.append(ratio)
+        active[pick] = False
+        if subset_reg is not None:
+            subset_reg.absorb(pick)
+
+    recovery = sp.recovery_matrix(sigma, sorted(selected), ridge) if selected \
+        else np.zeros((m, 0))
+    return sp.PruningPlan(selected=tuple(selected), recovery=recovery,
+                          ratio_trace=tuple(trace),
+                          achieved_ratio=trace[-1] if trace else 0.0,
+                          plateau_flag=plateau)

@@ -434,12 +434,15 @@ def _sweep(cfg, monkeypatch, path, memo=True):
     # so it selects there again
     ({"sweep": (0.5, 0.3, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
      {"row_budget": 40}, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
-    # regularized alpha sweep that returns to its first point; moments per
-    # capture are taken on 3 streams (2 distinct ones are pushed), and only
-    # the first capture's are shared: the falling second point truncates its
-    # plan there, the rising third point must select again
+    # regularized alpha sweep that returns to its first point; the 3 named
+    # streams are 2 distinct ones (selection and target are the same rows),
+    # pushed once each; moments are taken once per name at the first conv
+    # capture, whose blocks are subsampled, and once per distinct stream at
+    # the other 4; the memo shares only the first capture's: the falling
+    # second point truncates its plan there, the rising third point must
+    # select again
     ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {},
-     [(15, 5, 10 * 150), (12, 4, 8 * 150), (12, 5, 8 * 150)]),
+     [(3 + 4 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (4 * 2, 5, 8 * 150)]),
 ], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
 def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
                                              compress, stats, work):

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import references
 
 from specprune import backend
 from specprune import net as nm
@@ -184,17 +185,36 @@ def test_greedy_config_refuses_bad_settings(field, value, message):
     sp.GreedyConfig(alpha=1.0, lam=0.0, reg_mode="subset", max_cardinality=0)
 
 
-def test_find_subset_lambda_zero_matches_unregularized():
+def _assert_same_plan(got, want):
+    assert got.selected == want.selected
+    assert got.ratio_trace == want.ratio_trace
+    assert got.achieved_ratio == want.achieved_ratio
+    assert got.plateau_flag == want.plateau_flag
+    assert got.recovery.shape == want.recovery.shape
+    assert np.array_equal(got.recovery, want.recovery)
+
+
+def test_find_subset_lambda_zero_matches_unregularized(monkeypatch):
+    # at lambda 0 no score reads the regularizer, so it is not built, and
+    # the plan is the plain spectral plan bit for bit; the stats are still
+    # required
+    def unused(*args, **kwargs):
+        raise AssertionError("the regularizer is built at lambda 0")
+
+    monkeypatch.setattr(st, "scaling_matrix", unused)
+    monkeypatch.setattr(sp, "reg_node", unused)
+    monkeypatch.setattr(sp, "_SubsetReg", unused)
     rng = np.random.default_rng(8)
     for _ in range(10):
         sigma = moment_of(random_activations(rng, 300, 9))
         s, t = random_stats_pair(rng, 9)
         base = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.999))
         for mode in ("node", "subset"):
-            reg = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.999, lam=0.0,
-                                                        reg_mode=mode),
-                                 stats_source=s, stats_target=t)
-            assert reg.selected == base.selected
+            cfg = sp.GreedyConfig(alpha=0.999, lam=0.0, reg_mode=mode)
+            _assert_same_plan(sp.find_subset(sigma, cfg, stats_source=s, stats_target=t),
+                              base)
+            with pytest.raises(StatsMissing):
+                sp.find_subset(sigma, cfg, stats_source=s)
 
 
 def test_find_subset_duplicated_nodes():
@@ -291,6 +311,57 @@ def test_plateau_guard_on_rank_deficient():
     assert len(plan.selected) < 40
 
 
+def _reference_sigma(rng, m, kind):
+    """A seeded second moment: full rank; rank-deficient with a
+    zero-variance node; or that one scaled to 1e-296, where the zero node's
+    ridged pivot lies below the 1e-300 clamp; or indefinite, with a node
+    whose pivot stays negative after the ridge."""
+    if kind == "full_rank":
+        return moment_of(random_activations(rng, 300, m))
+    sigma = moment_of(random_activations(rng, 300, m, rank=max(2, m // 3)))
+    z = int(rng.integers(m))
+    if kind == "indefinite":
+        sigma[z, z] = -sigma[z, z]
+        return sigma
+    sigma[z, :] = 0.0
+    sigma[:, z] = 0.0
+    return sigma * 1e-296 if kind == "tiny" else sigma
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "zero_node", "tiny", "indefinite"])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("reg_mode", sp.REG_MODES)
+def test_find_subset_matches_the_reference_loop(reg_mode, lam, kind):
+    # the loop in src/ reuses its arrays and takes np.std by its ufuncs; it
+    # must give the plans of the loop in references.py bit for bit, whether
+    # it stops at alpha, at the cap or at the plateau guard
+    rng = np.random.default_rng(41)
+    stops = {"alpha": 0, "cap": 0, "plateau": 0}
+    moved = 0
+    for m in (7, 24, 150):
+        sigma = _reference_sigma(rng, m, kind)
+        stats = random_stats_pair(rng, m) if reg_mode != "none" else (None, None)
+        for alpha, cap in ((0.95, 0), (0.999, 0), (0.9999, m // 3), (1.0, 0)):
+            cfg = sp.GreedyConfig(alpha=alpha, lam=lam, reg_mode=reg_mode,
+                                  max_cardinality=cap)
+            got = sp.find_subset(sigma, cfg, *stats)
+            _assert_same_plan(got, references.find_subset(sigma, cfg, *stats))
+            if got.plateau_flag:
+                stops["plateau"] += 1
+            elif got.achieved_ratio >= alpha:
+                stops["alpha"] += 1
+            else:
+                stops["cap"] += len(got.selected) == cap
+            plain = sp.find_subset(sigma, dataclasses.replace(cfg, reg_mode="none"))
+            moved += got.selected != plain.selected
+    if kind == "tiny":  # every gain underflows to zero: the guard fires at once
+        assert stops == {"alpha": 0, "cap": 0, "plateau": 12}
+    else:
+        assert stops["alpha"] > 0 and stops["cap"] > 0
+        assert (stops["plateau"] > 0) == (kind == "zero_node")
+        assert (moved > 0) == (lam > 0 and reg_mode != "none")
+
+
 @pytest.mark.parametrize("reg_mode", sp.REG_MODES)
 def test_plan_from_record_equals_find_subset(reg_mode):
     # for every ordered pair of (alpha, cap) configs on one rank-deficient
@@ -383,15 +454,64 @@ def test_kernel_non_positive_pivot_leaves_state_unchanged():
     assert all(np.array_equal(a, b) for a, b in zip(state, before))
 
 
+def test_kernel_update_keeps_the_reference_bits():
+    # the in-place update must leave every state array and gain of the
+    # reference update bit for bit, step after step
+    rng = np.random.default_rng(42)
+    for m in (9, 150):
+        sigma = moment_of(random_activations(rng, 300, m, rank=m // 2))
+        ridge = 1e-8 * np.trace(sigma) / m
+        k = m // 2 + 3  # past the rank, where pivots reach the ridge
+        state, ref_state = backend.residual_init(sigma, k), backend.residual_init(sigma, k)
+        for t, i in enumerate(rng.choice(m, size=k, replace=False)):
+            assert backend.residual_update(*state, sigma, t, i, ridge) \
+                == references.residual_update(*ref_state, sigma, t, i, ridge)
+            assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+
+
+def test_subset_reg_keeps_the_reference_bits():
+    rng = np.random.default_rng(43)
+    for m in (9, 150):
+        s, t = random_stats_pair(rng, m)
+        scaling = st.scaling_matrix(t)
+        reg, ref = sp._SubsetReg(s, t, scaling), references.SubsetReg(s, t, scaling)
+        active = np.ones(m, dtype=bool)
+        for i in rng.choice(m, size=m - 1, replace=False):
+            cand = active.nonzero()[0]
+            assert np.array_equal(reg.candidate_values(cand), ref.candidate_values(cand))
+            reg.absorb(i)
+            ref.absorb(i)
+            active[i] = False
+            assert (reg.mean_sq, reg.fro_sq) == (ref.mean_sq, ref.fro_sq)
+            assert np.array_equal(reg.col_sq, ref.col_sq)
+
+
+def test_std_is_numpy_std_bit_for_bit():
+    rng = np.random.default_rng(44)
+    for n in list(range(1, 40)) + [127, 128, 129, 255, 256, 257, 1000]:
+        for scale in (1e-12, 1.0, 1e9):
+            values = rng.random(n) * scale + rng.normal() * scale
+            assert sp._std(values) == float(np.std(values))
+
+
 _SELECT_SCRIPT = """
 import numpy as np
 from specprune import spectral as sp
+from specprune import stats as st
 rng = np.random.default_rng(17)
 latent = rng.normal(size=(2100, 700))
 phi = np.maximum(latent @ rng.normal(size=(700, 700)) / 26.0 + 0.3, 0.0)
 sigma = phi.T @ phi / phi.shape[0]
-plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.95, max_cardinality=350))
-print(",".join(map(str, plan.selected)))
+domains = []
+for name, rows in (("source", phi[:1050] * 1.2 + 0.1), ("target", phi[1050:])):
+    mean = rows.mean(axis=0)
+    second = rows.T @ rows / len(rows)
+    domains.append(st.LayerStatistics(layer=0, n=len(rows), sigma=second, mean=mean,
+                                      cov=second - np.outer(mean, mean), domain=name))
+for reg_mode in ("none", "subset", "node"):
+    plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.95, max_cardinality=350,
+                                                 reg_mode=reg_mode), *domains)
+    print(",".join(map(str, plan.selected)))
 """
 
 
@@ -405,8 +525,10 @@ def test_selection_independent_of_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _SELECT_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         picks.append(proc.stdout.strip())
-    assert picks[0] and len(picks[0].split(",")) > 10
-    assert picks[0] == picks[1]
+    runs = [p.splitlines() for p in picks]
+    assert len(runs[0]) == 3 and all(len(line.split(",")) > 10 for line in runs[0])
+    assert len(set(runs[0])) == 3  # each regularizer moves the picks
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -706,3 +828,50 @@ def test_compress_network_needs_one_config_per_capture():
                     {cp: sp.GreedyConfig() for cp in (1, 3, 5)}):
         with pytest.raises(ValueError, match=r"one GreedyConfig per capture point \[1, 3\]"):
             sp.compress_network(netw, feats, configs)
+
+
+def test_names_of_one_stream_share_moments_unless_subsampled(monkeypatch):
+    # the selection and target names are one stream; a row budget of 1000
+    # subsamples the 40-sample blocks at the first capture (64 rows a
+    # sample) but not at the second (16): there the two names share one
+    # set of moments, at the first each draws its own rows, and the
+    # generator ends each capture where one accumulation per name leaves it
+    rng = np.random.default_rng(27)
+    netw = conv_net_with_capture(rng)
+    feats = rng.normal(size=(40, 1, 8, 8))
+    src = rng.normal(size=(30, 1, 8, 8))
+    cfg = sp.GreedyConfig(alpha=0.95, reg_mode="subset")
+
+    def per_name(cp, streams, slots, row_budget, rng):
+        return {name: st.finalize(sp._rows_to_acc(cp, streams[i], row_budget, rng),
+                                  "" if name == "sigma" else name)
+                for name, i in slots.items()}
+
+    runs = []
+    for capture_stats in (sp._capture_stats, per_name):
+        shared, named, states = [], [], []
+
+        def recording(cp, streams, slots, row_budget, rng):
+            stats = capture_stats(cp, streams, slots, row_budget, rng)
+            shared.append(stats["sigma"].sigma is stats["target"].sigma)
+            named.append(stats)
+            states.append(rng.bit_generator.state)
+            return stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, "_capture_stats", recording)
+            _, plans = sp.compress_network(netw, feats, cfg, source_features=src,
+                                           target_features=feats, row_budget=1000, seed=5)
+        runs.append((plans, shared, named, states))
+    (plans, shared, named, states), (ref_plans, _, ref_named, ref_states) = runs
+    assert shared == [False, True]
+    assert states == ref_states
+    assert states[0] != np.random.default_rng(5).bit_generator.state
+    for stats, ref_stats in zip(named, ref_named):
+        for name in ("sigma", "source", "target"):
+            got, want = stats[name], ref_stats[name]
+            assert (got.layer, got.n, got.domain) == (want.layer, want.n, want.domain)
+            for field in ("sigma", "mean", "cov"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+    for cp in plans:
+        _assert_same_plan(plans[cp], ref_plans[cp])
