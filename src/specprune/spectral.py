@@ -347,12 +347,13 @@ class SweepMemo:
 
     It holds one record per capture point for the previous call only. A
     call reuses a capture's statistics, and the sampling generator state
-    after them, while every earlier capture kept the same nodes with the
-    same recovery matrix. If the capture's own config is also unchanged, the
-    call reuses its plan and pruned network too. If the config differs only
-    in alpha or max_cardinality, the greedy order on the same statistics is
-    the same, so the plan is read off the stored one where it stops within
-    it (see _plan_from_record). At the first capture whose cut differs, the
+    after them, while every earlier capture kept the same nodes (on the
+    same statistics, the same nodes give the same recovery matrix). If the
+    capture's own config is also unchanged, the call reuses its plan and
+    pruned network too. If the config differs only in alpha or
+    max_cardinality, the greedy order on the same statistics is the same,
+    so the plan is read off the stored one where it stops within it (see
+    _plan_from_record). At the first capture whose cut differs, the
     stored activations of that capture are sliced to the new cut, and only
     the captures after it push and take moments. Each call's results are
     bit-identical to a call without the memo.
@@ -407,28 +408,24 @@ def _plan_from_record(plan, plan_cfg, cfg, sigma):
     return plan if plan.plateau_flag or len(plan.selected) == m else None
 
 
-def _same_cut(plan, other):
-    """True when two plans prune a layer identically."""
-    return plan is other or (plan.selected == other.selected
-                             and np.array_equal(plan.recovery, other.recovery))
-
-
 def _distinct_streams(inputs):
     """Map each named input to one of the distinct arrays among the inputs.
 
     Inputs with the same data pointer, shape, strides and dtype (two equal
-    slices of one array, say) are one stream, pushed and sliced once.
-    Returns ({name: index}, [float64 array]).
+    slices of one array, say) are one stream, pushed, sampled and sliced
+    once. A stream is labelled by the first name bound to it ("" for
+    "sigma"). Returns ({name: index}, [float64 array], [label]).
     """
-    slots, arrays, seen = {}, [], {}
+    slots, arrays, labels, seen = {}, [], [], {}
     for name, x in inputs.items():
         x = np.asarray(x)
         key = (x.__array_interface__["data"][0], x.shape, x.strides, x.dtype.str)
         if key not in seen:
             seen[key] = len(arrays)
             arrays.append(np.asarray(x, dtype=np.float64))
+            labels.append("" if name == "sigma" else name)
         slots[name] = seen[key]
-    return slots, arrays
+    return slots, arrays, labels
 
 
 def compress_network(network, sigma_features, cfg, source_features=None,
@@ -445,8 +442,9 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     GreedyConfig per capture point id. sigma_features defines the selection
     second moment; source/target features feed the moment-matching
     statistics when any capture's reg_mode is not 'none'. Inputs that are
-    one array (equal slices) are pushed as one stream, and share its moments
-    at every capture where no block of it is subsampled to row_budget.
+    one array (equal slices) are one stream: at every capture it is pushed
+    and its rows are drawn and accumulated once, and every name bound to it
+    gets the same LayerStatistics.
     memo, a SweepMemo, lets the calls of one sweep share the work of the
     captures whose prefix they share; without one, nothing is kept.
     """
@@ -461,7 +459,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             raise StatsMissing("regularized compression needs both domain streams")
         inputs["source"] = source_features
         inputs["target"] = target_features
-    slots, streams = _distinct_streams(inputs)
+    slots, streams, labels = _distinct_streams(inputs)
     previous = () if memo is None else memo._take(
         network, slots, streams, (row_budget, seed))
     records = []
@@ -474,7 +472,9 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         if rec is None:
             start = captures[k - 1] + 1 if k else 0
             streams = [_push(network, x, start, cp + 1) for x in streams]
-            named = _capture_stats(cp, streams, slots, row_budget, rng)
+            moments = [st.finalize(_rows_to_acc(cp, x, row_budget, rng), label)
+                       for x, label in zip(streams, labels)]
+            named = {name: moments[i] for name, i in slots.items()}
             stats = (named["sigma"].sigma, named.get("source"), named.get("target"))
             plan = None
         else:
@@ -485,7 +485,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             plan = find_subset(stats[0], local, stats_source=stats[1],
                                stats_target=stats[2])
         acts = None if memo is None or last else tuple(streams)
-        if rec is not None and _same_cut(plan, rec.plan):
+        if rec is not None and plan.selected == rec.plan.selected:
             network = rec.network
         else:
             previous = ()  # the captures after this one see another prefix
@@ -518,28 +518,6 @@ def _push(network, x, start, stop):
     return out
 
 
-def _capture_stats(cp, streams, slots, row_budget, rng):
-    """{name: LayerStatistics} at capture cp for the names that slots maps
-    to the pushed streams; "sigma" gets domain "", the others their name.
-
-    The names bound to one stream share its moments, accumulated and
-    finalized once, unless a block of it is subsampled: then each name
-    draws its own rows from rng, in the order of slots, as if every name
-    were a stream of its own.
-    """
-    named, shared = {}, {}
-    for name, i in slots.items():
-        domain = "" if name == "sigma" else name
-        if i in shared:
-            named[name] = dataclasses.replace(shared[i], domain=domain)
-            continue
-        before = rng.bit_generator.state
-        named[name] = st.finalize(_rows_to_acc(cp, streams[i], row_budget, rng), domain)
-        if rng.bit_generator.state == before:  # no block drew rows
-            shared[i] = named[name]
-    return named
-
-
 def _rows_to_acc(cp, x, row_budget, rng):
     """Moment accumulator of the capture rows of x (n, width[, h, w]).
 
@@ -548,8 +526,8 @@ def _rows_to_acc(cp, x, row_budget, rng):
     position) keeps a uniform random subset of row_budget of them, drawn
     from rng. So with a row budget, BATCH_SIZE changes which rows, and how
     many, enter the moments; it is not a pure performance setting. Where no
-    block is subsampled nothing is drawn, and compress_network accumulates
-    a stream once for all the names bound to it.
+    block is subsampled nothing is drawn. compress_network calls it once
+    per distinct stream and capture, for all the names bound to the stream.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)

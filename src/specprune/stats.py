@@ -52,7 +52,6 @@ class LayerStatistics:
     sigma: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
-    domain: str = ""
 
 
 def finalize(acc, domain=""):
@@ -72,8 +71,7 @@ def finalize(acc, domain=""):
                               "moment statistics are not finite")
     cov = sigma - np.outer(mean, mean)
     cov = (cov + cov.T) / 2.0
-    return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean,
-                           cov=cov, domain=domain)
+    return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean, cov=cov)
 
 
 def scaling_matrix(target_stats, floor=SCALING_FLOOR):

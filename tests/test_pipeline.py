@@ -436,13 +436,12 @@ def _sweep(cfg, monkeypatch, path, memo=True):
      {"row_budget": 40}, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
     # regularized alpha sweep that returns to its first point; the 3 named
     # streams are 2 distinct ones (selection and target are the same rows),
-    # pushed once each; moments are taken once per name at the first conv
-    # capture, whose blocks are subsampled, and once per distinct stream at
-    # the other 4; the memo shares only the first capture's: the falling
-    # second point truncates its plan there, the rising third point must
-    # select again
+    # pushed, sampled and accumulated once each at every capture, the
+    # subsampled first conv capture too; the memo shares only the first
+    # capture's: the falling second point truncates its plan there, the
+    # rising third point must select again
     ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {},
-     [(3 + 4 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (4 * 2, 5, 8 * 150)]),
+     [(5 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (4 * 2, 5, 8 * 150)]),
 ], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
 def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
                                              compress, stats, work):
@@ -464,7 +463,7 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     # each point lowers alpha at one capture, deepest first, then the sweep
     # returns to its first point; the lowered capture truncates its stored
     # plan and slices its stored activations, and only the captures after it
-    # push (2 distinct streams) and take new moments (3 streams each)
+    # push and take new moments, once for each of the 2 distinct streams
     out, cfg, source, target, model = tiny_setup
     feats = pl.stats_features(cfg, source, target)
     src, tgt = pl.reg_features(cfg, source, target)
@@ -488,8 +487,8 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     n = 2 * len(feats)
     # the last point raises alpha at the first capture again, so it selects
     # at every capture
-    assert work == [(15, 5, 5 * n), (0, 0, 0), (3, 1, n), (6, 2, 2 * n),
-                    (9, 3, 3 * n), (12, 4, 4 * n), (12, 5, 4 * n)]
+    assert work == [(10, 5, 5 * n), (0, 0, 0), (2, 1, n), (4, 2, 2 * n),
+                    (6, 3, 3 * n), (8, 4, 4 * n), (8, 5, 4 * n)]
 
 
 def test_equal_streams_are_pushed_once(tiny_setup, monkeypatch):

@@ -29,19 +29,19 @@ def random_activations(rng, n, m, rank=None):
     return np.maximum(latent @ mix + 0.3, 0.0)
 
 
-def make_stats(cov, mean=None, layer=0, domain=""):
+def make_stats(cov, mean=None, layer=0):
     m = cov.shape[0]
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=np.float64)
     cov = (cov + cov.T) / 2.0
     return st.LayerStatistics(layer=layer, n=1000, sigma=cov + np.outer(mean, mean),
-                              mean=mean, cov=cov, domain=domain)
+                              mean=mean, cov=cov)
 
 
 def random_stats_pair(rng, m):
     a = rng.normal(size=(m, m))
     b = rng.normal(size=(m, m))
-    s = make_stats(a @ a.T / m + 0.1 * np.eye(m), rng.normal(size=m), domain="source")
-    t = make_stats(b @ b.T / m + 0.1 * np.eye(m), rng.normal(size=m), domain="target")
+    s = make_stats(a @ a.T / m + 0.1 * np.eye(m), rng.normal(size=m))
+    t = make_stats(b @ b.T / m + 0.1 * np.eye(m), rng.normal(size=m))
     return s, t
 
 
@@ -132,8 +132,8 @@ def test_reg_subset_mean_only_difference():
     rng = np.random.default_rng(5)
     cov = np.eye(4)
     d = np.array([0.5, -1.0, 0.25, 2.0])
-    s = make_stats(cov, mean=d, domain="source")
-    t = make_stats(cov, mean=np.zeros(4), domain="target")
+    s = make_stats(cov, mean=d)
+    t = make_stats(cov, mean=np.zeros(4))
     scaling = st.scaling_matrix(t)
     j = [1, 3]
     assert reg_subset(s, t, scaling, j) == pytest.approx(np.linalg.norm(d[j]))
@@ -153,8 +153,8 @@ def test_reg_node_single_mean_bump_and_direct():
     cov = np.eye(3)
     mean_t = np.zeros(3)
     mean_s = np.array([0.0, 0.7, 0.0])
-    s = make_stats(cov, mean_s, domain="source")
-    t = make_stats(cov, mean_t, domain="target")
+    s = make_stats(cov, mean_s)
+    t = make_stats(cov, mean_t)
     scaling = st.scaling_matrix(t)
     r = sp.reg_node(s, t, scaling)
     assert r[1] == pytest.approx(0.7)
@@ -495,39 +495,56 @@ def test_std_is_numpy_std_bit_for_bit():
 
 
 _SELECT_SCRIPT = """
+import hashlib
 import numpy as np
 from specprune import spectral as sp
 from specprune import stats as st
+from test_spectral import conv_net_with_capture
 rng = np.random.default_rng(17)
 latent = rng.normal(size=(2100, 700))
 phi = np.maximum(latent @ rng.normal(size=(700, 700)) / 26.0 + 0.3, 0.0)
 sigma = phi.T @ phi / phi.shape[0]
 domains = []
-for name, rows in (("source", phi[:1050] * 1.2 + 0.1), ("target", phi[1050:])):
+for rows in (phi[:1050] * 1.2 + 0.1, phi[1050:]):
     mean = rows.mean(axis=0)
     second = rows.T @ rows / len(rows)
     domains.append(st.LayerStatistics(layer=0, n=len(rows), sigma=second, mean=mean,
-                                      cov=second - np.outer(mean, mean), domain=name))
+                                      cov=second - np.outer(mean, mean)))
 for reg_mode in ("none", "subset", "node"):
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.95, max_cardinality=350,
                                                  reg_mode=reg_mode), *domains)
     print(",".join(map(str, plan.selected)))
+# the sampling and moments path: target_only streams through a conv net whose
+# first capture (64 rows a sample; blocks of 256 and 144 samples) is
+# subsampled to the row budget of 4096
+rng = np.random.default_rng(18)
+netw = conv_net_with_capture(rng, channels=16)
+feats = rng.normal(size=(400, 1, 8, 8))
+src = rng.normal(size=(400, 1, 8, 8)) * 1.3 + 0.2
+_, plans = sp.compress_network(netw, feats, sp.GreedyConfig(alpha=0.97, reg_mode="subset"),
+                               source_features=src, target_features=feats,
+                               row_budget=4096, seed=4)
+for cp, plan in sorted(plans.items()):
+    digest = hashlib.sha256(plan.recovery.tobytes()).hexdigest()
+    print(cp, ",".join(map(str, plan.selected)), digest)
 """
 
 
 def test_selection_independent_of_blas_threads():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
     picks = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", _SELECT_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         picks.append(proc.stdout.strip())
     runs = [p.splitlines() for p in picks]
-    assert len(runs[0]) == 3 and all(len(line.split(",")) > 10 for line in runs[0])
-    assert len(set(runs[0])) == 3  # each regularizer moves the picks
+    assert len(runs[0]) == 5 and all(len(line.split(",")) > 10 for line in runs[0][:3])
+    assert len(set(runs[0][:3])) == 3  # each regularizer moves the picks
+    assert [line.split()[0] for line in runs[0][3:]] == ["1", "3"]
     assert runs[0] == runs[1]
 
 
@@ -830,48 +847,69 @@ def test_compress_network_needs_one_config_per_capture():
             sp.compress_network(netw, feats, configs)
 
 
-def test_names_of_one_stream_share_moments_unless_subsampled(monkeypatch):
+def test_names_of_one_stream_share_moments_at_every_capture(monkeypatch):
     # the selection and target names are one stream; a row budget of 1000
     # subsamples the 40-sample blocks at the first capture (64 rows a
-    # sample) but not at the second (16): there the two names share one
-    # set of moments, at the first each draws its own rows, and the
-    # generator ends each capture where one accumulation per name leaves it
+    # sample) but not at the second (16): at both, the two names get the
+    # statistics of one accumulation, and the generator moves as one
+    # accumulation per distinct stream moves it; a copy of the target rows
+    # is a stream of its own, drawn a third time
     rng = np.random.default_rng(27)
     netw = conv_net_with_capture(rng)
     feats = rng.normal(size=(40, 1, 8, 8))
     src = rng.normal(size=(30, 1, 8, 8))
     cfg = sp.GreedyConfig(alpha=0.95, reg_mode="subset")
+    rows_to_acc, find_subset = sp._rows_to_acc, sp.find_subset
 
-    def per_name(cp, streams, slots, row_budget, rng):
-        return {name: st.finalize(sp._rows_to_acc(cp, streams[i], row_budget, rng),
-                                  "" if name == "sigma" else name)
-                for name, i in slots.items()}
+    def run(target):
+        draws, selects = [], []
 
-    runs = []
-    for capture_stats in (sp._capture_stats, per_name):
-        shared, named, states = [], [], []
+        def recording_rows_to_acc(cp, x, row_budget, rng):
+            before = rng.bit_generator.state
+            acc = rows_to_acc(cp, x, row_budget, rng)
+            draws.append((cp, x.copy(), before, rng.bit_generator.state))
+            return acc
 
-        def recording(cp, streams, slots, row_budget, rng):
-            stats = capture_stats(cp, streams, slots, row_budget, rng)
-            shared.append(stats["sigma"].sigma is stats["target"].sigma)
-            named.append(stats)
-            states.append(rng.bit_generator.state)
-            return stats
+        def recording_find_subset(sigma, cfg, stats_source, stats_target):
+            selects.append((sigma, stats_source, stats_target))
+            return find_subset(sigma, cfg, stats_source=stats_source,
+                               stats_target=stats_target)
 
         with monkeypatch.context() as patch:
-            patch.setattr(sp, "_capture_stats", recording)
-            _, plans = sp.compress_network(netw, feats, cfg, source_features=src,
-                                           target_features=feats, row_budget=1000, seed=5)
-        runs.append((plans, shared, named, states))
-    (plans, shared, named, states), (ref_plans, _, ref_named, ref_states) = runs
-    assert shared == [False, True]
-    assert states == ref_states
-    assert states[0] != np.random.default_rng(5).bit_generator.state
-    for stats, ref_stats in zip(named, ref_named):
-        for name in ("sigma", "source", "target"):
-            got, want = stats[name], ref_stats[name]
-            assert (got.layer, got.n, got.domain) == (want.layer, want.n, want.domain)
-            for field in ("sigma", "mean", "cov"):
-                assert np.array_equal(getattr(got, field), getattr(want, field))
-    for cp in plans:
-        _assert_same_plan(plans[cp], ref_plans[cp])
+            patch.setattr(sp, "_rows_to_acc", recording_rows_to_acc)
+            patch.setattr(sp, "find_subset", recording_find_subset)
+            sp.compress_network(netw, feats, cfg, source_features=src,
+                                target_features=target, row_budget=1000, seed=5)
+        return draws, selects
+
+    def replay(draws):
+        replay_rng = np.random.default_rng(5)
+        moments = []
+        for cp, x, before, after in draws:
+            assert replay_rng.bit_generator.state == before
+            moments.append(st.finalize(rows_to_acc(cp, x, 1000, replay_rng)))
+            assert replay_rng.bit_generator.state == after
+        return moments
+
+    draws, selects = run(feats)
+    assert [cp for cp, *_ in draws] == [1, 1, 3, 3]
+    assert np.array_equal(draws[0][1], sp._push(netw, feats, 0, 2))
+    assert np.array_equal(draws[1][1], sp._push(netw, src, 0, 2))
+    assert draws[0][2] != draws[0][3] and draws[1][2] != draws[1][3]  # subsampled
+    assert draws[2][2] == draws[3][3]  # the second capture draws nothing
+    moments = replay(draws)
+    for k, (sigma, source, target) in enumerate(selects):
+        assert target.sigma is sigma
+        for field in ("sigma", "mean", "cov"):
+            assert np.array_equal(getattr(target, field), getattr(moments[2 * k], field))
+            assert np.array_equal(getattr(source, field), getattr(moments[2 * k + 1], field))
+
+    copy_draws, copy_selects = run(feats.copy())
+    assert [cp for cp, *_ in copy_draws] == [1, 1, 1, 3, 3, 3]
+    for got, want in zip(copy_draws[:2], draws[:2]):
+        assert np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+    assert np.array_equal(copy_draws[2][1], draws[0][1])
+    assert copy_draws[2][2] != copy_draws[2][3]
+    replay(copy_draws)
+    sigma, _, target = copy_selects[0]
+    assert not np.array_equal(target.sigma, sigma)

@@ -79,12 +79,12 @@ def test_finalize_rejects_non_finite_rows():
             st.finalize(acc, "target")
 
 
-def make_stats(cov, mean=None, layer=0, domain=""):
+def make_stats(cov, mean=None, layer=0):
     m = cov.shape[0]
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=np.float64)
     cov = (cov + cov.T) / 2.0
     return st.LayerStatistics(layer=layer, n=1000, sigma=cov + np.outer(mean, mean),
-                              mean=mean, cov=cov, domain=domain)
+                              mean=mean, cov=cov)
 
 
 def test_scaling_matrix_identity_and_hand_case():
