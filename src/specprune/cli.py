@@ -12,7 +12,6 @@ from . import net as nm
 from . import pipeline as pl
 from . import train as tr
 from .config import parse_config, read_config
-from .datasets import make_two_domain
 from .errors import ConfigError, SpecPruneError
 
 
@@ -41,11 +40,6 @@ def _apply_overrides(doc, args):
 def _accuracies(model, source, target):
     acc_s, acc_t = (pl._stage("eval", tr.evaluate, [model], d.test)[0] for d in (source, target))
     return f"acc_source={acc_s:.4f} acc_target={acc_t:.4f}"
-
-
-def _domains(cfg, seed):
-    return pl._stage("gen-data", make_two_domain, seed, cfg.data.n_per_split,
-                     cfg.data.shift)
 
 
 def cmd_train(cfg, args):
@@ -79,7 +73,7 @@ def cmd_finetune(cfg, args):
                           f"pick one of {list(cfg.seeds)} with --seed")
     seed = cfg.seeds[0]
     model = nm.load_model(args.model)
-    source, target = _domains(cfg, seed)
+    source, target = pl.load_domains(cfg, seed)
     tuned = pl._stage("finetune", pl.finetune_model, cfg, model, target, seed)
     nm.save_model(tuned, out)
     print(f"seed {seed}: fine-tuned model saved to {out} "
@@ -90,7 +84,7 @@ def cmd_finetune(cfg, args):
 def cmd_eval(cfg, args):
     model = nm.load_model(args.model)
     for seed in cfg.seeds:
-        print(f"seed {seed}: {_accuracies(model, *_domains(cfg, seed))}")
+        print(f"seed {seed}: {_accuracies(model, *pl.load_domains(cfg, seed))}")
     return 0
 
 

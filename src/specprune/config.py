@@ -59,7 +59,6 @@ class StatsSection:
     data_choice: str = "target_only"
     target_samples: int = 2000
     source_samples: int = 1000
-    row_budget: int = 4096
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ _RULES = {
                     "target_samples", "pretrain_epochs", "finetune_epochs")},
     "stats.data_choice": _one_of(DATA_CHOICES),
     "stats.target_samples": _at_least(2),
-    **{f"stats.{name}": _at_least(0) for name in ("source_samples", "row_budget")},
+    "stats.source_samples": _at_least(0),
     "compress.method": _one_of(METHODS),
     "compress.sweep_kind": _one_of(SWEEP_KINDS),
     "compress.conv_value": ((lambda v: v < 0 or 0 < v <= 1), "in (0, 1] or negative"),

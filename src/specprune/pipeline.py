@@ -25,10 +25,6 @@ from .config import REG_MODE_BY_METHOD, SPECTRAL_METHODS
 from .datasets import make_two_domain
 from .errors import FormatError, PipelineStageError, SpecPruneError
 
-CSV_COLUMNS = ("seed", "method", "sweep_value", "lambda", "data_choice",
-               "params_before", "params_after", "flops_before", "flops_after",
-               "compression_rate", "ratio_achieved", "acc_source", "acc_target",
-               "seconds")
 ANALYSIS_COLUMNS = ("seed", "layer_pos", "capture", "specificity", "count",
                     "rate_on_source", "rate_on_target")
 CLASSIFIER_RANK_RATE = 0.5  # svd/dalr classifier rank, as a share of its break-even rank
@@ -161,7 +157,7 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
                        else dataclasses.replace(gcfg, alpha=value))
     compressed, plans = sp.compress_network(
         netw, sigma_feats, configs, source_features=src_feats, target_features=tgt_feats,
-        row_budget=cfg.stats.row_budget, seed=seed, memo=memo)
+        seed=seed, memo=memo)
     return compressed, tuple(plans[cp].achieved_ratio for cp in sorted(plans))
 
 
@@ -230,6 +226,10 @@ class RunRecord:
     seconds: float
 
 
+CSV_COLUMNS = tuple("lambda" if f.name == "lam" else f.name
+                    for f in dataclasses.fields(RunRecord))
+
+
 @dataclass(frozen=True)
 class CompressionReport:
     rows: tuple
@@ -239,21 +239,16 @@ class CompressionReport:
             self.rows, key=lambda r: (r.seed, r.method, r.sweep_value))))
 
 
-def _record_to_flat(r):
-    mean_ratio = float(np.mean(r.ratio_achieved)) if r.ratio_achieved else ""
-    return {"seed": r.seed, "method": r.method, "sweep_value": r.sweep_value,
-            "lambda": r.lam, "data_choice": r.data_choice,
-            "params_before": r.params_before, "params_after": r.params_after,
-            "flops_before": r.flops_before, "flops_after": r.flops_after,
-            "compression_rate": r.compression_rate, "ratio_achieved": mean_ratio,
-            "acc_source": r.acc_source, "acc_target": r.acc_target,
-            "seconds": r.seconds}
-
-
 def _record_to_json(r):
     d = dataclasses.asdict(r)
     d["lambda"] = d.pop("lam")
     d["ratio_achieved"] = list(r.ratio_achieved)
+    return d
+
+
+def _record_to_flat(r):
+    d = _record_to_json(r)
+    d["ratio_achieved"] = float(np.mean(r.ratio_achieved)) if r.ratio_achieved else ""
     return d
 
 
@@ -302,11 +297,15 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineStageError(name, exc) from exc
 
 
+def load_domains(cfg, seed):
+    """The seed's (source, target) domains."""
+    return _stage("gen-data", make_two_domain, seed, cfg.data.n_per_split, cfg.data.shift)
+
+
 def load_inputs(cfg, seed):
     """The seed's (source, target) domains and its trained model, from the
     model cache when it holds one."""
-    source, target = _stage("gen-data", make_two_domain, seed,
-                            cfg.data.n_per_split, cfg.data.shift)
+    source, target = load_domains(cfg, seed)
     model = _stage("train", get_or_train_model, cfg, seed, source, target)
     return source, target, model
 
@@ -397,8 +396,7 @@ def node_specificity_analysis(cfg, log=None):
         for pos, cp in (("first", first), ("last", last)):
             per_domain = {}
             for domain, acts in train_acts.items():
-                acc = sp._rows_to_acc(cp, acts[pos], cfg.stats.row_budget,
-                                      np.random.default_rng(seed))
+                acc = sp._rows_to_acc(cp, acts[pos], np.random.default_rng(seed))
                 per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
             gcfg = sp.GreedyConfig(max_cardinality=keep)

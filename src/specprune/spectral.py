@@ -32,8 +32,11 @@ from .linalg import cholesky, default_ridge
 
 PLATEAU_TOL = 1e-12
 # samples per block pushed through the network and sampled for moments at
-# once; with a row budget it decides which rows enter the moments
+# once, and the most capture rows of one block that enter the moments: a
+# block with more keeps a random subset of ROW_BUDGET rows, so the two
+# together decide which rows enter the moments
 BATCH_SIZE = 256
+ROW_BUDGET = 4096
 REG_MODES = ("none", "subset", "node")
 
 
@@ -335,7 +338,6 @@ class _CaptureRecord:
     """What one capture point of a compress_network call leaves in a memo."""
 
     stats: tuple  # (sigma, source LayerStatistics or None, target or None)
-    rng_state: dict  # sampling generator right after this capture's moments
     local: GreedyConfig
     plan: PruningPlan
     network: nm.Network  # after this capture's surgery
@@ -346,9 +348,10 @@ class SweepMemo:
     """Capture work shared by the compress_network calls of one sweep.
 
     It holds one record per capture point for the previous call only. A
-    call reuses a capture's statistics, and the sampling generator state
-    after them, while every earlier capture kept the same nodes (on the
-    same statistics, the same nodes give the same recovery matrix). If the
+    call reuses a capture's statistics while every earlier capture kept the
+    same nodes (on the same statistics, the same nodes give the same
+    recovery matrix; each capture samples from its own generator, so no
+    sampling state passes from one capture to the next). If the
     capture's own config is also unchanged, the call reuses its plan and
     pruned network too. If the config differs only in alpha or
     max_cardinality, the greedy order on the same statistics is the same,
@@ -359,24 +362,24 @@ class SweepMemo:
     bit-identical to a call without the memo.
 
     The first call binds the memo to its network, input streams and
-    sampling settings. A later call with any other raises ValueError.
+    seed. A later call with any other raises ValueError.
     """
 
     def __init__(self):
         self._inputs = None
         self._records = ()
 
-    def _take(self, network, slots, arrays, settings):
+    def _take(self, network, slots, arrays, seed):
         """Check the call against the bound inputs and hand over the
         previous call's records; the memo keeps none while a call runs."""
         if self._inputs is None:
-            self._inputs = (network, slots, tuple(arrays), settings)
+            self._inputs = (network, slots, tuple(arrays), seed)
         else:
-            network0, slots0, arrays0, settings0 = self._inputs
-            if (network is not network0 or slots != slots0 or settings != settings0
+            network0, slots0, arrays0, seed0 = self._inputs
+            if (network is not network0 or slots != slots0 or seed != seed0
                     or not all(np.array_equal(a, b) for a, b in zip(arrays, arrays0))):
                 raise ValueError("SweepMemo was bound to another network, input "
-                                 "streams, seed or sampling settings")
+                                 "streams or seed")
         records, self._records = self._records, ()
         return records
 
@@ -429,8 +432,7 @@ def _distinct_streams(inputs):
 
 
 def compress_network(network, sigma_features, cfg, source_features=None,
-                     target_features=None, row_budget=st.DEFAULT_ROW_BUDGET, seed=0,
-                     memo=None):
+                     target_features=None, seed=0, memo=None):
     """Prune every capture point, input to output.
 
     Selection statistics are always computed on the already-compressed prefix
@@ -444,7 +446,9 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     statistics when any capture's reg_mode is not 'none'. Inputs that are
     one array (equal slices) are one stream: at every capture it is pushed
     and its rows are drawn and accumulated once, and every name bound to it
-    gets the same LayerStatistics.
+    gets the same LayerStatistics. Each capture whose moments are computed
+    draws its rows from a generator of its own, np.random.default_rng(seed),
+    shared by its distinct streams in order.
     memo, a SweepMemo, lets the calls of one sweep share the work of the
     captures whose prefix they share; without one, nothing is kept.
     """
@@ -460,10 +464,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         inputs["source"] = source_features
         inputs["target"] = target_features
     slots, streams, labels = _distinct_streams(inputs)
-    previous = () if memo is None else memo._take(
-        network, slots, streams, (row_budget, seed))
+    previous = () if memo is None else memo._take(network, slots, streams, seed)
     records = []
-    rng = np.random.default_rng(seed)
     plans = {}
     for k, cp in enumerate(captures):
         rec = previous[k] if k < len(previous) else None
@@ -472,18 +474,22 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         if rec is None:
             start = captures[k - 1] + 1 if k else 0
             streams = [_push(network, x, start, cp + 1) for x in streams]
-            moments = [st.finalize(_rows_to_acc(cp, x, row_budget, rng), label)
+            rng = np.random.default_rng(seed)
+            moments = [st.finalize(_rows_to_acc(cp, x, rng), label)
                        for x, label in zip(streams, labels)]
             named = {name: moments[i] for name, i in slots.items()}
             stats = (named["sigma"].sigma, named.get("source"), named.get("target"))
             plan = None
         else:
             stats, streams = rec.stats, rec.acts
-            rng.bit_generator.state = rec.rng_state
             plan = _plan_from_record(rec.plan, rec.local, local, stats[0])
         if plan is None:
-            plan = find_subset(stats[0], local, stats_source=stats[1],
-                               stats_target=stats[2])
+            try:
+                plan = find_subset(stats[0], local, stats_source=stats[1],
+                                   stats_target=stats[2])
+            except DegenerateSigma as exc:
+                raise DegenerateSigma(
+                    f"capture point {cp} (selection statistics): {exc}") from exc
         acts = None if memo is None or last else tuple(streams)
         if rec is not None and plan.selected == rec.plan.selected:
             network = rec.network
@@ -496,8 +502,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             network = apply_plan(network, cp, plan)
         plans[cp] = plan
         if memo is not None:
-            records.append(_CaptureRecord(
-                stats, rng.bit_generator.state, local, plan, network, acts))
+            records.append(_CaptureRecord(stats, local, plan, network, acts))
     if memo is not None:
         memo._records = tuple(records)
     return network, plans
@@ -518,23 +523,23 @@ def _push(network, x, start, stop):
     return out
 
 
-def _rows_to_acc(cp, x, row_budget, rng):
+def _rows_to_acc(cp, x, rng):
     """Moment accumulator of the capture rows of x (n, width[, h, w]).
 
     The rows are taken per block of BATCH_SIZE samples, and a block with
-    more than row_budget rows (a conv capture has one row per spatial
-    position) keeps a uniform random subset of row_budget of them, drawn
-    from rng. So with a row budget, BATCH_SIZE changes which rows, and how
-    many, enter the moments; it is not a pure performance setting. Where no
-    block is subsampled nothing is drawn. compress_network calls it once
-    per distinct stream and capture, for all the names bound to the stream.
+    more than ROW_BUDGET rows (a conv capture has one row per spatial
+    position) keeps a uniform random subset of ROW_BUDGET of them, drawn
+    from rng. So BATCH_SIZE changes which rows, and how many, enter the
+    moments; it is not a pure performance setting. Where no block is
+    subsampled nothing is drawn. compress_network calls it once per
+    distinct stream and capture, for all the names bound to the stream.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)
     for s in range(0, len(x), BATCH_SIZE):
         rows = nm.capture_rows(x[s:s + BATCH_SIZE])
-        if row_budget and rows.shape[0] > row_budget:
-            keep = rng.choice(rows.shape[0], size=row_budget, replace=False)
+        if rows.shape[0] > ROW_BUDGET:
+            keep = rng.choice(rows.shape[0], size=ROW_BUDGET, replace=False)
             rows = rows[keep]
         st.accumulate(acc, nm.ActivationBatch(cp, rows))
     return acc

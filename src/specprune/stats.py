@@ -1,9 +1,9 @@
 """Per-layer, per-domain activation statistics.
 
-Accumulates the uncentered second moment, mean, and centered covariance of
-post-activation values at capture points, in float64. Accumulators are
-single-writer running sums; finalized statistics are immutable and checked to
-be finite.
+Accumulates the uncentered second moment and mean of post-activation values
+at capture points, in float64; the centered covariance is derived from them.
+Accumulators are single-writer running sums; finalized statistics are
+immutable and checked to be finite.
 """
 
 import hashlib
@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DegenerateSigma, InsufficientSamples, ShapeMismatch
 
-DEFAULT_ROW_BUDGET = 4096
 SCALING_FLOOR = 1e-12
 
 
@@ -45,39 +44,42 @@ def accumulate(acc, batch):
 
 @dataclass(frozen=True)
 class LayerStatistics:
-    """Finalized statistics: uncentered second moment, mean, centered covariance."""
+    """Finalized statistics: uncentered second moment and mean."""
 
     layer: int
     n: int
     sigma: np.ndarray
     mean: np.ndarray
-    cov: np.ndarray
+
+    @property
+    def cov(self):
+        """Centered covariance, sigma - mean mean^T; exactly symmetric
+        because sigma is."""
+        return self.sigma - np.outer(self.mean, self.mean)
 
 
 def finalize(acc, domain=""):
-    """Mean, second moment and covariance of the accumulated rows.
+    """Mean and second moment of the accumulated rows.
 
-    Raises DegenerateSigma, naming the capture point, when a statistic is
-    not finite (an activation overflowed or was NaN).
+    Raises InsufficientSamples, or DegenerateSigma when a statistic is not
+    finite (an activation overflowed or was NaN), naming the capture point.
     """
+    where = f"capture point {acc.layer}" + (f" ({domain} stream)" if domain else "")
     if acc.n < 2:
-        raise InsufficientSamples(f"need at least 2 samples, have {acc.n}")
+        raise InsufficientSamples(f"{where}: need at least 2 samples, have {acc.n}")
     sigma = acc.sum_outer / acc.n
     sigma = (sigma + sigma.T) / 2.0
     mean = acc.sum / acc.n
     if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
-        stream = f" ({domain} stream)" if domain else ""
-        raise DegenerateSigma(f"capture point {acc.layer}{stream}: "
-                              "moment statistics are not finite")
-    cov = sigma - np.outer(mean, mean)
-    cov = (cov + cov.T) / 2.0
-    return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean, cov=cov)
+        raise DegenerateSigma(f"{where}: moment statistics are not finite")
+    return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean)
 
 
-def scaling_matrix(target_stats, floor=SCALING_FLOOR):
+def scaling_matrix(target_stats):
     """Entrywise normalizer S_ij = (d_i * d_j)^(-1/4) from the target covariance
-    diagonal, with the diagonal clamped below by `floor` before the power."""
-    d = np.maximum(np.diag(target_stats.cov), floor)
+    diagonal, with the diagonal clamped below by SCALING_FLOOR before the
+    power."""
+    d = np.maximum(np.diagonal(target_stats.sigma) - target_stats.mean ** 2, SCALING_FLOOR)
     return (d[:, None] * d[None, :]) ** -0.25
 
 

@@ -82,6 +82,19 @@ def adam(params, grad_steps, lr, wd):
     return params, m, v
 
 
+def layer_statistics_cov(stats):
+    """The centered covariance as stats.finalize stored it: sigma - mean
+    mean^T, symmetrized once more."""
+    cov = stats.sigma - np.outer(stats.mean, stats.mean)
+    return (cov + cov.T) / 2.0
+
+
+def scaling_matrix(target_stats):
+    """stats.scaling_matrix from the diagonal of the stored covariance."""
+    d = np.maximum(np.diag(layer_statistics_cov(target_stats)), st.SCALING_FLOOR)
+    return (d[:, None] * d[None, :]) ** -0.25
+
+
 # ---------------------------------------------------------------------------
 # greedy selection: the step loop, the subset regularizer and the factor-form
 # update as they were before the loop reused its arrays

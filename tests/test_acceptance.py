@@ -175,9 +175,9 @@ def test_c05_lambda_zero_equivalence():
         a = rng.normal(size=(9, 9))
         b = rng.normal(size=(9, 9))
         stats_s = st.LayerStatistics(0, 300, a @ a.T / 9 + 0.1 * np.eye(9),
-                                     rng.normal(size=9), a @ a.T / 9)
+                                     rng.normal(size=9))
         stats_t = st.LayerStatistics(0, 300, b @ b.T / 9 + 0.1 * np.eye(9),
-                                     rng.normal(size=9), b @ b.T / 9)
+                                     rng.normal(size=9))
         base = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.995))
         for mode in ("node", "subset"):
             reg = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.995, lam=0.0,

@@ -59,10 +59,12 @@ def test_config_unknown_key_reports_path(tmp_path):
     with pytest.raises(ConfigError, match="stats.data_choise"):
         parse_config(doc2)
     # removed options: the greedy ridge, the classifier rank rate of the
-    # factorization baselines and the node-specificity keep fraction
+    # factorization baselines, the node-specificity keep fraction and the
+    # statistics row budget
     for section, key, value, path in (("compress", "ridge", -1.0, "compress.ridge"),
                                       ("compress", "classifier_rank_rate", 0.5,
                                        "compress.classifier_rank_rate"),
+                                      ("stats", "row_budget", 4096, "stats.row_budget"),
                                       (None, "analysis", {"keep_fraction": 0.4},
                                        "config.analysis")):
         doc3 = tiny_doc(tmp_path)
@@ -421,34 +423,33 @@ def _sweep(cfg, monkeypatch, path, memo=True):
 
 # The tiny model has 5 captures (3 conv, 2 dense) and 150 statistics samples;
 # work is (moments, find_subset calls, pushed samples) per point.
-@pytest.mark.parametrize("compress, stats, work", [
+@pytest.mark.parametrize("compress, budget, work", [
     # keep sweep, conv pinned: later points reuse the 3 conv captures and the
     # statistics of the first dense capture, cut its stored order short and
     # slice its stored activations, so they select and push only at the last
     # capture
     ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
-     {}, [(5, 5, 5 * 150), (1, 1, 150), (1, 1, 150)]),
+     sp.ROW_BUDGET, [(5, 5, 5 * 150), (1, 1, 150), (1, 1, 150)]),
     # the same with a row budget below the rows of one batch at every capture,
-    # so each reused capture must restore the sampling generator; the third
-    # point keeps more at the first dense capture than the second point did,
-    # so it selects there again
+    # so every capture, reused or not, subsamples from its own generator; the
+    # third point keeps more at the first dense capture than the second point
+    # did, so it selects there again
     ({"sweep": (0.5, 0.3, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
-     {"row_budget": 40}, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
+     40, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
     # regularized alpha sweep that returns to its first point; the 3 named
     # streams are 2 distinct ones (selection and target are the same rows),
     # pushed, sampled and accumulated once each at every capture, the
     # subsampled first conv capture too; the memo shares only the first
     # capture's: the falling second point truncates its plan there, the
     # rising third point must select again
-    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, {},
+    ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, sp.ROW_BUDGET,
      [(5 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (4 * 2, 5, 8 * 150)]),
 ], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
 def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
-                                             compress, stats, work):
+                                             compress, budget, work):
     out, cfg, *_ = tiny_setup
-    cfg = dataclasses.replace(
-        cfg, compress=dataclasses.replace(cfg.compress, **compress),
-        stats=dataclasses.replace(cfg.stats, **stats))
+    cfg = dataclasses.replace(cfg, compress=dataclasses.replace(cfg.compress, **compress))
+    monkeypatch.setattr(sp, "ROW_BUDGET", budget)
     rows, points = _sweep(cfg, monkeypatch, tmp_path / "memo")
     fresh_rows, fresh_points = _sweep(cfg, monkeypatch, tmp_path / "fresh", memo=False)
     assert rows == fresh_rows
@@ -472,11 +473,12 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     base = {cp: 0.95 for cp in caps}
     sweep = [base] + [{**base, cp: 0.8} for cp in reversed(caps)] + [base]
     counter = _Counter(monkeypatch)
+    monkeypatch.setattr(sp, "ROW_BUDGET", 100)
     memo = sp.SweepMemo()
     work = []
     for k, alphas in enumerate(sweep):
         configs = {cp: dataclasses.replace(gcfg, alpha=a) for cp, a in alphas.items()}
-        kwargs = dict(source_features=src, target_features=tgt, row_budget=100, seed=3)
+        kwargs = dict(source_features=src, target_features=tgt, seed=3)
         fresh, fresh_plans = sp.compress_network(model, feats, configs, **kwargs)
         before = counter.work()
         network, plans = sp.compress_network(model, feats, configs, memo=memo, **kwargs)
@@ -521,8 +523,6 @@ def test_sweep_memo_rejects_another_network_or_seed(tiny_setup):
         sp.compress_network(model, feats, gcfg, seed=1, memo=memo)
     with pytest.raises(ValueError, match="SweepMemo"):
         sp.compress_network(model, feats[::-1], gcfg, seed=0, memo=memo)
-    with pytest.raises(ValueError, match="SweepMemo"):
-        sp.compress_network(model, feats, gcfg, seed=0, row_budget=7, memo=memo)
     _, plans = sp.compress_network(model, feats, gcfg, seed=0, memo=memo)
     _assert_same_plans(plans, sp.compress_network(model, feats, gcfg, seed=0)[1])
 
@@ -627,6 +627,10 @@ def test_emit_report_empty_csv(tmp_path):
     pl.emit_report(pl.CompressionReport(()), tmp_path / "r.csv", "csv")
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
     assert lines == [",".join(pl.CSV_COLUMNS)]
+    assert pl.CSV_COLUMNS == (
+        "seed", "method", "sweep_value", "lambda", "data_choice", "params_before",
+        "params_after", "flops_before", "flops_after", "compression_rate",
+        "ratio_achieved", "acc_source", "acc_target", "seconds")
 
 
 def test_report_json_round_trip(tmp_path):
@@ -645,6 +649,11 @@ def test_report_json_round_trip(tmp_path):
     report = pl.CompressionReport(rows)
     pl.emit_report(report, tmp_path / "r.json", "json")
     assert pl.load_report(tmp_path / "r.json") == report
+    # the CSV flattens ratio_achieved to its mean, empty without layers
+    pl.emit_report(report, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
+        "1,spectral,0.9,1.0,target_only,100,50,200,90,0.5,0.895,0.7,0.65,1.25",
+        "2,dalr,4,1.0,target_only,100,40,200,80,0.6,,0.6,0.55,0.5"]
 
 
 def test_csv_schema_and_row_count(tmp_path, tiny_setup):
@@ -786,6 +795,24 @@ def test_cli_errors_name_their_stage(tmp_path, monkeypatch, capsys, command, own
     assert err.startswith(f"error: [{stage}] loss became nan") and "Traceback" not in err
 
 
+def test_cli_dead_capture_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a BatchNorm with scale 0 and shift -1 leaves the ReLU of the first
+    # capture at 0 on every sample: its selection statistics have trace 0
+    cfg_path = tmp_path / "cfg.json"
+    doc = tiny_doc(tmp_path / "out")
+    cfg_path.write_text(json.dumps(doc))
+    model = pl.build_digits_model(parse_config(doc).model, 0)
+    layers = list(model.layers)
+    bn = layers[1]
+    layers[1] = dataclasses.replace(bn, scale=np.zeros_like(bn.scale),
+                                    shift=-np.ones_like(bn.shift))
+    monkeypatch.setattr(pl, "get_or_train_model",
+                        lambda *args: nm.with_layers(model, layers))
+    assert cli.main(["compress", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: [compress] capture point 2 (selection statistics): trace is 0.0\n"
+
+
 def test_cli_model_commands_fail_before_work(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     doc = dict(tiny_doc(tmp_path / "out"), seeds=[0, 1], fine_tune={"epochs": 1})
@@ -876,7 +903,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                         (("model", "conv_channels"), [0, 4, 8]),
                         (("model", "dense_widths"), [-3, 24]),
                         (("model", "dense_widths"), [24, 2.5]),
-                        (("stats", "row_budget"), -5), (("stats", "target_samples"), 1),
+                        (("stats", "target_samples"), 1),
                         (("stats", "source_samples"), -1),
                         (("data", "shift", "dx"), 9), (("data", "shift", "dx"), 8),
                         (("data", "shift", "dy"), -8),
@@ -885,7 +912,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                         (("compress", "conv_value"), 0),
                         (("compress", "lambda"), float("nan")),
                         (("data", "shift", "gain"), float("inf")),
-                        (("train", "epochs"), True), (("stats", "row_budget"), False),
+                        (("train", "epochs"), True), (("stats", "source_samples"), False),
                         (("seeds",), [True]), (("compress", "sweep"), [True]),
                         (("train", "weight_decay"), -1.0),
                         (("fine_tune", "weight_decay"), -1.0)):

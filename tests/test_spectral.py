@@ -34,7 +34,7 @@ def make_stats(cov, mean=None, layer=0):
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=np.float64)
     cov = (cov + cov.T) / 2.0
     return st.LayerStatistics(layer=layer, n=1000, sigma=cov + np.outer(mean, mean),
-                              mean=mean, cov=cov)
+                              mean=mean)
 
 
 def random_stats_pair(rng, m):
@@ -508,8 +508,7 @@ domains = []
 for rows in (phi[:1050] * 1.2 + 0.1, phi[1050:]):
     mean = rows.mean(axis=0)
     second = rows.T @ rows / len(rows)
-    domains.append(st.LayerStatistics(layer=0, n=len(rows), sigma=second, mean=mean,
-                                      cov=second - np.outer(mean, mean)))
+    domains.append(st.LayerStatistics(layer=0, n=len(rows), sigma=second, mean=mean))
 for reg_mode in ("none", "subset", "node"):
     plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.95, max_cardinality=350,
                                                  reg_mode=reg_mode), *domains)
@@ -522,8 +521,7 @@ netw = conv_net_with_capture(rng, channels=16)
 feats = rng.normal(size=(400, 1, 8, 8))
 src = rng.normal(size=(400, 1, 8, 8)) * 1.3 + 0.2
 _, plans = sp.compress_network(netw, feats, sp.GreedyConfig(alpha=0.97, reg_mode="subset"),
-                               source_features=src, target_features=feats,
-                               row_budget=4096, seed=4)
+                               source_features=src, target_features=feats, seed=4)
 for cp, plan in sorted(plans.items()):
     digest = hashlib.sha256(plan.recovery.tobytes()).hexdigest()
     print(cp, ",".join(map(str, plan.selected)), digest)
@@ -795,14 +793,17 @@ def test_topology_errors():
         sp.apply_plan(netw, 0, plan)  # not an activation
 
 
-def test_compress_network_matches_per_layer_reference():
-    # the frontier walk must see exactly the compressed prefix's activations
+def test_compress_network_matches_per_layer_reference(monkeypatch):
+    # the frontier walk must see exactly the compressed prefix's activations;
+    # the budget is raised to the 64 rows a sample of the first capture, so
+    # no block is subsampled
     rng = np.random.default_rng(26)
     netw = conv_net_with_capture(rng)
     feats = rng.normal(size=(150, 1, 8, 8))
     keep = {1: 3, 3: 2}
     cfg = {cp: sp.GreedyConfig(alpha=1.0, max_cardinality=k) for cp, k in keep.items()}
-    fast, plans = sp.compress_network(netw, feats, cfg, row_budget=0, seed=0)
+    monkeypatch.setattr(sp, "ROW_BUDGET", 150 * 64)
+    fast, plans = sp.compress_network(netw, feats, cfg, seed=0)
 
     current = netw
     for cp in (1, 3):
@@ -848,25 +849,28 @@ def test_compress_network_needs_one_config_per_capture():
 
 
 def test_names_of_one_stream_share_moments_at_every_capture(monkeypatch):
-    # the selection and target names are one stream; a row budget of 1000
-    # subsamples the 40-sample blocks at the first capture (64 rows a
-    # sample) but not at the second (16): at both, the two names get the
-    # statistics of one accumulation, and the generator moves as one
-    # accumulation per distinct stream moves it; a copy of the target rows
-    # is a stream of its own, drawn a third time
+    # the selection and target names are one stream; its 40 samples have
+    # 2560 rows at the first capture (64 a sample) and 640 at the second
+    # (16), the source's 30 have 1920 and 480, so a row budget of 400
+    # subsamples every stream at both captures: at both captures, the
+    # two names get the statistics of one accumulation, and each capture
+    # draws from a fresh default_rng(seed), which moves as one accumulation
+    # per distinct stream moves it; a copy of the target rows is a stream
+    # of its own, drawn a third time
     rng = np.random.default_rng(27)
     netw = conv_net_with_capture(rng)
     feats = rng.normal(size=(40, 1, 8, 8))
     src = rng.normal(size=(30, 1, 8, 8))
     cfg = sp.GreedyConfig(alpha=0.95, reg_mode="subset")
     rows_to_acc, find_subset = sp._rows_to_acc, sp.find_subset
+    monkeypatch.setattr(sp, "ROW_BUDGET", 400)
 
     def run(target):
         draws, selects = [], []
 
-        def recording_rows_to_acc(cp, x, row_budget, rng):
+        def recording_rows_to_acc(cp, x, rng):
             before = rng.bit_generator.state
-            acc = rows_to_acc(cp, x, row_budget, rng)
+            acc = rows_to_acc(cp, x, rng)
             draws.append((cp, x.copy(), before, rng.bit_generator.state))
             return acc
 
@@ -879,24 +883,26 @@ def test_names_of_one_stream_share_moments_at_every_capture(monkeypatch):
             patch.setattr(sp, "_rows_to_acc", recording_rows_to_acc)
             patch.setattr(sp, "find_subset", recording_find_subset)
             sp.compress_network(netw, feats, cfg, source_features=src,
-                                target_features=target, row_budget=1000, seed=5)
+                                target_features=target, seed=5)
         return draws, selects
 
     def replay(draws):
-        replay_rng = np.random.default_rng(5)
-        moments = []
+        moments, replay_rng, cp_before = [], None, None
         for cp, x, before, after in draws:
+            if cp != cp_before:
+                replay_rng, cp_before = np.random.default_rng(5), cp
             assert replay_rng.bit_generator.state == before
-            moments.append(st.finalize(rows_to_acc(cp, x, 1000, replay_rng)))
+            moments.append(st.finalize(rows_to_acc(cp, x, replay_rng)))
             assert replay_rng.bit_generator.state == after
         return moments
 
+    fresh = np.random.default_rng(5).bit_generator.state
     draws, selects = run(feats)
     assert [cp for cp, *_ in draws] == [1, 1, 3, 3]
     assert np.array_equal(draws[0][1], sp._push(netw, feats, 0, 2))
     assert np.array_equal(draws[1][1], sp._push(netw, src, 0, 2))
-    assert draws[0][2] != draws[0][3] and draws[1][2] != draws[1][3]  # subsampled
-    assert draws[2][2] == draws[3][3]  # the second capture draws nothing
+    assert draws[0][2] == draws[2][2] == fresh
+    assert all(before != after for *_, before, after in draws)  # all subsampled
     moments = replay(draws)
     for k, (sigma, source, target) in enumerate(selects):
         assert target.sigma is sigma
@@ -913,3 +919,16 @@ def test_names_of_one_stream_share_moments_at_every_capture(monkeypatch):
     replay(copy_draws)
     sigma, _, target = copy_selects[0]
     assert not np.array_equal(target.sigma, sigma)
+
+
+def test_dead_capture_is_named():
+    # negative weights and bias on non-negative inputs: the captured ReLU
+    # is 0 on every sample, so the selection statistics have trace 0
+    rng = np.random.default_rng(28)
+    netw = nm.Network((nm.Dense(-np.abs(rng.normal(size=(4, 3))), -np.ones(4)), nm.ReLU(),
+                       nm.Dense(rng.normal(size=(2, 4)), np.zeros(2))),
+                      (3,), capture_points=(1,))
+    feats = np.abs(rng.normal(size=(20, 3)))
+    with pytest.raises(DegenerateSigma,
+                       match=r"^capture point 1 \(selection statistics\): trace is 0\.0$"):
+        sp.compress_network(netw, feats, sp.GreedyConfig(alpha=0.9))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import references
 
 from specprune import net as nm
 from specprune import spectral as sp
@@ -66,9 +67,10 @@ def test_finalize_standard_normal_sampling():
 
 
 def test_finalize_requires_two_samples():
-    acc = st.accumulate(st.MomentAccumulator(0, 2), batch([[1.0, 2.0]]))
-    with pytest.raises(InsufficientSamples):
-        st.finalize(acc)
+    acc = st.accumulate(st.MomentAccumulator(3, 2), batch([[1.0, 2.0]], layer=3))
+    with pytest.raises(InsufficientSamples,
+                       match=r"capture point 3 \(source stream\): need at least 2 samples"):
+        st.finalize(acc, "source")
 
 
 def test_finalize_rejects_non_finite_rows():
@@ -84,7 +86,7 @@ def make_stats(cov, mean=None, layer=0):
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=np.float64)
     cov = (cov + cov.T) / 2.0
     return st.LayerStatistics(layer=layer, n=1000, sigma=cov + np.outer(mean, mean),
-                              mean=mean, cov=cov)
+                              mean=mean)
 
 
 def test_scaling_matrix_identity_and_hand_case():
@@ -98,7 +100,7 @@ def test_scaling_matrix_inverse_identity_and_floor():
     a = rng.normal(size=(5, 5))
     cov = a @ a.T
     stats = make_stats(cov)
-    s = st.scaling_matrix(stats, floor=1e-12)
+    s = st.scaling_matrix(stats)
     d = np.diag(cov)
     prod = s * (d[:, None] * d[None, :]) ** 0.25
     assert np.allclose(prod, 1.0)
@@ -106,7 +108,7 @@ def test_scaling_matrix_inverse_identity_and_floor():
     cov2 = cov.copy()
     cov2[0, :] = 0.0
     cov2[:, 0] = 0.0
-    s2 = st.scaling_matrix(make_stats(cov2), floor=1e-12)
+    s2 = st.scaling_matrix(make_stats(cov2))
     assert np.all(np.isfinite(s2)) and np.all(s2 >= 0)
     assert np.array_equal(s2, s2.T)
 
@@ -130,6 +132,24 @@ def test_scaling_covariance_under_activation_scaling():
     assert np.allclose(smc * dcc, c * (sm * dc))
 
 
+def test_cov_and_scaling_match_the_stored_symmetrized_covariance():
+    # finalize once stored cov as sym(sigma - mean mean^T); the derived
+    # property and the scaling matrix must keep those bits, constant and
+    # all-zero nodes included
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        rows = rng.normal(size=(n, m)) * rng.uniform(1e-3, 1e3, size=m) \
+            + rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        if case % 3 == 0:
+            rows[:, rng.integers(m)] = 0.0
+        if case % 5 == 0:
+            rows[:, rng.integers(m)] = rng.normal()
+        stats = st.finalize(st.accumulate(st.MomentAccumulator(0, m), batch(rows)))
+        assert np.array_equal(stats.cov, references.layer_statistics_cov(stats))
+        assert np.array_equal(st.scaling_matrix(stats), references.scaling_matrix(stats))
+
+
 def relu_capture_net(weight, bias):
     return nm.Network((nm.Dense(weight, bias), nm.ReLU()), (weight.shape[1],),
                       capture_points=(1,))
@@ -151,7 +171,7 @@ def test_activation_rates_extremes_and_order_invariance():
     assert np.array_equal(st.activation_rates(x), (nm.capture_rows(x) > 0).mean(axis=0))
 
 
-def test_rows_to_acc_row_budget_and_determinism():
+def test_rows_to_acc_row_budget_and_determinism(monkeypatch):
     rng = np.random.default_rng(7)
     netw = nm.Network(
         (nm.Conv2D(rng.normal(size=(4, 1, 3, 3)), np.zeros(4), 1, 1), nm.ReLU()),
@@ -159,9 +179,13 @@ def test_rows_to_acc_row_budget_and_determinism():
     x = sp._push(netw, rng.normal(size=(100, 1, 8, 8)), 0, 2)
 
     def moments(row_budget):
-        return sp._rows_to_acc(1, x, row_budget, np.random.default_rng(3))
+        monkeypatch.setattr(sp, "ROW_BUDGET", row_budget)
+        gen = np.random.default_rng(3)
+        acc = sp._rows_to_acc(1, x, gen)
+        return acc, gen.bit_generator.state != np.random.default_rng(3).bit_generator.state
 
-    a1, a2 = moments(512), moments(512)
-    assert a1.n == a2.n <= 512  # single block, capped
+    (a1, drew1), (a2, _) = moments(512), moments(512)
+    assert a1.n == a2.n == 512 and drew1  # single block, capped
     assert np.array_equal(a1.sum_outer, a2.sum_outer)
-    assert moments(0).n == 100 * 64
+    full, drew = moments(100 * 64)  # a block at the budget is not subsampled
+    assert full.n == 100 * 64 and not drew
