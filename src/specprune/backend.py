@@ -14,10 +14,14 @@ residual diagonal and the residual squared row norms, with the invariant
 The gain of candidate j is rownorm2[j] / (diag[j] + ridge). Absorbing index i
 adds the row z = R[i] / sqrt(diag[i] + ridge) to Z; with y = R z the row
 norms follow ||R[j] - z_j z||² = ||R[j]||² - 2 z_j y_j + z_j² ||z||². Each step
-costs one Σ z product plus O(t m), and no m x m temporary is made.
+costs one symmetric Σ z product (BLAS dsymv, which reads one triangle of Σ)
+plus O(t m), and no m x m temporary is made. Σ must be exactly symmetric and
+C-contiguous: its transpose is then the Fortran-ordered view dsymv takes
+without a copy.
 """
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 
 def greedy_backend_name():
@@ -41,8 +45,10 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     """Absorb index isel as selection number t; returns the trace gain ||z||².
 
     Rows [0, t) of z hold the earlier selections. Writes z[t] and updates
-    diag and rownorm2 in place. A non-positive pivot returns 0 and leaves
-    the state unchanged (z[t] stays zero, so later steps may still pass t+1).
+    diag and rownorm2 in place. sigma is symmetric and C-contiguous: the
+    Σ z product reads one triangle of it. A non-positive pivot returns 0 and
+    leaves the state unchanged (z[t] stays zero, so later steps may still
+    pass t+1).
     """
     pivot = diag[isel] + ridge
     if pivot <= 0.0:
@@ -51,7 +57,7 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     np.matmul(zs[:, isel], zs, out=zt)
     np.subtract(sigma[isel], zt, out=zt)
     zt /= np.sqrt(pivot)
-    y = sigma @ zt
+    y = dsymv(1.0, sigma.T, zt)
     y -= (zs @ zt) @ zs
     zz = float(zt @ zt)
     # rownorm2 += zt * (zt * zz - 2 y), with -2y formed in place: a + (-2y)

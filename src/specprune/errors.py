@@ -34,7 +34,8 @@ class InsufficientSamples(SpecPruneError):
 
 
 class DegenerateSigma(SpecPruneError):
-    """The second-moment matrix has a non-positive trace or non-finite entries."""
+    """The second-moment matrix has a non-positive trace, non-finite entries
+    or is not symmetric."""
 
 
 class StatsMissing(SpecPruneError):

@@ -22,6 +22,16 @@ def default_ridge(a):
     return RIDGE_SCALE * float(np.trace(a)) / a.shape[0]
 
 
+def is_symmetric(a):
+    """True when the square array a equals its transpose to within 1e-9 of
+    max(1, max |a|); False when a has a non-finite entry."""
+    if not a.size:
+        return True
+    gap = a - a.T
+    np.abs(gap, out=gap)
+    return float(gap.max()) <= 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
 def cholesky(a, ridge=0.0):
     """Lower-triangular L with L @ L.T == A + ridge * I, for a symmetric
     positive definite matrix A.
@@ -34,8 +44,7 @@ def cholesky(a, ridge=0.0):
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if a.size and float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
+    if not is_symmetric(a):
         raise ValueError("matrix is not symmetric within 1e-9")
     ridged = a if ridge == 0.0 else a + ridge * np.eye(a.shape[0])
     try:

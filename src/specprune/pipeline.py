@@ -23,7 +23,7 @@ from . import stats as st
 from . import train as tr
 from .config import REG_MODE_BY_METHOD, SPECTRAL_METHODS
 from .datasets import make_two_domain
-from .errors import FormatError, PipelineStageError, SpecPruneError
+from .errors import DegenerateSigma, FormatError, PipelineStageError, SpecPruneError
 
 ANALYSIS_COLUMNS = ("seed", "layer_pos", "capture", "specificity", "count",
                     "rate_on_source", "rate_on_target")
@@ -376,7 +376,8 @@ def node_specificity_analysis(cfg, log=None):
     domains; repeated at the first and last capture points. The moments are
     sampled by the compressor's own sampler, spectral._rows_to_acc. Each
     domain's statistics samples and test split are pushed once, to the first
-    capture and from there on to the last."""
+    capture and from there on to the last. A selection that fails is
+    reported under the stage tag "analyze", with its capture and domain."""
     say = log or (lambda *_: None)
     rows = []
     for seed in cfg.seeds:
@@ -394,14 +395,12 @@ def node_specificity_analysis(cfg, log=None):
         rates = {d: {pos: st.activation_rates(a) for pos, a in push(ds.test.features).items()}
                  for d, ds in domains.items()}
         for pos, cp in (("first", first), ("last", last)):
-            per_domain = {}
-            for domain, acts in train_acts.items():
-                acc = sp._rows_to_acc(cp, acts[pos], np.random.default_rng(seed))
-                per_domain[domain] = st.finalize(acc, domain).sigma
             keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
             gcfg = sp.GreedyConfig(max_cardinality=keep)
-            j_source = set(sp.find_subset(per_domain["source"], gcfg).selected)
-            j_target = set(sp.find_subset(per_domain["target"], gcfg).selected)
+            j_source, j_target = (
+                _stage("analyze", _domain_selection, cp, train_acts[domain][pos], seed,
+                       domain, gcfg)
+                for domain in ("source", "target"))
             classes = {
                 "source": sorted(j_source - j_target),
                 "target": sorted(j_target - j_source),
@@ -418,6 +417,17 @@ def node_specificity_analysis(cfg, log=None):
             say(f"seed={seed} {pos} layer: "
                 + ", ".join(f"{k}:{len(v)}" for k, v in classes.items()))
     return rows
+
+
+def _domain_selection(cp, acts, seed, domain, gcfg):
+    """The set of nodes find_subset keeps at capture cp under one domain's
+    statistics of its pushed activations acts."""
+    acc = sp._rows_to_acc(cp, acts, np.random.default_rng(seed))
+    sigma = st.finalize(acc, domain).sigma
+    try:
+        return set(sp.find_subset(sigma, gcfg).selected)
+    except DegenerateSigma as exc:
+        raise DegenerateSigma(f"capture point {cp} ({domain} statistics): {exc}") from exc
 
 
 def emit_analysis(rows, path, fmt="csv"):

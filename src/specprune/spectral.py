@@ -28,7 +28,7 @@ from . import backend
 from . import net as nm
 from . import stats as st
 from .errors import DegenerateSigma, ShapeMismatch, StatsMissing, TopologyError
-from .linalg import cholesky, default_ridge
+from .linalg import cholesky, default_ridge, is_symmetric
 
 PLATEAU_TOL = 1e-12
 # samples per block pushed through the network and sampled for moments at
@@ -88,6 +88,8 @@ class PruningPlan:
 
 
 def _check_sigma(sigma):
+    """sigma as a C-contiguous float64 array, checked to be square, finite
+    and of positive trace."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ShapeMismatch(f"sigma must be square, got {sigma.shape}")
@@ -95,7 +97,7 @@ def _check_sigma(sigma):
         raise DegenerateSigma("sigma has non-finite entries")
     if float(np.trace(sigma)) <= 0.0:
         raise DegenerateSigma(f"trace is {float(np.trace(sigma))}")
-    return sigma
+    return np.ascontiguousarray(sigma)
 
 
 def retention_ratio(sigma, j, ridge=None):
@@ -112,9 +114,10 @@ def retention_ratio(sigma, j, ridge=None):
 def recovery_matrix(sigma, j, ridge=None):
     """Least-squares reconstruction of all m variables from the subset j.
 
-    Columns follow the order of j. Rows at the selected indices are set to
-    the exact identity (the ridge-free optimum), so keeping every node yields
-    a bit-exact identity map. ridge None takes the automatic ridge.
+    Columns follow the order of j. Rows at the selected indices are the
+    exact identity (the ridge-free optimum), so keeping every node yields a
+    bit-exact identity map; only the other rows are solved for. Returns a
+    C-contiguous (m x |j|) array. ridge None takes the automatic ridge.
     """
     sigma = _check_sigma(sigma)
     j = list(j)
@@ -124,8 +127,10 @@ def recovery_matrix(sigma, j, ridge=None):
         raise ValueError("subset must be nonempty")
     ridge = default_ridge(sigma) if ridge is None else ridge
     lower = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
-    a = scipy.linalg.cho_solve((lower, True), sigma[j, :]).T
-    a[np.asarray(j, dtype=np.intp), :] = np.eye(len(j))
+    rest = np.delete(np.arange(sigma.shape[0]), j)
+    a = np.empty((sigma.shape[0], len(j)))
+    a[rest] = scipy.linalg.cho_solve((lower, True), sigma[np.ix_(j, rest)]).T
+    a[j] = np.eye(len(j))
     return a
 
 
@@ -210,6 +215,8 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     numerical resolution (plateau guard; flagged on the plan).
     """
     sigma = _check_sigma(sigma)
+    if not is_symmetric(sigma):  # the kernel reads one triangle of sigma
+        raise DegenerateSigma("sigma is not symmetric within 1e-9")
     if strategy not in ("incremental", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     m = sigma.shape[0]

@@ -1,7 +1,9 @@
 """Reference forms of training and selection arithmetic. The faster forms
-in src/ must reproduce them bit for bit."""
+in src/ must reproduce them bit for bit, except where a test states the
+tolerance of a declared change."""
 
 import numpy as np
+import scipy.linalg
 
 from specprune import backend
 from specprune import net as nm
@@ -9,7 +11,7 @@ from specprune import spectral as sp
 from specprune import stats as st
 from specprune import train as tr
 from specprune.errors import StatsMissing
-from specprune.linalg import default_ridge
+from specprune.linalg import cholesky, default_ridge
 
 
 def conv_backward(layer, cache, dout):
@@ -97,7 +99,9 @@ def scaling_matrix(target_stats):
 
 # ---------------------------------------------------------------------------
 # greedy selection: the step loop, the subset regularizer and the factor-form
-# update as they were before the loop reused its arrays
+# update as they were before the loop reused its arrays and before the update
+# read one triangle of sigma; the recovery as it was when it also solved for
+# the selected rows
 # ---------------------------------------------------------------------------
 
 class SubsetReg:
@@ -123,7 +127,8 @@ class SubsetReg:
 
 
 def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
-    """backend.residual_update with a new array for each intermediate."""
+    """backend.residual_update with a new array for each intermediate and
+    the general matrix-vector product for y = Σ z, which reads all of Σ."""
     pivot = diag[isel] + ridge
     if pivot <= 0.0:
         return 0.0
@@ -136,6 +141,18 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     diag -= zt * zt
     z[t] = zt
     return zz
+
+
+def recovery_matrix(sigma, j, ridge=None):
+    """spectral.recovery_matrix solving for every row, the selected ones
+    included, before it overwrites those with the identity."""
+    sigma = sp._check_sigma(sigma)
+    j = list(j)
+    ridge = default_ridge(sigma) if ridge is None else ridge
+    lower = cholesky(sigma[np.ix_(j, j)], ridge=ridge)
+    a = scipy.linalg.cho_solve((lower, True), sigma[j, :]).T
+    a[np.asarray(j, dtype=np.intp), :] = np.eye(len(j))
+    return a
 
 
 def find_subset(sigma, cfg, stats_source=None, stats_target=None):
@@ -193,7 +210,7 @@ def find_subset(sigma, cfg, stats_source=None, stats_target=None):
         if subset_reg is not None:
             subset_reg.absorb(pick)
 
-    recovery = sp.recovery_matrix(sigma, sorted(selected), ridge) if selected \
+    recovery = recovery_matrix(sigma, sorted(selected), ridge) if selected \
         else np.zeros((m, 0))
     return sp.PruningPlan(selected=tuple(selected), recovery=recovery,
                           ratio_trace=tuple(trace),

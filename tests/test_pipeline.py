@@ -795,9 +795,10 @@ def test_cli_errors_name_their_stage(tmp_path, monkeypatch, capsys, command, own
     assert err.startswith(f"error: [{stage}] loss became nan") and "Traceback" not in err
 
 
-def test_cli_dead_capture_is_one_error_line(tmp_path, monkeypatch, capsys):
-    # a BatchNorm with scale 0 and shift -1 leaves the ReLU of the first
-    # capture at 0 on every sample: its selection statistics have trace 0
+def _dead_capture_config(tmp_path, monkeypatch):
+    """A tiny config whose model has a dead first capture: a BatchNorm with
+    scale 0 and shift -1 leaves the ReLU at 0 on every sample, so the
+    capture's statistics have trace 0 on every stream."""
     cfg_path = tmp_path / "cfg.json"
     doc = tiny_doc(tmp_path / "out")
     cfg_path.write_text(json.dumps(doc))
@@ -808,9 +809,21 @@ def test_cli_dead_capture_is_one_error_line(tmp_path, monkeypatch, capsys):
                                     shift=-np.ones_like(bn.shift))
     monkeypatch.setattr(pl, "get_or_train_model",
                         lambda *args: nm.with_layers(model, layers))
-    assert cli.main(["compress", "--config", str(cfg_path)]) == 1
+    return str(cfg_path)
+
+
+def test_cli_dead_capture_is_one_error_line(tmp_path, monkeypatch, capsys):
+    cfg_path = _dead_capture_config(tmp_path, monkeypatch)
+    assert cli.main(["compress", "--config", cfg_path]) == 1
     assert capsys.readouterr().err == \
         "error: [compress] capture point 2 (selection statistics): trace is 0.0\n"
+
+
+def test_cli_analyze_nodes_dead_capture_is_one_error_line(tmp_path, monkeypatch, capsys):
+    cfg_path = _dead_capture_config(tmp_path, monkeypatch)
+    assert cli.main(["analyze-nodes", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == \
+        "error: [analyze] capture point 2 (source statistics): trace is 0.0\n"
 
 
 def test_cli_model_commands_fail_before_work(tmp_path, capsys):

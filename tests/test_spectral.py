@@ -410,6 +410,27 @@ def test_plan_from_record_stops_where_the_ratio_equals_alpha():
     assert got.ratio_trace == sp.find_subset(sigma, half).ratio_trace == plan.ratio_trace[:2]
 
 
+def test_fortran_ordered_sigma_gives_the_same_plan():
+    # _check_sigma hands the kernel a C-ordered copy, whose transpose is the
+    # Fortran view dsymv reads without copying it at every step
+    rng = np.random.default_rng(47)
+    sigma = moment_of(random_activations(rng, 300, 40))
+    cfg = sp.GreedyConfig(alpha=0.99)
+    want = sp.find_subset(sigma, cfg)
+    for other in (np.asfortranarray(sigma), np.repeat(sigma, 2, axis=1)[:, ::2]):
+        assert not other.flags.c_contiguous
+        _assert_same_plan(sp.find_subset(other, cfg), want)
+
+
+def test_asymmetric_sigma_is_refused_before_selection(monkeypatch):
+    sigma = moment_of(random_activations(np.random.default_rng(48), 100, 6))
+    sigma[0, 3] += 1e-6 * np.abs(sigma).max()
+    monkeypatch.setattr(backend, "residual_update",
+                        lambda *args: pytest.fail("the greedy ran"))
+    with pytest.raises(DegenerateSigma, match="sigma is not symmetric"):
+        sp.find_subset(sigma, sp.GreedyConfig(alpha=0.9))
+
+
 def test_non_finite_sigma_is_degenerate():
     for bad in (np.nan, np.inf):
         sigma = np.eye(4)
@@ -455,18 +476,67 @@ def test_kernel_non_positive_pivot_leaves_state_unchanged():
 
 
 def test_kernel_update_keeps_the_reference_bits():
-    # the in-place update must leave every state array and gain of the
-    # reference update bit for bit, step after step
+    # the in-place update must leave the factor, the diagonal and the gain of
+    # the reference update bit for bit, step after step. Declared change: y =
+    # Σ z is a symmetric product over one triangle of Σ (dsymv), which rounds
+    # otherwise than the reference's general product, so the row norms, the
+    # only state that reads y, are held to the bound of
+    # test_kernel_factor_matches_explicit_downdates instead
     rng = np.random.default_rng(42)
-    for m in (9, 150):
+    for m in (9, 150, 300):
         sigma = moment_of(random_activations(rng, 300, m, rank=m // 2))
         ridge = 1e-8 * np.trace(sigma) / m
         k = m // 2 + 3  # past the rank, where pivots reach the ridge
-        state, ref_state = backend.residual_init(sigma, k), backend.residual_init(sigma, k)
+        tol = 4 * m * k * np.finfo(np.float64).eps * m * np.abs(sigma).max() ** 2
+        diag, rownorm2, z = state = backend.residual_init(sigma, k)
+        ref_diag, ref_rownorm2, ref_z = ref_state = backend.residual_init(sigma, k)
         for t, i in enumerate(rng.choice(m, size=k, replace=False)):
             assert backend.residual_update(*state, sigma, t, i, ridge) \
                 == references.residual_update(*ref_state, sigma, t, i, ridge)
-            assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+            assert np.array_equal(z, ref_z) and np.array_equal(diag, ref_diag)
+            assert np.abs(rownorm2 - ref_rownorm2).max() <= tol
+
+
+def test_kernel_reads_one_triangle_of_sigma():
+    # the product reads the lower triangle of a C-ordered sigma: what lies
+    # above the diagonal never enters the state
+    rng = np.random.default_rng(45)
+    m, k = 30, 10
+    sigma = moment_of(random_activations(rng, 200, m))
+    upper = np.triu(rng.normal(size=(m, m)), 1)
+    ridge = 1e-8 * np.trace(sigma) / m
+    state, other = backend.residual_init(sigma, k), backend.residual_init(sigma, k)
+    for t, i in enumerate(rng.choice(m, size=k, replace=False)):
+        # the row sigma[i] that forms z is read in full, so it stays exact
+        scrambled = sigma + upper
+        scrambled[i] = sigma[i]
+        assert backend.residual_update(*state, sigma, t, i, ridge) \
+            == backend.residual_update(*other, scrambled, t, i, ridge)
+        assert all(np.array_equal(a, b) for a, b in zip(state, other))
+
+
+@pytest.mark.parametrize("m", [8, 256, 1024])
+def test_recovery_solves_only_the_unselected_rows(m):
+    # the recovery solves for the rows outside J alone and writes the identity
+    # at J. Up to |J| = 256 each solved column has the bits of the full solve
+    # in references.py. Declared change: past that, how the BLAS blocks the
+    # triangular solve and panels its right-hand side decides the last bits of
+    # a column (on a SkylakeX OpenBLAS kernel from |J| = 385 on), so the two
+    # agree to rounding there
+    rng = np.random.default_rng(46)
+    sigma = moment_of(random_activations(rng, 2 * m + 50, m))
+    for k in sorted({1, m // 2, m - 1, m}):
+        j = rng.choice(m, size=k, replace=False)
+        for order in (j, np.sort(j)):
+            got = sp.recovery_matrix(sigma, order)
+            want = references.recovery_matrix(sigma, order)
+            assert got.shape == (m, k) and got.flags.c_contiguous
+            assert np.array_equal(got[order], np.eye(k))
+            if k <= 256:
+                assert np.array_equal(got, want)
+            else:
+                eps = np.finfo(np.float64).eps
+                assert np.abs(got - want).max() <= m * eps * np.abs(want).max()
 
 
 def test_subset_reg_keeps_the_reference_bits():
@@ -529,6 +599,9 @@ for cp, plan in sorted(plans.items()):
 
 
 def test_selection_independent_of_blas_threads():
+    # the m=700 sigma is wide enough that the kernel's dsymv runs threaded at
+    # two threads, where its output bits may differ from one thread's; the
+    # picks must not
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
     picks = []
