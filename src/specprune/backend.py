@@ -6,22 +6,35 @@ selection, and the recursive form below is that of Farahat, Ghodsi & Kamel,
 it is pivoted Cholesky on Σ + ridge at the pivots.
 
 After t selections the residual is never formed. The state is the selected
-factor Z (t x m, stored row-major so each step's slices are contiguous), the
-residual diagonal and the residual squared row norms, with the invariant
+factor Z (t x a, stored row-major so each step's slices are contiguous), the
+residual diagonal and the residual squared row norms over a working set of a
+nodes, with the invariant
 
-    R = Σ - ZᵀZ,   diag = diag(R),   rownorm2[j] = ||R[j]||².
+    R = Σ_a - ZᵀZ,   diag = diag(R),   rownorm2[j] = ||R[j]||²,
 
-The gain of candidate j is rownorm2[j] / (diag[j] + ridge). Absorbing index i
-adds the row z = R[i] / sqrt(diag[i] + ridge) to Z; with y = R z the row
-norms follow ||R[j] - z_j z||² = ||R[j]||² - 2 z_j y_j + z_j² ||z||². Each step
-costs one symmetric Σ z product (BLAS dsymv, which reads one triangle of Σ)
-plus O(t m), and no m x m temporary is made. Σ must be exactly symmetric and
-C-contiguous: its transpose is then the Fortran-ordered view dsymv takes
-without a copy.
+where Σ_a is Σ restricted to the working set, rows and columns. The working
+set starts as all m nodes. The gain of candidate j is rownorm2[j] /
+(diag[j] + ridge). Absorbing index i adds the row z = R[i] / sqrt(diag[i] +
+ridge) to Z; with y = R z the row norms follow ||R[j] - z_j z||² = ||R[j]||² -
+2 z_j y_j + z_j² ||z||². Each step costs one symmetric Σ z product (BLAS
+dsymv, which reads one triangle of Σ) plus O(t a), and no a x a temporary is
+made. Σ must be exactly symmetric and C-contiguous: its transpose is then the
+Fortran-ordered view dsymv takes without a copy.
+
+An absorbed node is never a candidate again, and its residual row is only
+about ridge / pivot of what it was. So every COMPACT_EVERY selections the
+caller drops the absorbed nodes from the working set (residual_compact): Σ_a,
+Z, diag and rownorm2 shrink to the nodes still active, in index order, and
+every later product runs over a < m. The terms dropped from the row norms
+are of order (ridge / pivot)², so the gains move in their last bits only.
 """
 
 import numpy as np
 from scipy.linalg.blas import dsymv
+
+#: Selections between two compactions of the working set; a count of steps,
+#: so the schedule depends on nothing but the step number.
+COMPACT_EVERY = 64
 
 
 def greedy_backend_name():
@@ -70,3 +83,36 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     np.multiply(zt, zt, out=step)
     diag -= step
     return zz
+
+
+def residual_compact(diag, rownorm2, z, sigma, t, keep, own_sigma):
+    """The kernel state restricted to the positions `keep` (increasing):
+    (diag, rownorm2, z, sigma) over len(keep) positions.
+
+    The first t rows of z are compacted within z's own buffer, and the rows
+    from t on are zero again. sigma, rows and columns, is gathered into a
+    new buffer, or within its own when own_sigma says an earlier compaction
+    returned it; the caller's array is never written. Rows are moved
+    COMPACT_EVERY at a time, so no temporary is larger than that many rows.
+    """
+    a = len(keep)
+    z = _gather(z, np.arange(t), keep, _front(z, len(z), a))
+    z[t:] = 0.0
+    out = _front(sigma, a, a) if own_sigma else np.empty((a, a))
+    return diag[keep], rownorm2[keep], z, _gather(sigma, keep, keep, out)
+
+
+def _front(x, rows, cols):
+    """The start of C-contiguous x's buffer as a (rows x cols) array."""
+    return x.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
+def _gather(src, rows, cols, out):
+    """out[r] = src[rows[r], cols] for each r, COMPACT_EVERY rows at a time;
+    returns out. out may start src's buffer if it is no wider: with rows
+    increasing, each block of out ends before the first row of src that a
+    later block reads."""
+    for r in range(0, len(rows), COMPACT_EVERY):
+        block = rows[r:r + COMPACT_EVERY]
+        out[r:r + len(block)] = src[block][:, cols]
+    return out

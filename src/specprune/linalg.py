@@ -6,6 +6,8 @@ bookkeeping and the typed errors. The recovery solve and the naive greedy
 path factor through here; the incremental greedy kernel is in backend.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
@@ -22,14 +24,30 @@ def default_ridge(a):
     return RIDGE_SCALE * float(np.trace(a)) / a.shape[0]
 
 
+#: Side of the square tiles is_symmetric compares, so its temporaries stay in cache.
+SYMMETRY_TILE = 128
+
+
 def is_symmetric(a):
     """True when the square array a equals its transpose to within 1e-9 of
-    max(1, max |a|); False when a has a non-finite entry."""
-    if not a.size:
+    max(1, max |a|); False when a has a non-finite entry.
+
+    Each tile at or below the diagonal is compared with its mirror image,
+    so no m x m temporary is made."""
+    gaps, sizes = [], []  # max |a - a.T| and max |a| per tile; np.max keeps a NaN
+    for i in range(0, a.shape[0], SYMMETRY_TILE):
+        for j in range(0, i + 1, SYMMETRY_TILE):
+            lower = a[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
+            upper = a[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE]
+            gap = lower - upper.T
+            gaps.append(np.abs(gap, out=gap).max())
+            sizes.append(np.abs(lower).max())
+            if j < i:
+                sizes.append(np.abs(upper).max())
+    if not gaps:
         return True
-    gap = a - a.T
-    np.abs(gap, out=gap)
-    return float(gap.max()) <= 1e-9 * max(1.0, float(np.abs(a).max()))
+    scale = float(np.max(sizes))
+    return math.isfinite(scale) and float(np.max(gaps)) <= 1e-9 * max(1.0, scale)
 
 
 def cholesky(a, ridge=0.0):

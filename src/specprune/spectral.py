@@ -61,8 +61,8 @@ class GreedyConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and non-negative")
         if self.reg_mode not in REG_MODES:
             raise ValueError(f"reg_mode must be one of {REG_MODES}")
         if self.max_cardinality < 0:
@@ -212,7 +212,11 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 
     Stops when the retention ratio reaches cfg.alpha, candidates run out,
     max_cardinality is hit, or the best candidate's improvement falls below
-    numerical resolution (plateau guard; flagged on the plan).
+    numerical resolution (plateau guard; flagged on the plan). The
+    incremental path drops the absorbed nodes from the kernel's working set
+    every backend.COMPACT_EVERY picks, so past that its ratios may differ
+    from an uncompacted loop's in the last bits; the recovery is solved from
+    the full sigma.
     """
     sigma = _check_sigma(sigma)
     if not is_symmetric(sigma):  # the kernel reads one triangle of sigma
@@ -238,7 +242,9 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     limit = min(cfg.max_cardinality, m) if cfg.max_cardinality > 0 else m
     if strategy == "incremental":
         diag, rownorm2, factor = backend.residual_init(sigma, limit)
-    active = np.ones(m, dtype=bool)
+    work = sigma  # the kernel's working set: sigma restricted to the nodes of ids
+    ids = np.arange(m)  # node id at each position of the working set
+    active = np.ones(m, dtype=bool)  # over positions
     selected = []
     trace = []
     num = 0.0
@@ -248,6 +254,13 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     # The candidates stay in index order, so the std of the values sums in
     # one fixed order, and argmax breaks ties to the lowest index.
     while ratio < cfg.alpha and len(selected) < limit:
+        if strategy == "incremental" and selected \
+                and len(selected) % backend.COMPACT_EVERY == 0:
+            keep = active.nonzero()[0]
+            diag, rownorm2, factor, work = backend.residual_compact(
+                diag, rownorm2, factor, work, len(selected), keep, work is not sigma)
+            ids = ids[keep]
+            active = np.ones(len(keep), dtype=bool)
         cand = active.nonzero()[0]
         if strategy == "incremental":
             eff = diag[cand]
@@ -264,24 +277,26 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 
         scores = values
         if reg_vec is not None or subset_reg is not None:
-            rvals = reg_vec[cand] if reg_vec is not None \
-                else subset_reg.candidate_values(cand)
+            nodes = ids[cand]
+            rvals = reg_vec[nodes] if reg_vec is not None \
+                else subset_reg.candidate_values(nodes)
             rmax = float(rvals.max())
             if rmax > 0.0:
                 rvals /= rmax
                 rvals *= cfg.lam * _std(values)
                 scores = np.subtract(values, rvals, out=rvals)
 
-        pick = int(cand[scores.argmax()])
+        pos = int(cand[scores.argmax()])
+        pick = int(ids[pos])
         if strategy == "incremental":
-            num += backend.residual_update(diag, rownorm2, factor, sigma,
-                                           len(selected), pick, ridge)
+            num += backend.residual_update(diag, rownorm2, factor, work,
+                                           len(selected), pos, ridge)
         else:
             num = _trace_num(sigma, selected + [pick], ridge)
         ratio = num / total
         selected.append(pick)
         trace.append(ratio)
-        active[pick] = False
+        active[pos] = False
         if subset_reg is not None:
             subset_reg.absorb(pick)
 

@@ -14,6 +14,17 @@ from specprune.errors import StatsMissing
 from specprune.linalg import cholesky, default_ridge
 
 
+def is_symmetric(a):
+    """linalg.is_symmetric over the whole matrix at once, with m x m
+    temporaries. Unlike it, a lone off-diagonal Inf passes here: its gap and
+    the tolerance are both infinite."""
+    if not a.size:
+        return True
+    gap = a - a.T
+    np.abs(gap, out=gap)
+    return float(gap.max()) <= 1e-9 * max(1.0, float(np.abs(a).max()))
+
+
 def conv_backward(layer, cache, dout):
     """Conv2D's input and weight gradients with the input-gradient GEMM over
     the output gradient's columns in (n, h, w) order, scattered (col2im) into

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import references
 
 from specprune import linalg
 from specprune.errors import NoConvergence, NotPositiveDefinite
@@ -42,6 +43,35 @@ def test_cholesky_rejects_asymmetric_and_indefinite():
         linalg.cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         linalg.cholesky(np.eye(2), ridge=-1.0)
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+def test_is_symmetric_keeps_the_whole_matrix_rule(m):
+    # the tiled check gives the boolean of the whole-matrix formula in
+    # references.py for an asymmetry just over or under the 1e-9 rule, or a
+    # NaN, in each tile position; it is False for any Inf, also a lone one
+    # off the diagonal, which the formula lets pass
+    rng = np.random.default_rng(30 + m)
+    base = rng.normal(size=(m, m))
+    base += base.T
+    assert linalg.is_symmetric(base) and references.is_symmetric(base)
+    tile = linalg.SYMMETRY_TILE
+    tol = 1e-9 * np.abs(base).max()
+    for ti in range(0, m, tile):
+        for tj in range(0, m, tile):
+            i = int(rng.integers(ti, min(ti + tile, m)))
+            j = int(rng.integers(tj, min(tj + tile, m)))
+            if i == j and m > 1:
+                j = tj + (i - tj + 1) % (min(tj + tile, m) - tj)
+            for bad in (0.5 * tol, 2.0 * tol, np.nan, np.inf, -np.inf):
+                a = base.copy()
+                a[i, j] += bad
+                with np.errstate(invalid="ignore"):  # Inf - Inf on the diagonal
+                    got, ref = linalg.is_symmetric(a), references.is_symmetric(a)
+                if np.isinf(bad):
+                    assert not got
+                else:
+                    assert got == ref == (not np.isnan(bad) and (i == j or bad < tol))
 
 
 def test_svd_diag_and_rank_one():

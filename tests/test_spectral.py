@@ -176,6 +176,8 @@ def test_reg_node_single_mean_bump_and_direct():
 
 @pytest.mark.parametrize("field, value, message", [
     ("alpha", 0.0, "alpha"), ("alpha", 1.5, "alpha"), ("lam", -0.1, "lambda"),
+    ("lam", float("nan"), "lambda"), ("lam", float("inf"), "lambda"),
+    ("lam", float("-inf"), "lambda"),
     ("reg_mode", "both", "reg_mode"), ("max_cardinality", -2, "max_cardinality"),
 ])
 def test_greedy_config_refuses_bad_settings(field, value, message):
@@ -185,10 +187,11 @@ def test_greedy_config_refuses_bad_settings(field, value, message):
     sp.GreedyConfig(alpha=1.0, lam=0.0, reg_mode="subset", max_cardinality=0)
 
 
-def _assert_same_plan(got, want):
+def _assert_same_plan(got, want, ulps=0):
+    """Equal plans; the ratio trace to within `ulps` units in the last place."""
     assert got.selected == want.selected
-    assert got.ratio_trace == want.ratio_trace
-    assert got.achieved_ratio == want.achieved_ratio
+    ratios, want_ratios = (np.array(p.ratio_trace + (p.achieved_ratio,)) for p in (got, want))
+    assert np.all(np.abs(ratios - want_ratios) <= ulps * np.spacing(np.abs(want_ratios)))
     assert got.plateau_flag == want.plateau_flag
     assert got.recovery.shape == want.recovery.shape
     assert np.array_equal(got.recovery, want.recovery)
@@ -332,12 +335,16 @@ def _reference_sigma(rng, m, kind):
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("reg_mode", sp.REG_MODES)
 def test_find_subset_matches_the_reference_loop(reg_mode, lam, kind):
-    # the loop in src/ reuses its arrays and takes np.std by its ufuncs; it
-    # must give the plans of the loop in references.py bit for bit, whether
-    # it stops at alpha, at the cap or at the plateau guard
+    # the loop in src/ reuses its arrays, takes np.std by its ufuncs and
+    # drops the absorbed nodes from the kernel's working set every
+    # backend.COMPACT_EVERY selections; it must give the plans of the loop in
+    # references.py, whether it stops at alpha, at the cap or at the plateau
+    # guard. Bit for bit up to the first compaction. Declared change: past
+    # it the gains lose terms of order (ridge / pivot)^2, so the ratio trace
+    # may move in its last bits; the selections and the recovery may not
     rng = np.random.default_rng(41)
     stops = {"alpha": 0, "cap": 0, "plateau": 0}
-    moved = 0
+    moved = compacted = 0
     for m in (7, 24, 150):
         sigma = _reference_sigma(rng, m, kind)
         stats = random_stats_pair(rng, m) if reg_mode != "none" else (None, None)
@@ -345,7 +352,12 @@ def test_find_subset_matches_the_reference_loop(reg_mode, lam, kind):
             cfg = sp.GreedyConfig(alpha=alpha, lam=lam, reg_mode=reg_mode,
                                   max_cardinality=cap)
             got = sp.find_subset(sigma, cfg, *stats)
-            _assert_same_plan(got, references.find_subset(sigma, cfg, *stats))
+            want = references.find_subset(sigma, cfg, *stats)
+            if len(got.selected) <= backend.COMPACT_EVERY:
+                _assert_same_plan(got, want)
+            else:
+                compacted += 1
+                _assert_same_plan(got, want, ulps=8)
             if got.plateau_flag:
                 stops["plateau"] += 1
             elif got.achieved_ratio >= alpha:
@@ -357,6 +369,7 @@ def test_find_subset_matches_the_reference_loop(reg_mode, lam, kind):
     if kind == "tiny":  # every gain underflows to zero: the guard fires at once
         assert stops == {"alpha": 0, "cap": 0, "plateau": 12}
     else:
+        assert compacted == 3  # alpha 0.95, 0.999 and 1.0 at m = 150
         assert stops["alpha"] > 0 and stops["cap"] > 0
         assert (stops["plateau"] > 0) == (kind == "zero_node")
         assert (moved > 0) == (lam > 0 and reg_mode != "none")
@@ -366,15 +379,24 @@ def test_find_subset_matches_the_reference_loop(reg_mode, lam, kind):
 def test_plan_from_record_equals_find_subset(reg_mode):
     # for every ordered pair of (alpha, cap) configs on one rank-deficient
     # sigma, a plan read off the first config's plan must be the plan
-    # find_subset gives for the second, bit for bit
+    # find_subset gives for the second, bit for bit; also where the plans
+    # run past a compaction of the kernel's working set, whose schedule
+    # depends on the step count alone
     rng = np.random.default_rng(17)
-    read = plateaued = 0
-    for _ in range(16):
-        m = int(rng.integers(6, 13))
-        sigma = moment_of(random_activations(rng, 200, m, rank=int(rng.integers(2, m))))
-        zeroed = rng.choice(m, size=int(rng.integers(0, 3)), replace=False)
-        sigma[zeroed, :] = 0.0
-        sigma[:, zeroed] = 0.0
+    read = plateaued = compacted = 0
+
+    def sigmas():
+        for _ in range(16):
+            m = int(rng.integers(6, 13))
+            sigma = moment_of(random_activations(rng, 200, m, rank=int(rng.integers(2, m))))
+            zeroed = rng.choice(m, size=int(rng.integers(0, 3)), replace=False)
+            sigma[zeroed, :] = 0.0
+            sigma[:, zeroed] = 0.0
+            yield sigma
+        yield moment_of(random_activations(rng, 400, 100))
+
+    for sigma in sigmas():
+        m = sigma.shape[0]
         stats = random_stats_pair(rng, m) if reg_mode != "none" else (None, None)
         configs = [sp.GreedyConfig(alpha=alpha, max_cardinality=cap, reg_mode=reg_mode)
                    for alpha in (1.0, 0.999, 0.99, 0.9, 0.5)
@@ -387,6 +409,7 @@ def test_plan_from_record_equals_find_subset(reg_mode):
             if got is None:
                 continue
             read += 1
+            compacted += len(got.selected) > backend.COMPACT_EVERY
             assert got.selected == plan_b.selected
             assert got.ratio_trace == plan_b.ratio_trace
             assert got.achieved_ratio == plan_b.achieved_ratio
@@ -398,7 +421,50 @@ def test_plan_from_record_equals_find_subset(reg_mode):
             for alpha, cap in ((cfg.alpha, cfg.max_cardinality), (0.5, 1)):
                 changed = dataclasses.replace(cfg, alpha=alpha, max_cardinality=cap, **other)
                 assert sp._plan_from_record(plans[0], cfg, changed, sigma) is None
-    assert read > 16 * 25 * 25 // 2 and plateaued > 0
+    assert read > 16 * 25 * 25 // 2 and plateaued > 0 and compacted > 0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_find_subset_leaves_the_callers_sigma_alone(order):
+    # the first compaction gathers sigma into a buffer of its own, and only
+    # that buffer is compacted in place later
+    rng = np.random.default_rng(49)
+    sigma = np.asarray(moment_of(random_activations(rng, 600, 300)), order=order)
+    before = sigma.copy(order="A")
+    plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=200))
+    assert len(plan.selected) > 2 * backend.COMPACT_EVERY
+    assert sigma.flags[f"{order}_CONTIGUOUS"]
+    assert sigma.tobytes(order="A") == before.tobytes(order="A")
+
+
+@pytest.mark.parametrize("reg_mode", ["subset", "node"])
+def test_regularized_picks_after_compaction_are_node_ids(reg_mode, monkeypatch):
+    # past a compaction the kernel's positions are not node ids; the
+    # regularizer is read and absorbed by node id, so the picks are those of
+    # the uncompacted reference loop, also where the regularizer moved them,
+    # and the subset regularizer sees the unselected nodes and absorbs the
+    # picks
+    rng = np.random.default_rng(51)
+    m = 150
+    sigma = moment_of(random_activations(rng, 400, m))
+    stats = random_stats_pair(rng, m)
+    cfg = sp.GreedyConfig(alpha=1.0, lam=1.0, reg_mode=reg_mode)
+    want = references.find_subset(sigma, cfg, *stats)
+    seen, absorbed = [], []
+    values, absorb = sp._SubsetReg.candidate_values, sp._SubsetReg.absorb
+    monkeypatch.setattr(sp._SubsetReg, "candidate_values",
+                        lambda self, cand: seen.append(cand.copy()) or values(self, cand))
+    monkeypatch.setattr(sp._SubsetReg, "absorb",
+                        lambda self, i: absorbed.append(i) or absorb(self, i))
+    got = sp.find_subset(sigma, cfg, *stats)
+    plain = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0))
+    assert len(got.selected) > 2 * backend.COMPACT_EVERY
+    assert got.selected[backend.COMPACT_EVERY:] != plain.selected[backend.COMPACT_EVERY:]
+    _assert_same_plan(got, want, ulps=8)
+    if reg_mode == "subset":
+        assert tuple(absorbed) == got.selected
+        for k, cand in enumerate(seen):
+            assert np.array_equal(cand, np.setdiff1d(np.arange(m), got.selected[:k]))
 
 
 def test_plan_from_record_stops_where_the_ratio_equals_alpha():
@@ -465,6 +531,32 @@ def test_kernel_factor_matches_explicit_downdates():
     assert np.abs(sigma - z.T @ z - r).max() <= tol * scale
     assert np.abs(diag - np.diagonal(r)).max() <= tol * scale
     assert np.abs(rownorm2 - (r * r).sum(axis=1)).max() <= tol * m * scale ** 2
+
+
+def test_kernel_compaction_gathers_the_active_state():
+    # residual_compact gives the state restricted to the kept positions,
+    # rows and columns, with the rows of z from t on zero; the first
+    # compaction leaves sigma alone, later ones reuse its buffer in place
+    rng = np.random.default_rng(51)
+    m, rank, ridge = 300, 260, 1e-8
+    sigma = moment_of(random_activations(rng, 600, m))
+    original = sigma.copy()
+    diag, rownorm2, z = backend.residual_init(sigma, rank)
+    work, own = sigma, False
+    for t, drop in ((150, 150), (200, 50)):
+        width = work.shape[0]
+        for s, i in enumerate(rng.choice(width, size=drop, replace=False)):
+            backend.residual_update(diag, rownorm2, z, work, t - drop + s, i, ridge)
+        keep = np.sort(rng.choice(width, size=width - drop, replace=False))
+        want = (diag[keep], rownorm2[keep], z[:t][:, keep], work[np.ix_(keep, keep)])
+        diag, rownorm2, z, work = backend.residual_compact(
+            diag, rownorm2, z, work, t, keep, own)
+        own = True
+        assert z.shape == (rank, len(keep)) and not z[t:].any()
+        assert np.array_equal(diag, want[0]) and np.array_equal(rownorm2, want[1])
+        assert np.array_equal(z[:t], want[2]) and np.array_equal(work, want[3])
+        assert work.flags.c_contiguous and z.flags.c_contiguous
+        assert np.array_equal(sigma, original)
 
 
 def test_kernel_non_positive_pivot_leaves_state_unchanged():
