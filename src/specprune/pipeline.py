@@ -178,10 +178,9 @@ def _lowrank_compress(netw, method, k, sigma_feats):
             continue  # factorization would not shrink the layer
         if method == "dalr":
             x, pushed = sp._push(current, x, pushed, i), i
-            fd = lr.dalr_compress(layer.weight, layer.bias, x.T, kk)
-        else:
-            fd = lr.svd_truncate(layer.weight, layer.bias, kk)
-        current = lr.replace_dense(current, i, fd)
+        inputs = x.T if method == "dalr" else np.eye(n)  # svd: DALR on identity inputs
+        factors = lr.factor_dense(layer.weight, layer.bias, inputs, kk)
+        current = lr.replace_dense(current, i, factors)
         offset += 1
     return current
 
@@ -275,14 +274,29 @@ def emit_report(report, path, fmt="csv"):
 
 
 def load_report(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a report that emit_report wrote as JSON.
+
+    Raises FormatError, naming the file, for an unreadable file or JSON, a
+    document without a "rows" list, or a row that is not a RunRecord."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:  # its message names the file
+        raise FormatError(f"unreadable report: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise FormatError(f"{path}: unreadable report: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise FormatError(f'{path}: not a report: no "rows" list')
     rows = []
-    for d in doc["rows"]:
-        d = dict(d)
-        d["lam"] = d.pop("lambda")
-        d["ratio_achieved"] = tuple(d["ratio_achieved"])
-        rows.append(RunRecord(**d))
+    for i, d in enumerate(doc["rows"]):
+        try:
+            d = dict(d)
+            d["lam"] = d.pop("lambda")
+            d["ratio_achieved"] = tuple(d["ratio_achieved"])
+            rows.append(RunRecord(**d))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: row {i} is malformed: "
+                              f"{type(exc).__name__}: {exc}") from exc
     return CompressionReport(tuple(rows))
 
 

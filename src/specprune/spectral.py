@@ -83,8 +83,12 @@ class PruningPlan:
     selected: tuple
     recovery: np.ndarray
     ratio_trace: tuple
-    achieved_ratio: float
     plateau_flag: bool
+
+    @property
+    def achieved_ratio(self):
+        """The last retention ratio of the trace; 0.0 for an empty plan."""
+        return self.ratio_trace[-1] if self.ratio_trace else 0.0
 
 
 def _check_sigma(sigma):
@@ -98,17 +102,6 @@ def _check_sigma(sigma):
     if float(np.trace(sigma)) <= 0.0:
         raise DegenerateSigma(f"trace is {float(np.trace(sigma))}")
     return np.ascontiguousarray(sigma)
-
-
-def retention_ratio(sigma, j, ridge=None):
-    """Fraction of tr(sigma) explainable from the subset j; ridge None
-    takes the automatic ridge."""
-    sigma = _check_sigma(sigma)
-    j = list(j)
-    if not j:
-        return 0.0
-    ridge = default_ridge(sigma) if ridge is None else ridge
-    return _trace_num(sigma, j, ridge) / float(np.trace(sigma))
 
 
 def recovery_matrix(sigma, j, ridge=None):
@@ -303,9 +296,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     recovery = recovery_matrix(sigma, sorted(selected), ridge) if selected \
         else np.zeros((m, 0))
     return PruningPlan(selected=tuple(selected), recovery=recovery,
-                       ratio_trace=tuple(trace),
-                       achieved_ratio=trace[-1] if trace else 0.0,
-                       plateau_flag=plateau)
+                       ratio_trace=tuple(trace), plateau_flag=plateau)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +419,7 @@ def _plan_from_record(plan, plan_cfg, cfg, sigma):
             selected = plan.selected[:t]
             return PruningPlan(selected=selected,
                                recovery=recovery_matrix(sigma, sorted(selected)),
-                               ratio_trace=plan.ratio_trace[:t], achieved_ratio=ratio,
-                               plateau_flag=False)
+                               ratio_trace=plan.ratio_trace[:t], plateau_flag=False)
     return plan if plan.plateau_flag or len(plan.selected) == m else None
 
 
@@ -519,8 +509,7 @@ def compress_network(network, sigma_features, cfg, source_features=None,
             previous = ()  # the captures after this one see another prefix
             if not last:
                 kept = np.asarray(sorted(plan.selected), dtype=np.intp)
-                streams = [x[:, kept] if x.ndim == 2 else x[:, kept, :, :]
-                           for x in streams]
+                streams = [x[:, kept] for x in streams]
             network = apply_plan(network, cp, plan)
         plans[cp] = plan
         if memo is not None:

@@ -46,8 +46,6 @@ def accumulate(acc, batch):
 class LayerStatistics:
     """Finalized statistics: uncentered second moment and mean."""
 
-    layer: int
-    n: int
     sigma: np.ndarray
     mean: np.ndarray
 
@@ -72,7 +70,7 @@ def finalize(acc, domain=""):
     mean = acc.sum / acc.n
     if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
         raise DegenerateSigma(f"{where}: moment statistics are not finite")
-    return LayerStatistics(layer=acc.layer, n=acc.n, sigma=sigma, mean=mean)
+    return LayerStatistics(sigma=sigma, mean=mean)
 
 
 def scaling_matrix(target_stats):

@@ -21,6 +21,8 @@ from .errors import Diverged, ShapeMismatch
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# test samples evaluate runs through the networks at once
+EVAL_BATCH_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def train(network, data, cfg):
     return nm.with_layers(network, layers)
 
 
-def evaluate(networks, ds, batch_size=512):
+def evaluate(networks, ds):
     """Fraction of argmax-correct predictions of each network on ds, in
     order (argmax ties go to the lowest class).
 
@@ -214,11 +216,11 @@ def evaluate(networks, ds, batch_size=512):
     """
     keeps = [nm.shared_depth(a, b) for a, b in zip(networks, networks[1:])] + [0]
     correct = [0] * len(networks)
-    for lo in range(0, len(ds), batch_size):
-        labels = ds.labels[lo:lo + batch_size]
+    for lo in range(0, len(ds), EVAL_BATCH_SIZE):
+        labels = ds.labels[lo:lo + EVAL_BATCH_SIZE]
         held, depth = None, 0
         for k, network in enumerate(networks):
-            x = held if depth else nm.as_input(network, ds.features[lo:lo + batch_size])
+            x = held if depth else nm.as_input(network, ds.features[lo:lo + EVAL_BATCH_SIZE])
             held, keep = None, keeps[k]
             for i in range(depth, len(network.layers)):
                 if i == keep:

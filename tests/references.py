@@ -1,6 +1,9 @@
 """Reference forms of training and selection arithmetic. The faster forms
 in src/ must reproduce them bit for bit, except where a test states the
-tolerance of a declared change."""
+tolerance of a declared change. The closed forms that the tests check
+selection and the factorization baselines against live here too."""
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -224,6 +227,39 @@ def find_subset(sigma, cfg, stats_source=None, stats_target=None):
     recovery = recovery_matrix(sigma, sorted(selected), ridge) if selected \
         else np.zeros((m, 0))
     return sp.PruningPlan(selected=tuple(selected), recovery=recovery,
-                          ratio_trace=tuple(trace),
-                          achieved_ratio=trace[-1] if trace else 0.0,
-                          plateau_flag=plateau)
+                          ratio_trace=tuple(trace), plateau_flag=plateau)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the retention ratio of a subset, and the parameter budgets
+# that compare node pruning with a rank-k factorization
+# ---------------------------------------------------------------------------
+
+def retention_ratio(sigma, j, ridge=None):
+    """Fraction of tr(sigma) explainable from the subset j; ridge None
+    takes the automatic ridge."""
+    sigma = sp._check_sigma(sigma)
+    j = list(j)
+    if not j:
+        return 0.0
+    ridge = default_ridge(sigma) if ridge is None else ridge
+    return sp._trace_num(sigma, j, ridge) / float(np.trace(sigma))
+
+
+def matched_rank(k, m, n, p):
+    """Kept-node count giving a pruned layer the same parameter budget as a
+    rank-k factorization of an m x n layer followed by an n x p layer.
+
+    Uses the square-layer budget identity (the intermediate bias is counted
+    on the factorization side), floored and clamped to [1, n]:
+        k' = (m (2k + 1 + p) + k) / (m + 1 + p).
+    """
+    if min(k, m, n, p) < 1:
+        raise ValueError("all arguments must be positive")
+    raw = (m * (2 * k + 1 + p) + k) / (m + 1 + p)
+    return int(min(max(1, math.floor(raw)), n))
+
+
+def dalr_param_fraction(k, m, n):
+    """Factored weight elements as a fraction of the original m x n weight."""
+    return k * (m + n) / (m * n)

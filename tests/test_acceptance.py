@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+import references
 
 from specprune import lowrank as lr
 from specprune import net as nm
@@ -37,6 +38,17 @@ def ok(line):
 
 def moment_of(rows):
     return rows.T @ rows / rows.shape[0]
+
+
+def print_paired(label, a, b):
+    """Print and return the paired evidence that per-seed values a beat b:
+    the mean of a - b, its standard error, and the seeds where a > b."""
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    gap, se = float(d.mean()), float(np.std(d, ddof=1) / math.sqrt(len(d)))
+    wins = int((d > 0).sum())
+    print(f"  {label}: paired gap {gap:+.4f} (standard error {se:.4f}), "
+          f"ahead in {wins} of {len(d)} seeds")
+    return gap, se, wins
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +92,9 @@ def test_c02_retention_ratio_laws():
     for _ in range(50):
         a = rng.normal(size=(3 * m, m))
         sigma = a.T @ a / (3 * m) + 0.05 * np.eye(m)
-        assert sp.retention_ratio(sigma, [], ridge=0.0) == 0.0
-        assert abs(sp.retention_ratio(sigma, range(m), ridge=0.0) - 1.0) < 1e-9
-        r_of = {tuple(j): sp.retention_ratio(sigma, j, ridge=0.0) for j in subsets}
+        assert references.retention_ratio(sigma, [], ridge=0.0) == 0.0
+        assert abs(references.retention_ratio(sigma, range(m), ridge=0.0) - 1.0) < 1e-9
+        r_of = {tuple(j): references.retention_ratio(sigma, j, ridge=0.0) for j in subsets}
         for j in subsets:
             if len(j) >= 4:
                 continue
@@ -94,7 +106,7 @@ def test_c02_retention_ratio_laws():
         for j in subsets[1:9]:  # scaling invariance spot-checked per sigma
             base = r_of[tuple(j)]
             for c in (0.1, 10.0):
-                assert abs(sp.retention_ratio(c * c * sigma, j, ridge=0.0) - base) < 1e-10
+                assert abs(references.retention_ratio(c * c * sigma, j, ridge=0.0) - base) < 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     ok(f"2 retention-ratio laws (50 matrices x {len(subsets)} subsets, {elapsed:.2f}s)")
@@ -113,7 +125,7 @@ def test_c03_greedy_vs_exhaustive():
         sigma = moment_of(phi)
         # the greedy runs with its automatic ridge; the exhaustive best has none
         plan = sp.find_subset(sigma, sp.GreedyConfig(alpha=1.0, max_cardinality=3))
-        best = max(sp.retention_ratio(sigma, list(j), ridge=0.0)
+        best = max(references.retention_ratio(sigma, list(j), ridge=0.0)
                    for j in itertools.combinations(range(10), 3))
         assert plan.achieved_ratio <= best + 1e-9
         assert not plan.plateau_flag
@@ -174,10 +186,8 @@ def test_c05_lambda_zero_equivalence():
         sigma = moment_of(phi)
         a = rng.normal(size=(9, 9))
         b = rng.normal(size=(9, 9))
-        stats_s = st.LayerStatistics(0, 300, a @ a.T / 9 + 0.1 * np.eye(9),
-                                     rng.normal(size=9))
-        stats_t = st.LayerStatistics(0, 300, b @ b.T / 9 + 0.1 * np.eye(9),
-                                     rng.normal(size=9))
+        stats_s = st.LayerStatistics(a @ a.T / 9 + 0.1 * np.eye(9), rng.normal(size=9))
+        stats_t = st.LayerStatistics(b @ b.T / 9 + 0.1 * np.eye(9), rng.normal(size=9))
         base = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.995))
         for mode in ("node", "subset"):
             reg = sp.find_subset(sigma, sp.GreedyConfig(alpha=0.995, lam=0.0,
@@ -198,12 +208,16 @@ def test_c06_dalr_optimality():
         k = int(rng.integers(1, 6))
         w = rng.normal(size=(m, n))
         x = rng.normal(size=(n, ns)) * rng.uniform(0.2, 2.0, size=(n, 1))
-        fd = lr.dalr_compress(w, np.zeros(m), x, k)
-        err = np.linalg.norm((w - fd.second @ fd.first) @ x)
+        first, second = lr.factor_dense(w, np.zeros(m), x, k)
+        err = np.linalg.norm((w - second.weight @ first.weight) @ x)
         tail = np.sqrt((np.linalg.svd(w @ x, compute_uv=False)[k:] ** 2).sum())
         assert abs(err - tail) < 1e-8
-        plain = lr.svd_truncate(w, np.zeros(m), k)
-        assert err <= np.linalg.norm((w - plain.second @ plain.first) @ x) + 1e-10
+        # the svd path is DALR on identity inputs: the truncated SVD of w
+        first, second = lr.factor_dense(w, np.zeros(m), np.eye(n), k)
+        plain = second.weight @ first.weight
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        assert np.abs(plain - (u[:, :k] * s[:k]) @ vt[:k]).max() < 1e-12
+        assert err <= np.linalg.norm((w - plain) @ x) + 1e-10
     ok("6 data-dependent factorization optimality (20 instances)")
 
 
@@ -212,13 +226,13 @@ def test_c06_dalr_optimality():
 # ---------------------------------------------------------------------------
 
 def test_c07_budget_matching():
-    assert lr.matched_rank(4, 4096, 4096, 102) == 108
+    assert references.matched_rank(4, 4096, 4096, 102) == 108
 
     m, p, fc6_in = 4096, 102, 25088
     fc6 = nm.Dense(np.zeros((m, fc6_in), dtype=np.float64), np.zeros(m))
     worst = 0.0
     for k in (4, 8, 16, 32, 64, 128):
-        kp = lr.matched_rank(k, m, m, p)
+        kp = references.matched_rank(k, m, m, p)
         pruned = nm.Network(
             (fc6, nm.ReLU(),
              nm.Dense(np.zeros((kp, m)), np.zeros(kp)), nm.ReLU(),
@@ -232,7 +246,7 @@ def test_c07_budget_matching():
         rel = abs(a - b) / b
         worst = max(worst, rel)
         assert rel < 1e-3
-    frac = 100 * lr.dalr_param_fraction(4, 4096, 4096)
+    frac = 100 * references.dalr_param_fraction(4, 4096, 4096)
     assert round(frac, 2) == 0.20
     assert lr.dalr_feasible(4, 4096, 4096)
     ok(f"7 budget matching (k'=108; worst count gap {worst:.2e}; "
@@ -257,6 +271,7 @@ def test_c08_data_choice_trend():
         "paths": {"out_dir": os.path.join(CACHE_DIR, "c08")},
     })
     mean_acc = {}
+    per_seed = {}
     rates = {}
     for choice in ("target_only", "target_source_mix", "target_plus_source"):
         cfg = dataclasses.replace(base, stats=dataclasses.replace(
@@ -266,6 +281,8 @@ def test_c08_data_choice_trend():
             rows = [r for r in report.rows if r.sweep_value == value]
             assert len(rows) == 10
             mean_acc[(choice, value)] = float(np.mean([r.acc_target for r in rows]))
+            per_seed[(choice, value)] = [r.acc_target
+                                         for r in sorted(rows, key=lambda r: r.seed)]
             rates.setdefault(value, set()).update(
                 round(r.compression_rate, 12) for r in rows)
     # keep-fraction sweeps pin the architecture: rates match across settings
@@ -276,6 +293,8 @@ def test_c08_data_choice_trend():
         assert rate >= 0.90, f"sweep point {value} has rate {rate:.3f} < 0.90"
         t_only = mean_acc[("target_only", value)]
         for choice in ("target_source_mix", "target_plus_source"):
+            print_paired(f"keep={value}: target_only - {choice}",
+                         per_seed[("target_only", value)], per_seed[(choice, value)])
             assert t_only >= mean_acc[(choice, value)], (
                 f"target_only {t_only:.4f} < {choice} "
                 f"{mean_acc[(choice, value)]:.4f} at keep {value}")
@@ -320,8 +339,8 @@ def test_c09_regularization_trend():
             base.compress, method=method))
         reports[method] = pl.run(cfg)
     highest = sorted(sweep)[:2]  # smallest keep fractions = highest compression
-    lines = []
-    for value in highest:
+    points = []
+    for value in highest:  # every point's evidence is printed before any assert
         per_seed = {}
         for method, report in reports.items():
             rows = sorted((r for r in report.rows if r.sweep_value == value),
@@ -332,6 +351,10 @@ def test_c09_regularization_trend():
         # per-seed values, so a tie is auditable
         print(f"  keep={value}: spectral      {np.round(plain, 4).tolist()}")
         print(f"  keep={value}: reg_node      {np.round(reg, 4).tolist()}")
+        print_paired(f"keep={value}: reg_node - spectral", reg, plain)
+        points.append((value, reg, plain))
+    lines = []
+    for value, reg, plain in points:
         assert reg.mean() >= plain.mean(), (
             f"reg_node mean {reg.mean():.4f} < spectral mean {plain.mean():.4f} "
             f"at keep {value}")
@@ -409,6 +432,7 @@ def test_c13_spectral_beats_dalr_at_high_compression():
         d_rate, d_acc, rank = max(below, key=lambda p: p[0])
         print(f"  keep={keep} (cr={rate:.4f}): spectral {np.round(acc, 4).tolist()}")
         print(f"  rank={rank} (cr={d_rate:.4f}): dalr     {np.round(d_acc, 4).tolist()}")
+        print_paired(f"cr={rate:.4f}: spectral - dalr", acc, d_acc)
         assert acc.mean() > d_acc.mean(), (
             f"spectral mean {acc.mean():.4f} at cr {rate:.4f} <= DALR mean "
             f"{d_acc.mean():.4f} at cr {d_rate:.4f}")

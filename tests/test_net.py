@@ -495,9 +495,10 @@ def test_every_kind_saves_the_same_bytes_and_flops(tmp_path):
 def test_count_flops_digits_and_factored():
     digits = pl.build_digits_model(ModelSection(), 0)
     assert nm.count_flops(digits) == 109824
-    fd = lr.svd_truncate(digits.layers[14].weight, digits.layers[14].bias, 7)
+    dense = digits.layers[14]
+    factors = lr.factor_dense(dense.weight, dense.bias, np.eye(256), 7)
     # the 256x256 dense layer becomes two rank-7 factors: 65536 -> 2 * 7 * 256
-    assert nm.count_flops(lr.replace_dense(digits, 14, fd)) == 47872
+    assert nm.count_flops(lr.replace_dense(digits, 14, factors)) == 47872
 
 
 def test_layers_coerce_and_check_themselves():

@@ -18,7 +18,7 @@ from specprune import stats as st
 from specprune import train as tr
 from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
-from specprune.errors import ConfigError, Diverged
+from specprune.errors import ConfigError, Diverged, FormatError
 
 
 def tiny_doc(out_dir, **compress):
@@ -654,6 +654,36 @@ def test_report_json_round_trip(tmp_path):
     assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
         "1,spectral,0.9,1.0,target_only,100,50,200,90,0.5,0.895,0.7,0.65,1.25",
         "2,dalr,4,1.0,target_only,100,40,200,80,0.6,,0.6,0.55,0.5"]
+
+
+def test_load_report_names_the_file_of_a_corrupt_report(tmp_path):
+    row = {"seed": 1, "method": "svd", "sweep_value": 4, "lambda": 1.0,
+           "data_choice": "target_only", "params_before": 100, "params_after": 40,
+           "flops_before": 200, "flops_after": 80, "compression_rate": 0.6,
+           "ratio_achieved": [], "acc_source": 0.6, "acc_target": 0.55, "seconds": 0.5}
+    cases = [
+        ('{"rows": [', "unreadable report"),  # truncated JSON
+        (b"\xff\xfe", "unreadable report"),  # not UTF-8
+        ("[]", 'no "rows" list'),
+        ('{"records": []}', 'no "rows" list'),
+        ('{"rows": {}}', 'no "rows" list'),
+        (json.dumps({"rows": [row, 5]}), "row 1 is malformed: TypeError"),
+        (json.dumps({"rows": [{k: v for k, v in row.items() if k != "lambda"}]}),
+         "row 0 is malformed: KeyError"),
+        (json.dumps({"rows": [dict(row, ratio_achieved=None)]}), "row 0 is malformed"),
+        (json.dumps({"rows": [dict(row, extra=1)]}), "row 0 is malformed"),
+    ]
+    for k, (text, match) in enumerate(cases):
+        path = tmp_path / f"r{k}.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        with pytest.raises(FormatError, match=match) as err:
+            pl.load_report(path)
+        assert str(path) in str(err.value)
+    with pytest.raises(FormatError, match=r"unreadable report: .*missing\.json"):
+        pl.load_report(tmp_path / "missing.json")
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    assert pl.load_report(path).rows[0].method == "svd"
 
 
 def test_csv_schema_and_row_count(tmp_path, tiny_setup):

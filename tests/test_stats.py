@@ -81,12 +81,11 @@ def test_finalize_rejects_non_finite_rows():
             st.finalize(acc, "target")
 
 
-def make_stats(cov, mean=None, layer=0):
+def make_stats(cov, mean=None):
     m = cov.shape[0]
     mean = np.zeros(m) if mean is None else np.asarray(mean, dtype=np.float64)
     cov = (cov + cov.T) / 2.0
-    return st.LayerStatistics(layer=layer, n=1000, sigma=cov + np.outer(mean, mean),
-                              mean=mean)
+    return st.LayerStatistics(sigma=cov + np.outer(mean, mean), mean=mean)
 
 
 def test_scaling_matrix_identity_and_hand_case():

@@ -341,7 +341,8 @@ def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
     feats = rng.normal(size=(70, 1, 4, 4))
     ds = DomainDataset("target", "test", feats, rng.integers(0, 4, size=70), n_classes=4)
     networks = [a, b, a, b, c]
-    alone = [tr.evaluate([n], ds, 32)[0] for n in networks]
+    monkeypatch.setattr(tr, "EVAL_BATCH_SIZE", 32)
+    alone = [tr.evaluate([n], ds)[0] for n in networks]
     assert len(set(alone)) > 1
 
     applied = []
@@ -352,7 +353,7 @@ def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
         return apply_layer(layer, x, index)
 
     monkeypatch.setattr(nm, "apply_layer", spy)
-    assert tr.evaluate(networks, ds, batch_size=32) == alone
+    assert tr.evaluate(networks, ds) == alone
     every = list(range(len(a.layers)))
     assert applied == (every + [depth] * 3 + every) * 3
 
@@ -361,4 +362,4 @@ def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
     d = nm.Network(a.layers, (1, 2, 8), capture_points=a.capture_points)
     assert all(x is y for x, y in zip(a.layers, d.layers)) and nm.shared_depth(a, d) == 0
     with pytest.raises(ShapeMismatch):
-        tr.evaluate([a, d], ds, batch_size=32)
+        tr.evaluate([a, d], ds)
