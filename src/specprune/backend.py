@@ -24,9 +24,10 @@ Fortran-ordered view dsymv takes without a copy.
 An absorbed node is never a candidate again, and its residual row is only
 about ridge / pivot of what it was. So every COMPACT_EVERY selections the
 caller drops the absorbed nodes from the working set (residual_compact): Σ_a,
-Z, diag and rownorm2 shrink to the nodes still active, in index order, and
-every later product runs over a < m. The terms dropped from the row norms
-are of order (ridge / pivot)², so the gains move in their last bits only.
+Z, diag and rownorm2 are rebuilt by indexing as new arrays over the nodes
+still active, in index order, and every later product runs over a < m. The
+caller's Σ is never written. The terms dropped from the row norms are of
+order (ridge / pivot)², so the gains move in their last bits only.
 """
 
 import numpy as np
@@ -85,34 +86,14 @@ def residual_update(diag, rownorm2, z, sigma, t, isel, ridge):
     return zz
 
 
-def residual_compact(diag, rownorm2, z, sigma, t, keep, own_sigma):
+def residual_compact(diag, rownorm2, z, sigma, t, keep):
     """The kernel state restricted to the positions `keep` (increasing):
     (diag, rownorm2, z, sigma) over len(keep) positions.
 
-    The first t rows of z are compacted within z's own buffer, and the rows
-    from t on are zero again. sigma, rows and columns, is gathered into a
-    new buffer, or within its own when own_sigma says an earlier compaction
-    returned it; the caller's array is never written. Rows are moved
-    COMPACT_EVERY at a time, so no temporary is larger than that many rows.
+    Each result is a new array built by indexing; no input is written. z
+    keeps its row count, with the first t rows gathered to the kept columns
+    and the rows from t on zero.
     """
-    a = len(keep)
-    z = _gather(z, np.arange(t), keep, _front(z, len(z), a))
-    z[t:] = 0.0
-    out = _front(sigma, a, a) if own_sigma else np.empty((a, a))
-    return diag[keep], rownorm2[keep], z, _gather(sigma, keep, keep, out)
-
-
-def _front(x, rows, cols):
-    """The start of C-contiguous x's buffer as a (rows x cols) array."""
-    return x.reshape(-1)[:rows * cols].reshape(rows, cols)
-
-
-def _gather(src, rows, cols, out):
-    """out[r] = src[rows[r], cols] for each r, COMPACT_EVERY rows at a time;
-    returns out. out may start src's buffer if it is no wider: with rows
-    increasing, each block of out ends before the first row of src that a
-    later block reads."""
-    for r in range(0, len(rows), COMPACT_EVERY):
-        block = rows[r:r + COMPACT_EVERY]
-        out[r:r + len(block)] = src[block][:, cols]
-    return out
+    factor = np.zeros((len(z), len(keep)))
+    factor[:t] = z[:t, keep]
+    return diag[keep], rownorm2[keep], factor, sigma[np.ix_(keep, keep)]

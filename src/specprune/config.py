@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .datasets import DomainShiftConfig
 from .errors import ConfigError
+from .train import OPTIMIZERS
 
 SCHEMA_VERSION = 1
 
@@ -25,7 +26,6 @@ REG_MODE_BY_METHOD = {"spectral": "none", "spectral_reg_subset": "subset",
 SPECTRAL_METHODS = tuple(REG_MODE_BY_METHOD)
 METHODS = (*SPECTRAL_METHODS, "svd", "dalr")
 SWEEP_KINDS = ("alpha", "keep_fraction", "rank")
-OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,9 @@ def _at_least(low):
 _RULES = {
     "config.schema_version": ((lambda v: v == SCHEMA_VERSION), f"{SCHEMA_VERSION}"),
     "config.scenario": _one_of(SCENARIOS),
-    "config.seeds": ((lambda v: len(v) > 0 and all(type(s) is int and s >= 0 for s in v)),
-                     "a nonempty list of non-negative integers"),
+    "config.seeds": ((lambda v: len(v) > 0 and all(type(s) is int and s >= 0 for s in v)
+                      and len(set(v)) == len(v)),
+                     "a nonempty list of distinct non-negative integers"),
     "data.n_per_split": _at_least(100),
     # a translation of 8 or more pixels moves the whole 8x8 glyph out
     **{f"data.shift.{name}": ((lambda v: -7 <= v <= 7), "in [-7, 7]")
@@ -121,7 +122,7 @@ _RULES = {
                          f"{n} positive integers")
        for name, n in (("conv_channels", 3), ("dense_widths", 2))},
     "model.dropout": ((lambda v: 0 <= v < 1), "in [0, 1)"),
-    "train.optimizer": _one_of(OPTIMIZERS),
+    "train.optimizer": _one_of(tuple(OPTIMIZERS)),
     "train.batch_size": _at_least(1),
     **{f"train.{name}": _at_least(0)
        for name in ("learning_rate", "weight_decay", "epochs", "source_samples",
@@ -133,7 +134,7 @@ _RULES = {
     "compress.sweep_kind": _one_of(SWEEP_KINDS),
     "compress.conv_value": ((lambda v: v < 0 or 0 < v <= 1), "in (0, 1] or negative"),
     "compress.lambda": _at_least(0),
-    "fine_tune.optimizer": _one_of(OPTIMIZERS),
+    "fine_tune.optimizer": _one_of(tuple(OPTIMIZERS)),
     "fine_tune.batch_size": _at_least(1),
     **{f"fine_tune.{name}": _at_least(0)
        for name in ("learning_rate", "weight_decay", "epochs")},

@@ -207,7 +207,8 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     max_cardinality is hit, or the best candidate's improvement falls below
     numerical resolution (plateau guard; flagged on the plan). The
     incremental path drops the absorbed nodes from the kernel's working set
-    every backend.COMPACT_EVERY picks, so past that its ratios may differ
+    every backend.COMPACT_EVERY picks, into new arrays built by indexing
+    (sigma itself is never written), so past that its ratios may differ
     from an uncompacted loop's in the last bits; the recovery is solved from
     the full sigma.
     """
@@ -251,7 +252,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
                 and len(selected) % backend.COMPACT_EVERY == 0:
             keep = active.nonzero()[0]
             diag, rownorm2, factor, work = backend.residual_compact(
-                diag, rownorm2, factor, work, len(selected), keep, work is not sigma)
+                diag, rownorm2, factor, work, len(selected), keep)
             ids = ids[keep]
             active = np.ones(len(keep), dtype=bool)
         cand = active.nonzero()[0]

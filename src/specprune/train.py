@@ -36,7 +36,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad learning_rate/batch_size/epochs")
@@ -156,6 +156,10 @@ class _Adam:
             w -= a
 
 
+#: The optimizer classes by config name, the one list of the names.
+OPTIMIZERS = {"sgd": _Sgd, "adam": _Adam}
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
@@ -187,7 +191,7 @@ def train(network, data, cfg):
     feats, labels = _stack(list(data), network.input_shape)
     layers = _private(network.layers, cfg.freeze)
     rng = np.random.default_rng(cfg.seed)
-    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(cfg.learning_rate, cfg.weight_decay)
+    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.weight_decay)
     n = len(labels)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)

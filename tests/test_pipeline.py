@@ -4,11 +4,10 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from blas_threads import outputs_at_one_and_two_threads
 
 from specprune import cli
 from specprune import net as nm
@@ -182,15 +181,8 @@ def test_training_independent_of_blas_threads(tmp_path):
     # through a transposed view of the im2col matrix differs at 2 threads).
     # The 1-thread weights are pinned too, so the benchmark's layer shapes
     # pin the training arithmetic, not only the tiny models.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _TRAIN_SCRIPT, str(tmp_path / threads)],
-                              env=env, capture_output=True, text=True, timeout=300, check=True)
-        digests.append(proc.stdout.strip())
+    digests = outputs_at_one_and_two_threads(_TRAIN_SCRIPT,
+                                             lambda threads: [str(tmp_path / threads)])
     assert digests[0] == "fe23f58bb26a0aeee6f868c4c06f5ebabfaf3d4e2106af62db44a0600d4bbd13"
     assert digests[0] == digests[1]
 
@@ -316,25 +308,35 @@ def test_run_lowrank_methods(tiny_setup):
         assert row.ratio_achieved == ()
 
 
-@pytest.mark.parametrize("method, digest", [
-    ("dalr", "dbe0b5ba2a841c3e66ebaa2517abdbbc2b8ebaa58cd3b1b28ee801aa59c1b88f"),
-    ("svd", "b85bda19e15291af702209c650741b3ea921055a814272059e2877c867aa7da7"),
+@pytest.mark.parametrize("method, digest, digest64", [
+    ("dalr", "dbe0b5ba2a841c3e66ebaa2517abdbbc2b8ebaa58cd3b1b28ee801aa59c1b88f",
+     "2c402e9aef6360fa3f0685a544bf61c642207fe70a81269d2b20bf5ded8ec985"),
+    ("svd", "b85bda19e15291af702209c650741b3ea921055a814272059e2877c867aa7da7",
+     "15e8693865f41db2509eb8d9c0e5f2fd432e3173accc9cfb5aa3ed17004e5350"),
 ], ids=("dalr", "svd"))
-def test_lowrank_sweep_models_are_pinned(tiny_setup, tmp_path, method, digest):
-    # The save_model bytes of every point of a rank sweep. Inference layers
-    # act row by row on the same blocks, so pushing from the input and
-    # pushing on from the last factored layer give these bytes alike. Rank 16
-    # factors only the classifier; 600 samples span three push blocks.
+def test_lowrank_sweep_models_are_pinned(tiny_setup, tmp_path, method, digest, digest64):
+    # The save_model bytes of every point of a rank sweep, and its tensors
+    # in memory as float64: save_model writes float32, so a change of a few
+    # ulps shows only in the second digest (the tiny model's sweep gave the
+    # same float64 bits at 1 and 2 BLAS threads). Inference layers act row by
+    # row on the same blocks, so pushing from the input and pushing on from
+    # the last factored layer give these bytes alike. Rank 16 factors only
+    # the classifier; 600 samples span three push blocks.
     _, cfg, _, _, model = tiny_setup
     cfg = dataclasses.replace(
         cfg, stats=dataclasses.replace(cfg.stats, target_samples=600),
         compress=dataclasses.replace(cfg.compress, method=method, sweep=(16, 8, 4, 2),
                                      sweep_kind="rank"))
     source, target = make_two_domain(0, 600, cfg.data.shift)
-    h = hashlib.sha256()
+    h, h64 = hashlib.sha256(), hashlib.sha256()
     for value, compressed, _, _ in pl.compress_sweep(cfg, 0, source, target, model):
         h.update(_model_bytes(compressed, tmp_path / str(value)))
+        for layer in compressed.layers:
+            for name in nm.tensor_fields(layer):
+                h64.update(np.ascontiguousarray(getattr(layer, name), dtype=np.float64)
+                           .tobytes())
     assert h.hexdigest() == digest
+    assert h64.hexdigest() == digest64
 
 
 def test_fine_tune_runs_and_disables_dropout(tiny_setup):
@@ -934,7 +936,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     # out-of-range values that would crash with a bare NumPy or Python error,
     # or silently misbehave (a glyph shifted out of view, a negative count
     # slicing from the end), are rejected before anything is written
-    for keys, value in ((("seeds",), [-1]), (("train", "batch_size"), 0),
+    for keys, value in ((("seeds",), [-1]), (("seeds",), [0, 0]),
+                        (("train", "batch_size"), 0),
                         (("train", "epochs"), -1),
                         (("train", "learning_rate"), -1.0),
                         (("train", "pretrain_epochs"), -1),

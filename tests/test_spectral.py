@@ -1,13 +1,11 @@
 import dataclasses
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import references
+from blas_threads import outputs_at_one_and_two_threads
 
 from specprune import backend
 from specprune import net as nm
@@ -534,23 +532,24 @@ def test_kernel_factor_matches_explicit_downdates():
 
 def test_kernel_compaction_gathers_the_active_state():
     # residual_compact gives the state restricted to the kept positions,
-    # rows and columns, with the rows of z from t on zero; the first
-    # compaction leaves sigma alone, later ones reuse its buffer in place
+    # rows and columns, with the rows of z from t on zero, in new arrays:
+    # no result shares memory with an input, and sigma is never written
     rng = np.random.default_rng(51)
     m, rank, ridge = 300, 260, 1e-8
     sigma = moment_of(random_activations(rng, 600, m))
     original = sigma.copy()
     diag, rownorm2, z = backend.residual_init(sigma, rank)
-    work, own = sigma, False
+    work = sigma
     for t, drop in ((150, 150), (200, 50)):
         width = work.shape[0]
         for s, i in enumerate(rng.choice(width, size=drop, replace=False)):
             backend.residual_update(diag, rownorm2, z, work, t - drop + s, i, ridge)
         keep = np.sort(rng.choice(width, size=width - drop, replace=False))
         want = (diag[keep], rownorm2[keep], z[:t][:, keep], work[np.ix_(keep, keep)])
-        diag, rownorm2, z, work = backend.residual_compact(
-            diag, rownorm2, z, work, t, keep, own)
-        own = True
+        state = (diag, rownorm2, z, work)
+        diag, rownorm2, z, work = backend.residual_compact(*state, t, keep)
+        assert not any(np.shares_memory(new, old)
+                       for new in (diag, rownorm2, z, work) for old in state)
         assert z.shape == (rank, len(keep)) and not z[t:].any()
         assert np.array_equal(diag, want[0]) and np.array_equal(rownorm2, want[1])
         assert np.array_equal(z[:t], want[2]) and np.array_equal(work, want[3])
@@ -693,17 +692,7 @@ def test_selection_independent_of_blas_threads():
     # the m=700 sigma is wide enough that the kernel's dsymv runs threaded at
     # two threads, where its output bits may differ from one thread's; the
     # picks must not
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
-    picks = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _SELECT_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        picks.append(proc.stdout.strip())
-    runs = [p.splitlines() for p in picks]
+    runs = [p.splitlines() for p in outputs_at_one_and_two_threads(_SELECT_SCRIPT)]
     assert len(runs[0]) == 5 and all(len(line.split(",")) > 10 for line in runs[0][:3])
     assert len(set(runs[0][:3])) == 3  # each regularizer moves the picks
     assert [line.split()[0] for line in runs[0][3:]] == ["1", "3"]
