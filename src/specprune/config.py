@@ -57,7 +57,7 @@ class TrainSection:
 @dataclass(frozen=True)
 class StatsSection:
     data_choice: str = "target_only"
-    target_samples: int = 2000
+    target_samples: int = 1500
     source_samples: int = 1000
 
 
@@ -210,6 +210,13 @@ def parse_config(doc):
         raise ConfigError(f"compress.conv_value: {compress.method} factors only the dense "
                           "layers and would ignore it")
     values["compress"] = dataclasses.replace(compress, sweep_kind=kind)
+    n = values["data"].n_per_split
+    for section in ("stats", "train"):  # a train count of 0 takes the whole split
+        for name in ("target_samples", "source_samples"):
+            count = getattr(values[section], name)
+            if count > n:
+                raise ConfigError(f"{section}.{name}: must be at most data.n_per_split "
+                                  f"({n}), got {count}")
     return ExperimentConfig(**values)
 
 

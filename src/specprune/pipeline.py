@@ -131,22 +131,12 @@ def reg_features(cfg, source, target):
 # compression dispatch
 # ---------------------------------------------------------------------------
 
-def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, seed,
-                   memo=None):
-    """One sweep point: returns (compressed network, per-layer achieved ratios).
-
-    A spectral point is one GreedyConfig per capture: a keep_fraction v caps
-    it at max(1, round(v * width)) nodes, an alpha is its alpha, and a conv
-    capture takes conv_value instead when that is set.
-
-    memo: a spectral.SweepMemo shared by the points of one sweep over netw
-    and the same features and seed; spectral methods reuse the capture work
-    those points share. The factorization methods ignore it.
-    """
-    method = cfg.compress.method
-    if method not in SPECTRAL_METHODS:
-        return _lowrank_compress(netw, method, int(sweep_value), sigma_feats), ()
-    gcfg = sp.GreedyConfig(lam=cfg.compress.lam, reg_mode=REG_MODE_BY_METHOD[method])
+def _point_configs(cfg, netw, sweep_value):
+    """One spectral sweep point as one GreedyConfig per capture of netw: a
+    keep_fraction v caps it at max(1, round(v * width)) nodes, an alpha is
+    its alpha, and a conv capture takes conv_value instead when that is set."""
+    gcfg = sp.GreedyConfig(lam=cfg.compress.lam,
+                           reg_mode=REG_MODE_BY_METHOD[cfg.compress.method])
     conv_value = cfg.compress.conv_value
     configs = {}
     for cp, width in nm.layer_widths(netw).items():
@@ -155,9 +145,20 @@ def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, se
         configs[cp] = (dataclasses.replace(gcfg, max_cardinality=max(1, round(value * width)))
                        if cfg.compress.sweep_kind == "keep_fraction"
                        else dataclasses.replace(gcfg, alpha=value))
+    return configs
+
+
+def compress_model(cfg, netw, sweep_value, sigma_feats, src_feats, tgt_feats, seed,
+                   memo=None):
+    """One sweep point: returns (compressed network, per-layer achieved ratios).
+    memo: the spectral.SweepMemo of the sweep (see compress_sweep), whose next
+    point this is; the factorization methods ignore it."""
+    method = cfg.compress.method
+    if method not in SPECTRAL_METHODS:
+        return _lowrank_compress(netw, method, int(sweep_value), sigma_feats), ()
     compressed, plans = sp.compress_network(
-        netw, sigma_feats, configs, source_features=src_feats, target_features=tgt_feats,
-        seed=seed, memo=memo)
+        netw, sigma_feats, _point_configs(cfg, netw, sweep_value), source_features=src_feats,
+        target_features=tgt_feats, seed=seed, memo=memo)
     return compressed, tuple(plans[cp].achieved_ratio for cp in sorted(plans))
 
 
@@ -326,12 +327,13 @@ def load_inputs(cfg, seed):
 
 def compress_sweep(cfg, seed, source, target, model):
     """Yield (value, compressed network, per-layer ratios, compress seconds)
-    for each sweep value in order. The points share one SweepMemo, so a
-    point reuses the capture work of the point before it where their pruned
-    prefixes agree; the memo is freed once the generator is exhausted."""
+    for each sweep value in order. A spectral sweep's points share one
+    SweepMemo, so each point does only the capture work no earlier point
+    did; the memo is freed once the generator is exhausted."""
     sigma_feats = stats_features(cfg, source, target)
     src_feats, tgt_feats = reg_features(cfg, source, target)
-    memo = sp.SweepMemo()
+    memo = sp.SweepMemo([_point_configs(cfg, model, v) for v in cfg.compress.sweep]) \
+        if cfg.compress.method in SPECTRAL_METHODS else None
     for value in cfg.compress.sweep:
         t0 = time.perf_counter()
         compressed, ratios = _stage("compress", compress_model, cfg, model, value,

@@ -347,81 +347,115 @@ def apply_plan(network, cp, plan):
 # full-network compression
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CaptureRecord:
-    """What one capture point of a compress_network call leaves in a memo."""
-
-    stats: tuple  # (sigma, source LayerStatistics or None, target or None)
-    local: GreedyConfig
-    plan: PruningPlan
-    network: nm.Network  # after this capture's surgery
-    acts: tuple  # distinct streams at cp + 1, before the slice; None at the last capture
+def _cut_short(plan, loose, cfg, sigma):
+    """The plan find_subset(sigma, cfg) returns, cut short from `plan`, the
+    result of find_subset(sigma, loose); cfg differs from loose at most in a
+    smaller alpha or cap (0, no cap, is the largest). The greedy order on a
+    fixed sigma depends on neither, so cfg's plan stops at the first step of
+    that order that reaches its alpha or cap; where none does, both plans
+    plateaued or ran out of candidates at the same step."""
+    if cfg == loose:
+        return plan
+    for t, ratio in enumerate(plan.ratio_trace, 1):
+        if ratio >= cfg.alpha or t == cfg.max_cardinality:
+            return PruningPlan(selected=plan.selected[:t],
+                               recovery=recovery_matrix(sigma, sorted(plan.selected[:t])),
+                               ratio_trace=plan.ratio_trace[:t], plateau_flag=False)
+    return plan
 
 
 class SweepMemo:
-    """Capture work shared by the compress_network calls of one sweep.
+    """The compress_network calls of one sweep, walked as one tree of cuts.
 
-    It holds one record per capture point for the previous call only. A
-    call reuses a capture's statistics while every earlier capture kept the
-    same nodes (on the same statistics, the same nodes give the same
-    recovery matrix; each capture samples from its own generator, so no
-    sampling state passes from one capture to the next). If the
-    capture's own config is also unchanged, the call reuses its plan and
-    pruned network too. If the config differs only in alpha or
-    max_cardinality, the greedy order on the same statistics is the same,
-    so the plan is read off the stored one where it stops within it (see
-    _plan_from_record). At the first capture whose cut differs, the
-    stored activations of that capture are sliced to the new cut, and only
-    the captures after it push and take moments. Each call's results are
-    bit-identical to a call without the memo.
-
-    The first call binds the memo to its network, input streams and
-    seed. A later call with any other raises ValueError.
+    points holds one {capture: GreedyConfig} map per sweep point, in sweep
+    order. The k-th call given the memo must pass the k-th point's configs
+    and the first call's network, input streams and seed. Points that cut
+    every earlier capture alike share a node, which pushes and takes moments
+    once and runs find_subset once, under their loosest config; each plan is
+    that order cut short, and each group keeping the same nodes walks on.
+    A node is computed by the first call that reaches it, and each point's
+    results are bit-identical to a sweep of that point alone.
     """
 
-    def __init__(self):
+    def __init__(self, points):
+        self._points = [dict(point) for point in points]
+        plain = [{cp: dataclasses.replace(cfg, alpha=1.0, max_cardinality=0)
+                  for cp, cfg in point.items()} for point in self._points]
+        if not plain or any(p != plain[0] for p in plain):
+            raise ValueError("a sweep needs points, which may differ only in alpha "
+                             "and max_cardinality at each capture")
+        self._plans = {k: {} for k in range(len(self._points))}  # until returned
         self._inputs = None
-        self._records = ()
 
-    def _take(self, network, slots, arrays, seed):
-        """Check the call against the bound inputs and hand over the
-        previous call's records; the memo keeps none while a call runs."""
-        if self._inputs is None:
-            self._inputs = (network, slots, tuple(arrays), seed)
-        else:
-            network0, slots0, arrays0, seed0 = self._inputs
-            if (network is not network0 or slots != slots0 or seed != seed0
-                    or not all(np.array_equal(a, b) for a, b in zip(arrays, arrays0))):
-                raise ValueError("SweepMemo was bound to another network, input "
-                                 "streams or seed")
-        records, self._records = self._records, ()
-        return records
+    def _next(self, network, configs, slots, streams, labels, seed):
+        """The next point's (network, plans), once the call is checked."""
+        if self._inputs is None:  # the first call binds the memo
+            self._inputs = (network, slots, tuple(streams), seed)
+            self._captures = sorted(network.capture_points)
+            self._slots, self._labels, self._seed = slots, labels, seed
+            self._walk = self._node(0, network, streams, range(len(self._points)))
+        network0, slots0, streams0, seed0 = self._inputs
+        if (network is not network0 or slots != slots0 or seed != seed0
+                or not all(np.array_equal(a, b) for a, b in zip(streams, streams0))):
+            raise ValueError("SweepMemo was bound to another network, input streams or seed")
+        k = len(self._points) - len(self._plans)  # the points returned so far
+        if k == len(self._points) or configs != self._points[k]:
+            raise ValueError(f"SweepMemo: the configs are not those of its next point, "
+                             f"{k} of {len(self._points)}")
+        result = next(self._walk), self._plans.pop(k)
+        if not self._plans:  # the walk's frames refer to the memo, so end it now
+            self._walk = None
+        return result
 
+    def _node(self, k, network, streams, points):
+        """Yield the network of each of `points` (sweep indices, ascending),
+        cut at capture k and every later one, in turn."""
+        captures = self._captures
+        if k == len(captures):
+            yield from [network] * len(points)
+            return
+        cp = captures[k]
+        start = captures[k - 1] + 1 if k else 0
+        streams = [_push(network, x, start, cp + 1) for x in streams]
+        groups = self._select(cp, streams, points)
+        last, children = next(reversed(groups)), {}
+        for i in points:
+            plan = self._plans[i][cp]
+            key = plan.selected
+            if key not in children:
+                kept = np.asarray(sorted(key), dtype=np.intp)
+                children[key] = self._node(
+                    k + 1, apply_plan(network, cp, plan),
+                    [x[:, kept] for x in streams] if k + 1 < len(captures) else (), groups[key])
+                if key == last:  # only the last group's child holds its cut streams
+                    network = streams = None
+            yield next(children[key])
+            if i == groups[key][-1]:
+                del children[key]
 
-def _plan_from_record(plan, plan_cfg, cfg, sigma):
-    """The plan find_subset(sigma, cfg) returns, read off `plan`, the result
-    of find_subset(sigma, plan_cfg); None when it cannot be.
-
-    The greedy order on a fixed sigma depends on neither alpha nor
-    max_cardinality, which only decide where it stops. So if the configs
-    differ in nothing else, the new plan stops at the first step of the old
-    order that reaches the new alpha or cap; past the old plan's end, it is
-    the old plan only if that one ran out of candidates or plateaued.
-    """
-    if cfg == plan_cfg:
-        return plan
-    if dataclasses.replace(plan_cfg, alpha=cfg.alpha,
-                           max_cardinality=cfg.max_cardinality) != cfg:
-        return None
-    m = sigma.shape[0]
-    cap = cfg.max_cardinality if cfg.max_cardinality > 0 else m
-    for t, ratio in enumerate(plan.ratio_trace, 1):
-        if ratio >= cfg.alpha or t == cap:
-            selected = plan.selected[:t]
-            return PruningPlan(selected=selected,
-                               recovery=recovery_matrix(sigma, sorted(selected)),
-                               ratio_trace=plan.ratio_trace[:t], plateau_flag=False)
-    return plan if plan.plateau_flag or len(plan.selected) == m else None
+    def _select(self, cp, streams, points):
+        """Take the moments of the streams pushed to capture cp and cut each
+        point's plan there short; returns {kept nodes: points}."""
+        rng = np.random.default_rng(self._seed)
+        moments = [st.finalize(_rows_to_acc(cp, x, rng), label)
+                   for x, label in zip(streams, self._labels)]
+        named = {name: moments[i] for name, i in self._slots.items()}
+        sigma = named["sigma"].sigma
+        configs = [self._points[i][cp] for i in points]
+        caps = [c.max_cardinality for c in configs]
+        loose = dataclasses.replace(configs[0], alpha=max(c.alpha for c in configs),
+                                    max_cardinality=0 if 0 in caps else max(caps))
+        try:
+            plan = find_subset(sigma, loose, stats_source=named.get("source"),
+                               stats_target=named.get("target"))
+        except DegenerateSigma as exc:
+            raise DegenerateSigma(
+                f"capture point {cp} (selection statistics): {exc}") from exc
+        groups = {}
+        for i, cfg in zip(points, configs):
+            self._plans[i][cp] = cut = _cut_short(plan, loose, cfg, sigma)
+            groups.setdefault(cut.selected, []).append(i)
+        return groups
 
 
 def _distinct_streams(inputs):
@@ -462,8 +496,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     gets the same LayerStatistics. Each capture whose moments are computed
     draws its rows from a generator of its own, np.random.default_rng(seed),
     shared by its distinct streams in order.
-    memo, a SweepMemo, lets the calls of one sweep share the work of the
-    captures whose prefix they share; without one, nothing is kept.
+    memo, a SweepMemo, makes the call the next point of its sweep; without
+    one, the call is a sweep of one point.
     """
     captures = sorted(network.capture_points)
     configs = dict.fromkeys(captures, cfg) if isinstance(cfg, GreedyConfig) else cfg
@@ -477,47 +511,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
         inputs["source"] = source_features
         inputs["target"] = target_features
     slots, streams, labels = _distinct_streams(inputs)
-    previous = () if memo is None else memo._take(network, slots, streams, seed)
-    records = []
-    plans = {}
-    for k, cp in enumerate(captures):
-        rec = previous[k] if k < len(previous) else None
-        last = k + 1 == len(captures)
-        local = configs[cp]
-        if rec is None:
-            start = captures[k - 1] + 1 if k else 0
-            streams = [_push(network, x, start, cp + 1) for x in streams]
-            rng = np.random.default_rng(seed)
-            moments = [st.finalize(_rows_to_acc(cp, x, rng), label)
-                       for x, label in zip(streams, labels)]
-            named = {name: moments[i] for name, i in slots.items()}
-            stats = (named["sigma"].sigma, named.get("source"), named.get("target"))
-            plan = None
-        else:
-            stats, streams = rec.stats, rec.acts
-            plan = _plan_from_record(rec.plan, rec.local, local, stats[0])
-        if plan is None:
-            try:
-                plan = find_subset(stats[0], local, stats_source=stats[1],
-                                   stats_target=stats[2])
-            except DegenerateSigma as exc:
-                raise DegenerateSigma(
-                    f"capture point {cp} (selection statistics): {exc}") from exc
-        acts = None if memo is None or last else tuple(streams)
-        if rec is not None and plan.selected == rec.plan.selected:
-            network = rec.network
-        else:
-            previous = ()  # the captures after this one see another prefix
-            if not last:
-                kept = np.asarray(sorted(plan.selected), dtype=np.intp)
-                streams = [x[:, kept] for x in streams]
-            network = apply_plan(network, cp, plan)
-        plans[cp] = plan
-        if memo is not None:
-            records.append(_CaptureRecord(stats, local, plan, network, acts))
-    if memo is not None:
-        memo._records = tuple(records)
-    return network, plans
+    memo = SweepMemo([configs]) if memo is None else memo
+    return memo._next(network, configs, slots, streams, labels, seed)
 
 
 def _push(network, x, start, stop):
@@ -543,8 +538,8 @@ def _rows_to_acc(cp, x, rng):
     position) keeps a uniform random subset of ROW_BUDGET of them, drawn
     from rng. So BATCH_SIZE changes which rows, and how many, enter the
     moments; it is not a pure performance setting. Where no block is
-    subsampled nothing is drawn. compress_network calls it once per
-    distinct stream and capture, for all the names bound to the stream.
+    subsampled nothing is drawn. A sweep node calls it once per distinct
+    stream at its capture, for all the names bound to the stream.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)

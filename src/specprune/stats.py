@@ -90,14 +90,9 @@ def activation_rates(x):
 
 
 def content_key(*parts):
-    """sha256 over heterogeneous parts (bytes, str, int, float, ndarray)."""
+    """sha256 over the reprs of parts (str, int, float), each ended by a NUL."""
     h = hashlib.sha256()
     for p in parts:
-        if isinstance(p, np.ndarray):
-            h.update(np.ascontiguousarray(p).tobytes())
-        elif isinstance(p, bytes):
-            h.update(p)
-        else:
-            h.update(repr(p).encode())
+        h.update(repr(p).encode())
         h.update(b"\x00")
     return h.hexdigest()

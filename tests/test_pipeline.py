@@ -166,6 +166,7 @@ from specprune.config import parse_config
 from specprune.datasets import make_two_domain
 cfg = parse_config({"schema_version": 1, "scenario": "digits_joint", "seeds": [0],
                     "data": {"n_per_split": 100}, "train": {"epochs": 1, "batch_size": 100},
+                    "stats": {"target_samples": 100, "source_samples": 50},
                     "compress": {"method": "spectral", "sweep": [0.5]},
                     "paths": {"out_dir": sys.argv[1]}})
 source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
@@ -352,7 +353,7 @@ def test_fine_tune_runs_and_disables_dropout(tiny_setup):
 
 
 # ---------------------------------------------------------------------------
-# sweep memo: every point must equal a fresh compress_network call
+# sweep memo: every point must equal a sweep of that point alone
 # ---------------------------------------------------------------------------
 
 def _model_bytes(network, path):
@@ -403,13 +404,16 @@ class _Counter:
 
 def _sweep(cfg, monkeypatch, path, memo=True):
     """pl.run's rows (seconds zeroed) and, per point, the plans, the saved
-    model bytes and the (moments, find_subset calls, pushed samples) counts."""
+    model bytes and the (moments, find_subset calls, pushed samples) counts;
+    without memo, each point is compressed as a sweep of its own."""
     points = []
     compress_network = sp.compress_network
     with monkeypatch.context() as patch:
         counter = _Counter(patch)
 
         def recording(*args, **kwargs):
+            if not memo:
+                kwargs["memo"] = None
             before = counter.work()
             network, plans = compress_network(*args, **kwargs)
             points.append((plans, _model_bytes(network, path / str(len(points))),
@@ -417,8 +421,6 @@ def _sweep(cfg, monkeypatch, path, memo=True):
             return network, plans
 
         patch.setattr(sp, "compress_network", recording)
-        if not memo:
-            patch.setattr(sp, "SweepMemo", lambda: None)
         report = pl.run(cfg)
     return _strip_seconds(report), points
 
@@ -426,27 +428,32 @@ def _sweep(cfg, monkeypatch, path, memo=True):
 # The tiny model has 5 captures (3 conv, 2 dense) and 150 statistics samples;
 # work is (moments, find_subset calls, pushed samples) per point.
 @pytest.mark.parametrize("compress, budget, work", [
-    # keep sweep, conv pinned: later points reuse the 3 conv captures and the
-    # statistics of the first dense capture, cut its stored order short and
-    # slice its stored activations, so they select and push only at the last
-    # capture
+    # keep sweep, conv pinned: all points share the 3 conv captures and the
+    # first dense capture, where each cuts its plan short from one greedy
+    # order and slices the node's activations, so later points select and
+    # push only at the last capture
     ({"sweep": (0.5, 0.3, 0.2), "sweep_kind": "keep_fraction", "conv_value": 0.75},
      sp.ROW_BUDGET, [(5, 5, 5 * 150), (1, 1, 150), (1, 1, 150)]),
     # the same with a row budget below the rows of one batch at every capture,
-    # so every capture, reused or not, subsamples from its own generator; the
-    # third point keeps more at the first dense capture than the second point
-    # did, so it selects there again
+    # so every capture, shared or not, subsamples from its own generator; the
+    # third point repeats the first, so it does no work of its own
     ({"sweep": (0.5, 0.3, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
-     40, [(5, 5, 5 * 150), (1, 1, 150), (1, 2, 150)]),
+     40, [(5, 5, 5 * 150), (1, 1, 150), (0, 0, 0)]),
+    # an unordered keep sweep: the first point's call selects at the first
+    # dense capture under the largest cap, 0.5, of all four points, and the
+    # last point repeats the second
+    ({"sweep": (0.3, 0.5, 0.2, 0.5), "sweep_kind": "keep_fraction", "conv_value": 0.75},
+     sp.ROW_BUDGET, [(5, 5, 5 * 150), (1, 1, 150), (1, 1, 150), (0, 0, 0)]),
     # regularized alpha sweep that returns to its first point; the 3 named
     # streams are 2 distinct ones (selection and target are the same rows),
     # pushed, sampled and accumulated once each at every capture, the
-    # subsampled first conv capture too; the memo shares only the first
-    # capture's: the falling second point truncates its plan there, the
-    # rising third point must select again
+    # subsampled first conv capture too; the points share only the first
+    # capture's node, where the second point cuts its plan short, and the
+    # third point repeats the first
     ({"method": "spectral_reg_subset", "sweep": (0.99, 0.9, 0.99)}, sp.ROW_BUDGET,
-     [(5 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (4 * 2, 5, 8 * 150)]),
-], ids=["keep_conv_pinned", "keep_row_budget", "reg_subset_alpha_return"])
+     [(5 * 2, 5, 10 * 150), (4 * 2, 4, 8 * 150), (0, 0, 0)]),
+], ids=["keep_conv_pinned", "keep_row_budget", "keep_unordered",
+        "reg_subset_alpha_return"])
 def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
                                              compress, budget, work):
     out, cfg, *_ = tiny_setup
@@ -464,9 +471,10 @@ def test_sweep_memo_points_match_fresh_calls(tiny_setup, monkeypatch, tmp_path,
 
 def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     # each point lowers alpha at one capture, deepest first, then the sweep
-    # returns to its first point; the lowered capture truncates its stored
-    # plan and slices its stored activations, and only the captures after it
-    # push and take new moments, once for each of the 2 distinct streams
+    # returns to its first point; the lowered capture cuts its plan short
+    # from the node's greedy order and slices the node's activations, and
+    # only the captures after it push and take new moments, once for each
+    # of the 2 distinct streams
     out, cfg, source, target, model = tiny_setup
     feats = pl.stats_features(cfg, source, target)
     src, tgt = pl.reg_features(cfg, source, target)
@@ -474,12 +482,13 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
     caps = sorted(model.capture_points)
     base = {cp: 0.95 for cp in caps}
     sweep = [base] + [{**base, cp: 0.8} for cp in reversed(caps)] + [base]
+    points = [{cp: dataclasses.replace(gcfg, alpha=a) for cp, a in alphas.items()}
+              for alphas in sweep]
     counter = _Counter(monkeypatch)
     monkeypatch.setattr(sp, "ROW_BUDGET", 100)
-    memo = sp.SweepMemo()
+    memo = sp.SweepMemo(points)
     work = []
-    for k, alphas in enumerate(sweep):
-        configs = {cp: dataclasses.replace(gcfg, alpha=a) for cp, a in alphas.items()}
+    for k, configs in enumerate(points):
         kwargs = dict(source_features=src, target_features=tgt, seed=3)
         fresh, fresh_plans = sp.compress_network(model, feats, configs, **kwargs)
         before = counter.work()
@@ -489,10 +498,9 @@ def test_sweep_memo_diverging_at_each_depth(tiny_setup, monkeypatch, tmp_path):
         assert _model_bytes(network, tmp_path / f"m{k}") \
             == _model_bytes(fresh, tmp_path / f"f{k}")
     n = 2 * len(feats)
-    # the last point raises alpha at the first capture again, so it selects
-    # at every capture
+    # the last point repeats the first, so it does no work of its own
     assert work == [(10, 5, 5 * n), (0, 0, 0), (2, 1, n), (4, 2, 2 * n),
-                    (6, 3, 3 * n), (8, 4, 4 * n), (8, 5, 4 * n)]
+                    (6, 3, 3 * n), (8, 4, 4 * n), (0, 0, 0)]
 
 
 def test_equal_streams_are_pushed_once(tiny_setup, monkeypatch):
@@ -516,7 +524,7 @@ def test_sweep_memo_rejects_another_network_or_seed(tiny_setup):
     out, cfg, source, target, model = tiny_setup
     feats = pl.stats_features(cfg, source, target)
     gcfg = sp.GreedyConfig(alpha=0.9)
-    memo = sp.SweepMemo()
+    memo = sp.SweepMemo([dict.fromkeys(model.capture_points, gcfg)] * 2)
     sp.compress_network(model, feats, gcfg, seed=0, memo=memo)
     twin = nm.with_layers(model, model.layers)
     with pytest.raises(ValueError, match="SweepMemo"):
@@ -527,6 +535,38 @@ def test_sweep_memo_rejects_another_network_or_seed(tiny_setup):
         sp.compress_network(model, feats[::-1], gcfg, seed=0, memo=memo)
     _, plans = sp.compress_network(model, feats, gcfg, seed=0, memo=memo)
     _assert_same_plans(plans, sp.compress_network(model, feats, gcfg, seed=0)[1])
+
+
+def test_sweep_memo_rejects_calls_out_of_order(tiny_setup):
+    # each call must pass the configs of the memo's next point, and a call
+    # past the last point is refused
+    out, cfg, source, target, model = tiny_setup
+    feats = pl.stats_features(cfg, source, target)
+    points = [dict.fromkeys(model.capture_points, sp.GreedyConfig(alpha=a))
+              for a in (0.9, 0.8)]
+    memo = sp.SweepMemo(points)
+    for configs in (points[1], sp.GreedyConfig(alpha=0.7)):
+        with pytest.raises(ValueError, match="next point"):
+            sp.compress_network(model, feats, configs, memo=memo)
+    for configs in points:
+        _, plans = sp.compress_network(model, feats, configs, memo=memo)
+        _assert_same_plans(plans, sp.compress_network(model, feats, configs)[1])
+    with pytest.raises(ValueError, match="next point"):
+        sp.compress_network(model, feats, points[1], memo=memo)
+
+
+@pytest.mark.parametrize("field, value", [("lam", 0.5), ("reg_mode", "node")])
+def test_sweep_memo_points_differ_only_in_alpha_and_cap(field, value):
+    # the points of one node share one greedy order, which alpha and the cap
+    # only cut short; any other difference at a capture is refused
+    base = sp.GreedyConfig(alpha=0.9, reg_mode="subset")
+    first = {2: base, 5: base}
+    sp.SweepMemo([first, {2: dataclasses.replace(base, alpha=0.5), 5: base},
+                  {2: base, 5: dataclasses.replace(base, max_cardinality=3)}])
+    with pytest.raises(ValueError, match="may differ only in alpha and max_cardinality"):
+        sp.SweepMemo([first, {2: base, 5: dataclasses.replace(base, **{field: value})}])
+    with pytest.raises(ValueError, match="a sweep needs points"):
+        sp.SweepMemo([])
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +991,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                         (("model", "dense_widths"), [24, 2.5]),
                         (("stats", "target_samples"), 1),
                         (("stats", "source_samples"), -1),
+                        # more samples than a split holds would be cut to the split
+                        (("stats", "target_samples"), 151),
+                        (("stats", "source_samples"), 151),
+                        (("train", "target_samples"), 99999),
+                        (("train", "source_samples"), 151),
                         (("data", "shift", "dx"), 9), (("data", "shift", "dx"), 8),
                         (("data", "shift", "dy"), -8),
                         (("data", "shift", "noise_std_extra"), -0.1),
@@ -972,6 +1017,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
             assert cli.main([command, "--config", str(cfg_path)]) == 1
             err = capsys.readouterr().err
             assert ".".join(keys) + ":" in err and "Traceback" not in err
+
+    # the default statistics counts fit the default split, and not a smaller one
+    doc = tiny_doc(tmp_path / "out")
+    del doc["stats"]
+    assert parse_config({**doc, "data": None}).stats.target_samples == 1500
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "stats.target_samples: must be at most data.n_per_split (150), got 1500" \
+        in capsys.readouterr().err
 
     # svd/dalr factor only the dense layers, so a conv value would be ignored
     for method in ("svd", "dalr"):
