@@ -206,11 +206,12 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
     Stops when the retention ratio reaches cfg.alpha, candidates run out,
     max_cardinality is hit, or the best candidate's improvement falls below
     numerical resolution (plateau guard; flagged on the plan). The
-    incremental path drops the absorbed nodes from the kernel's working set
-    every backend.COMPACT_EVERY picks, into new arrays built by indexing
-    (sigma itself is never written), so past that its ratios may differ
-    from an uncompacted loop's in the last bits; the recovery is solved from
-    the full sigma.
+    incremental path runs the kernel in blocks of backend.COMPACT_EVERY
+    picks: after each block it folds the block's factor into the working
+    set and drops the absorbed nodes from it, into new arrays built by
+    indexing (sigma itself is never written), so past the first block its
+    ratios may differ from an unblocked loop's in the last bits; the
+    recovery is solved from the full sigma.
     """
     sigma = _check_sigma(sigma)
     if not is_symmetric(sigma):  # the kernel reads one triangle of sigma
@@ -235,8 +236,11 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
 
     limit = min(cfg.max_cardinality, m) if cfg.max_cardinality > 0 else m
     if strategy == "incremental":
-        diag, rownorm2, factor = backend.residual_init(sigma, limit)
-    work = sigma  # the kernel's working set: sigma restricted to the nodes of ids
+        diag, rownorm2, factor = backend.residual_init(
+            sigma, min(limit, backend.COMPACT_EVERY))
+    # the kernel's working set: the residual of sigma after the folded
+    # blocks, restricted to the nodes of ids
+    work = sigma
     ids = np.arange(m)  # node id at each position of the working set
     active = np.ones(m, dtype=bool)  # over positions
     selected = []
@@ -252,7 +256,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
                 and len(selected) % backend.COMPACT_EVERY == 0:
             keep = active.nonzero()[0]
             diag, rownorm2, factor, work = backend.residual_compact(
-                diag, rownorm2, factor, work, len(selected), keep)
+                diag, rownorm2, factor, work, backend.COMPACT_EVERY, keep)
             ids = ids[keep]
             active = np.ones(len(keep), dtype=bool)
         cand = active.nonzero()[0]
@@ -283,8 +287,9 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
         pos = int(cand[scores.argmax()])
         pick = int(ids[pos])
         if strategy == "incremental":
-            num += backend.residual_update(diag, rownorm2, factor, work,
-                                           len(selected), pos, ridge)
+            num += backend.residual_update(
+                diag, rownorm2, factor, work,
+                len(selected) % backend.COMPACT_EVERY, pos, ridge)
         else:
             num = _trace_num(sigma, selected + [pick], ridge)
         ratio = num / total
@@ -374,7 +379,9 @@ class SweepMemo:
     once and runs find_subset once, under their loosest config; each plan is
     that order cut short, and each group keeping the same nodes walks on.
     A node is computed by the first call that reaches it, and each point's
-    results are bit-identical to a sweep of that point alone.
+    results are bit-identical to a sweep of that point alone. Once a call's
+    walk raises, the walk is over, and every later call raises ValueError
+    naming that point.
     """
 
     def __init__(self, points):
@@ -386,9 +393,13 @@ class SweepMemo:
                              "and max_cardinality at each capture")
         self._plans = {k: {} for k in range(len(self._points))}  # until returned
         self._inputs = None
+        self._raised = None  # the point whose walk raised
 
     def _next(self, network, configs, slots, streams, labels, seed):
         """The next point's (network, plans), once the call is checked."""
+        if self._raised is not None:
+            raise ValueError(f"SweepMemo: the walk raised at point {self._raised} of "
+                             f"{len(self._points)}, so the sweep cannot go on")
         if self._inputs is None:  # the first call binds the memo
             self._inputs = (network, slots, tuple(streams), seed)
             self._captures = sorted(network.capture_points)
@@ -402,7 +413,12 @@ class SweepMemo:
         if k == len(self._points) or configs != self._points[k]:
             raise ValueError(f"SweepMemo: the configs are not those of its next point, "
                              f"{k} of {len(self._points)}")
-        result = next(self._walk), self._plans.pop(k)
+        try:
+            network = next(self._walk)
+        except BaseException:
+            self._raised, self._walk = k, None
+            raise
+        result = network, self._plans.pop(k)
         if not self._plans:  # the walk's frames refer to the memo, so end it now
             self._walk = None
         return result

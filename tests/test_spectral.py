@@ -423,8 +423,8 @@ def test_plan_from_record_equals_find_subset(reg_mode):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_find_subset_leaves_the_callers_sigma_alone(order):
-    # the first compaction gathers sigma into a buffer of its own, and only
-    # that buffer is compacted in place later
+    # each fold gathers the working set into an array of its own, and only
+    # that array is downdated in place
     rng = np.random.default_rng(49)
     sigma = np.asarray(moment_of(random_activations(rng, 600, 300)), order=order)
     before = sigma.copy(order="A")
@@ -531,30 +531,79 @@ def test_kernel_factor_matches_explicit_downdates():
 
 
 def test_kernel_compaction_gathers_the_active_state():
-    # residual_compact gives the state restricted to the kept positions,
-    # rows and columns, with the rows of z from t on zero, in new arrays:
-    # no result shares memory with an input, and sigma is never written
+    # residual_compact folds the block's first t factor rows into the working
+    # set and restricts it to the kept positions, rows and columns, in new
+    # arrays: no result shares memory with an input, and no input is
+    # written. The working set is the residual (work - z[:t]ᵀz[:t])[keep,
+    # keep] on its lower triangle, the one residual_update reads, and the
+    # factor starts again at zero. The fold (dsyrk) and the
+    # plain product sum the same t + 1 terms in other orders; each lies within
+    # (t + 1)·eps·(|work| + |z|ᵀ|z|) of the exact entry (Higham's bound for a
+    # sum of products), so the two lie within twice that of each other
     rng = np.random.default_rng(51)
-    m, rank, ridge = 300, 260, 1e-8
+    m, ridge, block = 300, 1e-8, backend.COMPACT_EVERY
+    eps = np.finfo(np.float64).eps
     sigma = moment_of(random_activations(rng, 600, m))
-    original = sigma.copy()
-    diag, rownorm2, z = backend.residual_init(sigma, rank)
+    diag, rownorm2, z = backend.residual_init(sigma, block)
     work = sigma
-    for t, drop in ((150, 150), (200, 50)):
+    for t, drop in ((block, 100), (40, 40)):
         width = work.shape[0]
-        for s, i in enumerate(rng.choice(width, size=drop, replace=False)):
-            backend.residual_update(diag, rownorm2, z, work, t - drop + s, i, ridge)
+        for s, i in enumerate(rng.choice(width, size=t, replace=False)):
+            backend.residual_update(diag, rownorm2, z, work, s, i, ridge)
         keep = np.sort(rng.choice(width, size=width - drop, replace=False))
-        want = (diag[keep], rownorm2[keep], z[:t][:, keep], work[np.ix_(keep, keep)])
+        rows = np.ix_(keep, keep)
+        full = np.tril(work) + np.tril(work, -1).T  # what the kernel reads of work
+        zb = z[:t]
+        want = (full - zb.T @ zb)[rows]
+        tol = 2 * (t + 1) * eps * (np.abs(full) + np.abs(zb).T @ np.abs(zb))[rows]
         state = (diag, rownorm2, z, work)
+        before = [a.copy() for a in state]
         diag, rownorm2, z, work = backend.residual_compact(*state, t, keep)
         assert not any(np.shares_memory(new, old)
                        for new in (diag, rownorm2, z, work) for old in state)
-        assert z.shape == (rank, len(keep)) and not z[t:].any()
-        assert np.array_equal(diag, want[0]) and np.array_equal(rownorm2, want[1])
-        assert np.array_equal(z[:t], want[2]) and np.array_equal(work, want[3])
+        assert all(np.array_equal(a, b) for a, b in zip(state, before))
+        assert z.shape == (block, len(keep)) and not z.any()
+        assert np.array_equal(diag, before[0][keep])
+        assert np.array_equal(rownorm2, before[1][keep])
+        lower = np.tril_indices(len(keep))
+        assert np.all(np.abs(work - want)[lower] <= tol[lower])
+        assert np.array_equal(np.triu(work, 1), np.triu(before[3][rows], 1))
         assert work.flags.c_contiguous and z.flags.c_contiguous
-        assert np.array_equal(sigma, original)
+
+
+def test_kernel_holds_at_most_one_block_of_factor_rows(monkeypatch):
+    # find_subset passes the kernel the step within the block and folds
+    # every COMPACT_EVERY picks, so the factor never has more rows than one
+    # block, however many nodes are picked; the plan is that of the
+    # unwatched call
+    rng = np.random.default_rng(52)
+    m, block = 400, backend.COMPACT_EVERY
+    sigma = moment_of(random_activations(rng, 800, m))
+    cfg = sp.GreedyConfig(alpha=1.0, max_cardinality=300)
+    want = sp.find_subset(sigma, cfg)
+    steps, folds, rows = [], [], set()
+    update, compact = backend.residual_update, backend.residual_compact
+
+    def watched_update(diag, rownorm2, z, sigma, t, isel, ridge):
+        steps.append(t)
+        rows.add(len(z))
+        return update(diag, rownorm2, z, sigma, t, isel, ridge)
+
+    def watched_compact(diag, rownorm2, z, sigma, t, keep):
+        folds.append((t, len(diag), len(keep)))
+        rows.add(len(z))
+        return compact(diag, rownorm2, z, sigma, t, keep)
+
+    monkeypatch.setattr(backend, "residual_update", watched_update)
+    monkeypatch.setattr(backend, "residual_compact", watched_compact)
+    got = sp.find_subset(sigma, cfg)
+    _assert_same_plan(got, want)
+    n = len(got.selected)
+    assert n == 300 > 2 * block
+    assert rows == {block}
+    assert steps == [k % block for k in range(n)]
+    assert folds == [(block, m - k * block, m - (k + 1) * block)
+                     for k in range(n // block)]
 
 
 def test_kernel_non_positive_pivot_leaves_state_unchanged():
@@ -588,18 +637,16 @@ def test_kernel_update_keeps_the_reference_bits():
 
 
 def test_kernel_reads_one_triangle_of_sigma():
-    # the product reads the lower triangle of a C-ordered sigma: what lies
-    # above the diagonal never enters the state
+    # the product and the row that forms z read the lower triangle of a
+    # C-ordered sigma: what lies above the diagonal never enters the state
     rng = np.random.default_rng(45)
     m, k = 30, 10
     sigma = moment_of(random_activations(rng, 200, m))
     upper = np.triu(rng.normal(size=(m, m)), 1)
     ridge = 1e-8 * np.trace(sigma) / m
     state, other = backend.residual_init(sigma, k), backend.residual_init(sigma, k)
+    scrambled = sigma + upper
     for t, i in enumerate(rng.choice(m, size=k, replace=False)):
-        # the row sigma[i] that forms z is read in full, so it stays exact
-        scrambled = sigma + upper
-        scrambled[i] = sigma[i]
         assert backend.residual_update(*state, sigma, t, i, ridge) \
             == backend.residual_update(*other, scrambled, t, i, ridge)
         assert all(np.array_equal(a, b) for a, b in zip(state, other))
@@ -1074,14 +1121,31 @@ def test_names_of_one_stream_share_moments_at_every_capture(monkeypatch):
     assert not np.array_equal(target.sigma, sigma)
 
 
-def test_dead_capture_is_named():
+def _dead_capture_network():
     # negative weights and bias on non-negative inputs: the captured ReLU
     # is 0 on every sample, so the selection statistics have trace 0
     rng = np.random.default_rng(28)
     netw = nm.Network((nm.Dense(-np.abs(rng.normal(size=(4, 3))), -np.ones(4)), nm.ReLU(),
                        nm.Dense(rng.normal(size=(2, 4)), np.zeros(2))),
                       (3,), capture_points=(1,))
-    feats = np.abs(rng.normal(size=(20, 3)))
+    return netw, np.abs(rng.normal(size=(20, 3)))
+
+
+def test_dead_capture_is_named():
+    netw, feats = _dead_capture_network()
     with pytest.raises(DegenerateSigma,
                        match=r"^capture point 1 \(selection statistics\): trace is 0\.0$"):
         sp.compress_network(netw, feats, sp.GreedyConfig(alpha=0.9))
+
+
+def test_sweep_memo_names_the_point_whose_walk_raised():
+    # a walk that raised is over: every later call, the point that raised
+    # or the next one, is refused with the point that raised
+    netw, feats = _dead_capture_network()
+    points = [{1: sp.GreedyConfig(alpha=a)} for a in (0.9, 0.8)]
+    memo = sp.SweepMemo(points)
+    with pytest.raises(DegenerateSigma, match="capture point 1"):
+        sp.compress_network(netw, feats, points[0], memo=memo)
+    for configs in (points[0], points[1], points[0]):
+        with pytest.raises(ValueError, match=r"^SweepMemo: the walk raised at point 0 of 2"):
+            sp.compress_network(netw, feats, configs, memo=memo)
