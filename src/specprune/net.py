@@ -89,7 +89,9 @@ class Dense(Layer):
             raise ShapeMismatch(f"dense expects (n, {self.weight.shape[1]}), got {x.shape}",
                                 layer=index)
         out = x @ self.weight.T
-        return (out if self.bias is None else out + self.bias), x
+        if self.bias is not None:
+            out += self.bias
+        return out, x
 
     def backward(self, x, dout, need_dx):
         grads = {"weight": dout.T @ x}
@@ -98,11 +100,15 @@ class Dense(Layer):
         return (dout @ self.weight if need_dx else None), grads
 
 
-def conv2d_windows(x, kh, kw, stride, padding):
-    """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw)."""
+def conv2d_windows(x, kh, kw, stride, padding, batch_inner=False):
+    """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw). The
+    zero-padded copy is (n, c, h, w) in memory, or (c, h, w, n) when
+    batch_inner."""
     n, c, h, w = x.shape
     if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        hp, wp = h + 2 * padding, w + 2 * padding
+        xp = np.zeros((c, hp, wp, n), dtype=x.dtype).transpose(3, 0, 1, 2) if batch_inner \
+            else np.zeros((n, c, hp, wp), dtype=x.dtype)
         xp[:, :, padding:padding + h, padding:padding + w] = x
         x = xp
     oh = (h + 2 * padding - kh) // stride + 1
@@ -130,27 +136,38 @@ class Conv2D(Layer):
         if self.stride < 1 or self.padding < 0:
             raise ValueError("bad stride/padding")
 
-    # The forward GEMM takes its operands in the order and layout of NumPy's
-    # optimized einsum over the same contraction, so inference (and every
-    # selection on a saved model) keeps those bits. The backward computes the
-    # input gradient as one GEMM over the output gradient's columns in
-    # (h, w, n) order, scattered back into the windows (col2im) of a
-    # batch-inner (c, h, w, n) buffer, so each strided add runs over the
-    # batch; one copy returns it channel-major. The weight gradient comes
-    # from the forward's im2col matrix through a contiguous copy of its
-    # transpose: a transposed view changes the bits with the BLAS thread
-    # count.
+    # Inference lowers the input into an im2col matrix with columns in
+    # (oh, ow, n) order, gathered from a batch-inner (c, h, w, n) padded
+    # buffer, so every copy runs over the batch. Its GEMM output is
+    # (o, h, w, n) in memory, and BatchNorm and ReLU keep that order, so the
+    # next conv pads it with contiguous copies. OpenBLAS rounds a GEMM's edge
+    # tile differently, so a column's bits depend on where the batch's column
+    # count puts it: on the default model's shapes they equal the training
+    # GEMM's at n = 1 and at even n, and move by ulps at odd n >= 3. Training
+    # takes its columns in (n, oh, ow) order and returns (o, n, h, w) memory:
+    # BatchNorm's training statistics read it per channel without a copy, and
+    # the weight gradient sums over the columns in that order. The backward
+    # computes the input gradient as one GEMM over the output gradient's
+    # columns in (h, w, n) order, scattered back into the windows (col2im) of a
+    # batch-inner (c, h, w, n) buffer, so each strided add runs over the batch;
+    # one copy returns it channel-major. The weight gradient comes from the
+    # forward's im2col matrix through a contiguous copy of its transpose: a
+    # transposed view changes the bits with the BLAS thread count.
     def forward(self, x, index=None, mode=None):
         oc, ic, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != ic:
             raise ShapeMismatch(f"conv expects (n, {ic}, h, w), got {x.shape}", layer=index)
         if x.shape[2] + 2 * self.padding < kh or x.shape[3] + 2 * self.padding < kw:
             raise ShapeMismatch(f"input {x.shape} smaller than kernel", layer=index)
-        windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding)
-        n = x.shape[0]
+        windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding,
+                                           batch_inner=mode is None)
+        n, w2 = x.shape[0], self.weight.reshape(oc, -1)
+        if mode is None:
+            out = w2 @ windows.transpose(1, 4, 5, 2, 3, 0).reshape(ic * kh * kw, -1)
+            out += self.bias[:, None]
+            return out.reshape(oc, oh, ow, n).transpose(3, 0, 1, 2), None
         cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(ic * kh * kw, n * oh * ow)
-        # (o, n, h, w) in memory: BatchNorm reads it per channel without a copy
-        out = (self.weight.reshape(oc, -1) @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+        out = (w2 @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
         return out + self.bias[None, :, None, None], (cols, x.shape)
 
     def backward(self, cache, dout, need_dx):
@@ -212,11 +229,15 @@ class BatchNorm(Layer):
         # Running statistics keep two arithmetic forms: inference folds the
         # scale into 1/std, training keeps xhat for the backward. Either form
         # in both places changes saved fine-tuned weights or reported ratios.
+        # Inference writes its scale and shift in place on the centered
+        # input, which keeps the input's memory order.
         if mode is None:
             shape = (1, c) + (1,) * (x.ndim - 2)
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            return (x - self.running_mean.reshape(shape)) * (self.scale * inv).reshape(shape) \
-                + self.shift.reshape(shape), None
+            out = x - self.running_mean.reshape(shape)
+            out *= (self.scale * inv).reshape(shape)
+            out += self.shift.reshape(shape)
+            return out, None
         # In training, xhat is the centered input scaled in place and the
         # output overwrites the squares: each element takes the operations
         # of the plain expressions in their order, and each array keeps its
@@ -264,8 +285,8 @@ def channel_rows(x):
     """(c, n·h·w) view of an (n, c) or (n, c, h, w) array, one row per
     channel: BatchNorm's training statistics reduce along its rows. A 4-D
     array is copied unless it is contiguous (c, n, h, w) in memory, as
-    Conv2D's output is, and so the BatchNorm and ReLU outputs and gradients
-    computed from it in training."""
+    Conv2D's training output is, and so the BatchNorm and ReLU outputs and
+    gradients computed from it in training."""
     return x.T if x.ndim == 2 else x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
 
 
@@ -283,7 +304,9 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, index=None, mode=None):
-        return x.reshape(x.shape[0], -1), x.shape
+        # C-contiguous whatever the input's memory order: the next Dense GEMM
+        # gets the bits of a transposed operand otherwise
+        return np.ascontiguousarray(x.reshape(x.shape[0], -1)), x.shape
 
     def backward(self, shape, dout, need_dx):
         return (dout.reshape(shape) if need_dx else None), {}

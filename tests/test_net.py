@@ -80,15 +80,30 @@ def test_forward_matches_naive_loop():
     assert np.allclose(out, h, atol=1e-5)
 
 
-def einsum_conv_reference(layer, x, dout):
-    """The conv's forward, input gradient and weight gradient as optimized
-    einsums. The layer's forward GEMM reproduces the first bit for bit; its
-    backward sums the same products in another order."""
+def einsum_conv_windows(layer, x):
+    """The zero-padded input and its strided (n, c, oh, ow, kh, kw) windows."""
     s, pad = layer.stride, layer.padding
     _, _, kh, kw = layer.weight.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    return xp, np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+
+
+def einsum_conv_forward(layer, x):
+    """The conv's output as an optimized einsum. The layer's training GEMM
+    reproduces it bit for bit, and so does its inference GEMM wherever the
+    batch fills whole BLAS tiles."""
+    windows = einsum_conv_windows(layer, x)[1]
     out = np.einsum("nihwkl,oikl->nohw", windows, layer.weight, optimize=True)
+    return out + layer.bias[None, :, None, None]
+
+
+def einsum_conv_reference(layer, x, dout):
+    """The conv's forward, input gradient and weight gradient as optimized
+    einsums. The layer's training forward reproduces the first bit for bit;
+    its backward sums the same products in another order."""
+    s, pad = layer.stride, layer.padding
+    _, _, kh, kw = layer.weight.shape
+    xp, windows = einsum_conv_windows(layer, x)
     oh, ow = dout.shape[2:]
     dxp = np.zeros(xp.shape)
     for ki in range(kh):
@@ -97,11 +112,16 @@ def einsum_conv_reference(layer, x, dout):
                 "nohw,oi->nihw", dout, layer.weight[:, :, ki, kj], optimize=True)
     dx = dxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
     dw = np.einsum("nihwkl,nohw->oikl", windows, dout, optimize=True)
-    return out + layer.bias[None, :, None, None], dx, dw
+    return einsum_conv_forward(layer, x), dx, dw
+
+
+def batch_inner(a):
+    """True when a (n, c, h, w) array is (c, h, w, n) in memory."""
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("in_channels", (1, 3))
-@pytest.mark.parametrize("batch", (1, 7))
+@pytest.mark.parametrize("batch", (1, 7, 37))
 @pytest.mark.parametrize("padding", (0, 1))
 @pytest.mark.parametrize("stride", (1, 2))
 def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
@@ -109,6 +129,15 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
     layer = nm.Conv2D(rng.normal(size=(5, in_channels, 3, 3)), rng.normal(size=5),
                       stride=stride, padding=padding)
     x = rng.normal(size=(batch, in_channels, 8, 8))
+    # inference is batch-inner and sums the same products; an odd batch
+    # leaves an edge tile that OpenBLAS rounds another way, so only within
+    # 1e-12, and a batch-inner input, as the layers below leave it, gives
+    # the same bits as a batch-major one
+    out, cache = layer.forward(x)
+    assert cache is None and batch_inner(out)
+    np.testing.assert_allclose(out, einsum_conv_forward(layer, x), rtol=1e-12, atol=1e-12)
+    xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    assert batch_inner(xt) and np.array_equal(layer.forward(xt)[0], out)
     out, cache = layer.forward(x, mode=nm.TrainMode())
     # (o, n, h, w) in memory, as einsum leaves it
     assert out.transpose(1, 0, 2, 3).flags.c_contiguous
@@ -128,6 +157,52 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
         col2im_dx, col2im_dw = references.conv_backward(layer, cache, dout)
         assert np.array_equal(dx, col2im_dx)
         assert np.array_equal(grads["weight"], col2im_dw)
+
+
+@pytest.mark.parametrize("batch", (256, 244, 238, 220, 512, 500, 476))
+@pytest.mark.parametrize("channels", ((8, 12, 16), (6, 9, 12)))
+def test_default_model_conv_inference_keeps_its_bits(channels, batch):
+    # the default model's convs, and c08's pruned ones, at the batches the
+    # shipped configs push (256 and the remainders of 1500, 750 and 500
+    # samples) and evaluate (512 and the remainders 500 and 476): whole
+    # BLAS tiles, so the einsum's bits
+    rng = np.random.default_rng(batch)
+    model = pl.build_digits_model(ModelSection(conv_channels=channels), 0)
+    h = rng.normal(size=(batch, 1, 8, 8))
+    convs = 0
+    for layer in model.layers[:9]:
+        out = nm.apply_layer(layer, h)
+        if isinstance(layer, nm.Conv2D):
+            convs += 1
+            assert np.array_equal(out, einsum_conv_forward(layer, h))
+        h = out
+    assert convs == 3
+
+
+def test_conv_inference_chain_stays_batch_inner():
+    # Conv2D's inference output is (c, h, w, n) in memory, BatchNorm and ReLU
+    # keep it, and Flatten hands the Dense layer a C-contiguous matrix
+    rng = np.random.default_rng(21)
+    netw = small_random_cnn(rng)
+    bn = nm.BatchNorm(rng.uniform(0.5, 2.0, 4), rng.normal(size=4), rng.normal(size=4),
+                      rng.uniform(0.5, 2.0, 4))
+    layers = netw.layers[:1] + (bn,) + netw.layers[1:]
+    x = rng.normal(size=(6, 1, 8, 8))
+    h = x
+    for layer in layers[:5]:  # conv, BatchNorm, ReLU, conv, ReLU
+        h = nm.apply_layer(layer, h)
+        assert batch_inner(h) and not h.flags.c_contiguous
+    flat = nm.apply_layer(layers[5], h)
+    assert flat.flags.c_contiguous and np.array_equal(flat, h.reshape(6, -1))
+    # the in-place affine steps give the bits of the plain expressions
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    y = nm.apply_layer(layers[0], x)
+    shape = (1, 4, 1, 1)
+    plain = (y - bn.running_mean.reshape(shape)) * (bn.scale * inv).reshape(shape) \
+        + bn.shift.reshape(shape)
+    assert np.array_equal(nm.apply_layer(bn, y), plain)
+    dense = layers[6]
+    assert np.array_equal(nm.apply_layer(dense, flat), flat @ dense.weight.T + dense.bias)
 
 
 @pytest.mark.parametrize("batch", (100, 37))

@@ -7,7 +7,8 @@ import re
 
 import numpy as np
 import pytest
-from blas_threads import outputs_at_one_and_two_threads
+from blas_threads import (_openblas_thread_controls, one_blas_thread,
+                          outputs_at_one_and_two_threads)
 
 from specprune import cli
 from specprune import net as nm
@@ -186,6 +187,14 @@ def test_training_independent_of_blas_threads(tmp_path):
                                              lambda threads: [str(tmp_path / threads)])
     assert digests[0] == "fe23f58bb26a0aeee6f868c4c06f5ebabfaf3d4e2106af62db44a0600d4bbd13"
     assert digests[0] == digests[1]
+
+
+def test_one_blas_thread_sets_and_restores_the_thread_count():
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    with one_blas_thread():
+        assert [get() for get, _ in controls] == [1] * len(controls)
+    assert [get() for get, _ in controls] == before
 
 
 def test_interrupted_save_leaves_no_cache_entry(tmp_path, monkeypatch):
