@@ -29,15 +29,10 @@ MODEL_VERSION = 1
 @dataclass(frozen=True)
 class TrainMode:
     """Training context of a layer's forward. BatchNorm normalizes with the
-    batch statistics when batch_stats (moving its running statistics toward
-    them in place), else with its running statistics; rng draws the dropout
-    masks, and None disables dropout."""
+    batch statistics and moves its running statistics toward them in place;
+    rng draws the dropout masks, and None disables dropout."""
 
     rng: object = None
-    batch_stats: bool = True
-
-
-FROZEN = TrainMode(batch_stats=False)
 
 
 class Layer:
@@ -226,52 +221,42 @@ class BatchNorm(Layer):
         c = self.scale.shape[0]
         if x.shape[1] != c:
             raise ShapeMismatch(f"batchnorm over {c} channels, got {x.shape}", layer=index)
-        # Running statistics keep two arithmetic forms: inference folds the
-        # scale into 1/std, training keeps xhat for the backward. Either form
-        # in both places changes saved fine-tuned weights or reported ratios.
-        # Inference writes its scale and shift in place on the centered
-        # input, which keeps the input's memory order.
+        # Both forms compute (x - mean) * inv * scale + shift, one step at a
+        # time in that order, so inference on the running statistics gives
+        # the bits of training on the same statistics. Each array keeps its
+        # memory order: inference works in place on the centered input, and
+        # training keeps the scaled xhat for the backward and writes its
+        # output over the squares that gave the variance.
         if mode is None:
             shape = (1, c) + (1,) * (x.ndim - 2)
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
             out = x - self.running_mean.reshape(shape)
-            out *= (self.scale * inv).reshape(shape)
+            out *= (1.0 / np.sqrt(self.running_var + self.eps)).reshape(shape)
+            out *= self.scale.reshape(shape)
             out += self.shift.reshape(shape)
             return out, None
-        # In training, xhat is the centered input scaled in place and the
-        # output overwrites the squares: each element takes the operations
-        # of the plain expressions in their order, and each array keeps its
-        # memory order, so the bits match with fewer new arrays.
         xc = channel_rows(x)
-        if mode.batch_stats:
-            mu = xc.mean(axis=1)
-            xhat = xc - mu[:, None]
-            out = xhat * xhat
-            var = out.mean(axis=1)
-            run_mu, run_var = self.running_mean, self.running_var
-            run_mu *= 1.0 - self.momentum
-            run_mu += self.momentum * mu
-            run_var *= 1.0 - self.momentum
-            run_var += self.momentum * var
-        else:
-            xhat = xc - self.running_mean[:, None]
-            out = np.empty_like(xhat)
-            var = self.running_var
+        mu = xc.mean(axis=1)
+        xhat = xc - mu[:, None]
+        out = xhat * xhat
+        var = out.mean(axis=1)
+        run_mu, run_var = self.running_mean, self.running_var
+        run_mu *= 1.0 - self.momentum
+        run_mu += self.momentum * mu
+        run_var *= 1.0 - self.momentum
+        run_var += self.momentum * var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv[:, None]
         np.multiply(xhat, self.scale[:, None], out=out)
         out += self.shift[:, None]
-        return from_channel_rows(out, x.shape), (xhat, inv, mode.batch_stats)
+        return from_channel_rows(out, x.shape), (xhat, inv)
 
     def backward(self, cache, dout, need_dx):
-        xhat, inv, batch_stats = cache
+        xhat, inv = cache
         dc = channel_rows(dout)
         grads = {"scale": (dc * xhat).sum(axis=1), "shift": dc.sum(axis=1)}
         if not need_dx:
             return None, grads
         gain = (self.scale * inv)[:, None]
-        if not batch_stats:
-            return from_channel_rows(dc * gain, dout.shape), grads
         # the fused gradient: the two sums above also give dx
         mean_part = xhat * grads["scale"][:, None]
         mean_part += grads["shift"][:, None]
@@ -561,7 +546,8 @@ def load_model(path):
     """Load a model directory written by save_model.
 
     Raises FormatError, naming the file or layer, for a missing, unreadable
-    or inconsistent part, or a NaN or Inf in any tensor."""
+    or inconsistent part, a tensor the manifest lists twice, or a NaN or Inf
+    in any tensor."""
     manifest_path = os.path.join(path, "model.json")
     weights_path = os.path.join(path, "weights.bin")
     try:
@@ -597,7 +583,10 @@ def load_model(path):
             arr = np.frombuffer(blob[offset:offset + size], dtype="<f4").reshape(shape)
             if not np.isfinite(arr).all():
                 raise FormatError(f"{weights_path}: layer {layer} {name}: non-finite values")
-            per_layer.setdefault(layer, {})[name] = arr.astype(np.float64)
+            arrays = per_layer.setdefault(layer, {})
+            if name in arrays:
+                raise FormatError(f"{manifest_path}: layer {layer} {name}: listed twice")
+            arrays[name] = arr.astype(np.float64)
             offset += size
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{manifest_path}: bad or missing entry {exc!r}") from exc

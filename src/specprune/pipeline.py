@@ -83,9 +83,8 @@ def train_model(cfg, seed, source, target):
     netw = tr.train(netw, [_subset(source.train, ts.source_samples)],
                     tr.TrainConfig(epochs=ts.pretrain_epochs, **base))
     flatten_idx = next(i for i, l in enumerate(netw.layers) if isinstance(l, nm.Flatten))
-    freeze = frozenset(range(flatten_idx))
     return tr.train(netw, [_subset(target.train, ts.target_samples)],
-                    tr.TrainConfig(epochs=ts.finetune_epochs, freeze=freeze, **base))
+                    tr.TrainConfig(epochs=ts.finetune_epochs, frozen=flatten_idx, **base))
 
 
 def _model_cache_key(cfg, seed):

@@ -1,17 +1,18 @@
 """Training on the layer engine of net.py: softmax cross-entropy, SGD and
-Adam, layer freezing and seeded shuffling.
+Adam, a frozen leading block of layers and seeded shuffling.
 
-Training runs each layer's own forward in a training mode (BatchNorm on batch
-statistics with a running-statistics update, dropout masks drawn from the
-seeded generator) and back-propagates through each layer's own backward from
-the top down to the lowest layer with a trainable parameter. Training is
+The first `frozen` layers keep their original arrays (bit-identical) and run
+the inference forward, as `net.forward` does. Each layer above them runs its
+own forward in training mode (BatchNorm on batch statistics with a
+running-statistics update, dropout masks drawn from the seeded generator),
+and training back-propagates through each layer's own backward from the top
+down to the lowest of them with a trainable parameter. Training is
 single-threaded and reproducible: identical (net, data, cfg) give identical
-final weights on one platform. Frozen layers keep their original arrays
-(bit-identical) and run with running BatchNorm statistics and no dropout.
+final weights on one platform.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class TrainConfig:
     weight_decay: float = 5e-4
     batch_size: int = 50
     epochs: int = 10
-    freeze: frozenset = field(default_factory=frozenset)
+    frozen: int = 0  # the number of leading layers kept as they are
     seed: int = 0
 
     def __post_init__(self):
@@ -40,7 +41,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad learning_rate/batch_size/epochs")
-        object.__setattr__(self, "freeze", frozenset(int(i) for i in self.freeze))
+        if self.frozen < 0:
+            raise ValueError(f"frozen must be a layer count >= 0, got {self.frozen}")
 
 
 def softmax_cross_entropy(logits, labels):
@@ -59,45 +61,45 @@ def softmax_cross_entropy(logits, labels):
 # training-mode forward/backward
 # ---------------------------------------------------------------------------
 
-def _private(layers, freeze):
+def _private(layers, frozen):
     """The layers, with private copies of the parameters and buffers of every
-    layer not in freeze; frozen layers are the original objects."""
-    return [layer if i in freeze else
-            replace(layer, **{n: getattr(layer, n).copy() for n in nm.tensor_fields(layer)})
-            for i, layer in enumerate(layers)]
+    layer past the first `frozen`; those are the original objects."""
+    return list(layers[:frozen]) + [
+        replace(layer, **{n: getattr(layer, n).copy() for n in nm.tensor_fields(layer)})
+        for layer in layers[frozen:]]
 
 
-def _forward_train(layers, freeze, x, rng):
+def _forward_train(layers, frozen, x, rng):
     """Training-mode forward: (logits, per-layer backward caches).
 
-    Frozen layers run with running BatchNorm statistics and no dropout.
-    rng=None disables dropout everywhere.
+    The first `frozen` layers run the inference forward and leave a None
+    cache. rng=None disables dropout.
     """
-    live = nm.TrainMode(rng, batch_stats=True)
-    caches = []
-    for i, layer in enumerate(layers):
-        x, cache = layer.forward(x, i, nm.FROZEN if i in freeze else live)
+    for i in range(frozen):
+        x = nm.apply_layer(layers[i], x, i)
+    mode = nm.TrainMode(rng)
+    caches = [None] * frozen
+    for i in range(frozen, len(layers)):
+        x, cache = layers[i].forward(x, i, mode)
         caches.append(cache)
     return x, caches
 
 
-def _backward(layers, freeze, caches, dout):
-    """{(layer, name): grad} for the parameters of every unfrozen layer.
+def _backward(layers, frozen, caches, dout):
+    """{(layer, name): grad} for the parameters of every layer past the
+    first `frozen`.
 
-    Back-propagates from the top down to the lowest layer with an unfrozen
+    Back-propagates from the top down to the lowest such layer with a
     parameter, one backward call per layer, and asks that layer for no
     input gradient.
     """
-    trainable = [i for i, layer in enumerate(layers)
-                 if i not in freeze and nm.param_fields(layer)]
-    if not trainable:
+    stop = next((i for i in range(frozen, len(layers)) if nm.param_fields(layers[i])), None)
+    if stop is None:
         return {}
-    stop = trainable[0]
     grads = {}
     for i in range(len(layers) - 1, stop - 1, -1):
         dout, layer_grads = layers[i].backward(caches[i], dout, i > stop)
-        if i not in freeze:
-            grads.update(((i, name), g) for name, g in layer_grads.items())
+        grads.update(((i, name), g) for name, g in layer_grads.items())
     return grads
 
 
@@ -180,16 +182,16 @@ def _stack(datasets, input_shape):
 def train(network, data, cfg):
     """Train on the concatenated datasets; returns a new network.
 
-    Layer indices in cfg.freeze are left bit-identical and run with running
-    BatchNorm statistics and no dropout. Raises ShapeMismatch before the
-    first step when a dataset's feature shape is not the network's input
-    shape, and Diverged when the loss becomes non-finite.
+    The first cfg.frozen layers are left bit-identical and run the inference
+    forward. Raises ValueError when cfg.frozen exceeds the layer count,
+    ShapeMismatch before the first step when a dataset's feature shape is
+    not the network's input shape, and Diverged when the loss becomes
+    non-finite.
     """
-    for i in cfg.freeze:
-        if not 0 <= i < len(network.layers):
-            raise ValueError(f"freeze index {i} out of range")
+    if cfg.frozen > len(network.layers):
+        raise ValueError(f"frozen {cfg.frozen} exceeds the {len(network.layers)} layers")
     feats, labels = _stack(list(data), network.input_shape)
-    layers = _private(network.layers, cfg.freeze)
+    layers = _private(network.layers, cfg.frozen)
     rng = np.random.default_rng(cfg.seed)
     opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.weight_decay)
     n = len(labels)
@@ -197,11 +199,11 @@ def train(network, data, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            logits, caches = _forward_train(layers, cfg.freeze, feats[idx], rng)
+            logits, caches = _forward_train(layers, cfg.frozen, feats[idx], rng)
             loss, dlogits = softmax_cross_entropy(logits, labels[idx])
             if not math.isfinite(loss):
                 raise Diverged(f"loss became {loss}")
-            opt.step(layers, _backward(layers, cfg.freeze, caches, dlogits))
+            opt.step(layers, _backward(layers, cfg.frozen, caches, dlogits))
     return nm.with_layers(network, layers)
 
 

@@ -8,18 +8,18 @@ from specprune import train as tr
 KINK_STEP = 1e-2  # step factor for an entry whose difference step crosses a ReLU kink
 
 
-def gradients(network, feats, labels, freeze=frozenset()):
+def gradients(network, feats, labels, frozen=0):
     """Analytic gradients of the mean cross-entropy on one batch for the
-    parameters of every layer not in freeze (dropout disabled).
+    parameters of every layer past the first `frozen` (dropout disabled).
 
-    Runs on private copies of the unfrozen layers, whose BatchNorm running
-    statistics the training-mode forward updates; batch-statistics mode does
+    Runs on private copies of those layers, whose BatchNorm running
+    statistics the training-mode forward updates; the training forward does
     not read them, so the gradients are those of the network's own arrays.
     """
-    layers = tr._private(network.layers, freeze)
-    logits, caches = tr._forward_train(layers, freeze, feats, None)
+    layers = tr._private(network.layers, frozen)
+    logits, caches = tr._forward_train(layers, frozen, feats, None)
     _, dlogits = tr.softmax_cross_entropy(logits, labels)
-    return tr._backward(layers, freeze, caches, dlogits)
+    return tr._backward(layers, frozen, caches, dlogits)
 
 
 def grad_check(network, feats, labels, epsilon=1e-3):
@@ -27,7 +27,7 @@ def grad_check(network, feats, labels, epsilon=1e-3):
     relative to the largest gradient magnitude.
 
     Runs on private copies of the layers with dropout disabled and BatchNorm
-    in batch-statistics mode, so the loss is a deterministic function of the
+    on batch statistics, so the loss is a deterministic function of the
     weights. When the two steps of an entry's difference leave some ReLU
     output with a different sign pattern, the step crossed a kink, where the
     difference is not the derivative; that entry is checked again with the
@@ -37,7 +37,7 @@ def grad_check(network, feats, labels, epsilon=1e-3):
     if n_params >= 5000:
         raise ValueError(f"grad_check is for small networks, got {n_params} params")
     grads = gradients(network, feats, labels)
-    layers = tr._private(network.layers, ())
+    layers = tr._private(network.layers, 0)
     relus = [i for i, layer in enumerate(layers) if isinstance(layer, nm.ReLU)]
 
     def difference(flat, k, step):
@@ -46,7 +46,7 @@ def grad_check(network, feats, labels, epsilon=1e-3):
         sides = []
         for value in (orig + step, orig - step):
             flat[k] = value
-            logits, caches = tr._forward_train(layers, (), feats, None)
+            logits, caches = tr._forward_train(layers, 0, feats, None)
             sides.append((tr.softmax_cross_entropy(logits, labels)[0],
                           [caches[i] > 0 for i in relus]))
         flat[k] = orig

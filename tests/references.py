@@ -46,36 +46,37 @@ def conv_backward(layer, cache, dout):
     return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3), dw
 
 
-def batchnorm_forward(layer, x, batch_stats):
-    """BatchNorm's training forward with a new array for each step; like the
-    layer's, it moves the running statistics in batch-statistics mode:
-    (output, the cache that batchnorm_backward reads)."""
+def batchnorm_forward(layer, x, training):
+    """BatchNorm's forward with a new array for each step: (output, the
+    cache that batchnorm_backward reads, None in inference). Training
+    normalizes with the batch statistics of the (c, n·h·w) rows and moves
+    the running statistics as the layer does; inference normalizes with the
+    running statistics, broadcast over the input in its memory order."""
+    if not training:
+        shape = (1, -1) + (1,) * (x.ndim - 2)
+        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        out = (x - layer.running_mean.reshape(shape)) * inv.reshape(shape) \
+            * layer.scale.reshape(shape) + layer.shift.reshape(shape)
+        return out, None
     xc = nm.channel_rows(x)
-    if batch_stats:
-        mu = xc.mean(axis=1)
-        centered = xc - mu[:, None]
-        var = (centered * centered).mean(axis=1)
-        layer.running_mean[:] = layer.running_mean * (1.0 - layer.momentum) + layer.momentum * mu
-        layer.running_var[:] = layer.running_var * (1.0 - layer.momentum) + layer.momentum * var
-    else:
-        centered = xc - layer.running_mean[:, None]
-        var = layer.running_var
+    mu = xc.mean(axis=1)
+    centered = xc - mu[:, None]
+    var = (centered * centered).mean(axis=1)
+    layer.running_mean[:] = layer.running_mean * (1.0 - layer.momentum) + layer.momentum * mu
+    layer.running_var[:] = layer.running_var * (1.0 - layer.momentum) + layer.momentum * var
     inv = 1.0 / np.sqrt(var + layer.eps)
     xhat = centered * inv[:, None]
     out = xhat * layer.scale[:, None] + layer.shift[:, None]
-    return nm.from_channel_rows(out, x.shape), (xhat, inv, batch_stats)
+    return nm.from_channel_rows(out, x.shape), (xhat, inv)
 
 
 def batchnorm_backward(layer, cache, dout):
     """BatchNorm's backward with a new array for each step: (dx, grads)."""
-    xhat, inv, batch_stats = cache
+    xhat, inv = cache
     dc = nm.channel_rows(dout)
     grads = {"scale": (dc * xhat).sum(axis=1), "shift": dc.sum(axis=1)}
-    gain = (layer.scale * inv)[:, None]
-    if batch_stats:
-        count = dc.shape[1]
-        dc = dc - (xhat * grads["scale"][:, None] + grads["shift"][:, None]) / count
-    return nm.from_channel_rows(dc * gain, dout.shape), grads
+    dc = dc - (xhat * grads["scale"][:, None] + grads["shift"][:, None]) / dc.shape[1]
+    return nm.from_channel_rows(dc * (layer.scale * inv)[:, None], dout.shape), grads
 
 
 def adam(params, grad_steps, lr, wd):

@@ -198,8 +198,8 @@ def test_conv_inference_chain_stays_batch_inner():
     inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
     y = nm.apply_layer(layers[0], x)
     shape = (1, 4, 1, 1)
-    plain = (y - bn.running_mean.reshape(shape)) * (bn.scale * inv).reshape(shape) \
-        + bn.shift.reshape(shape)
+    plain = (y - bn.running_mean.reshape(shape)) * inv.reshape(shape) \
+        * bn.scale.reshape(shape) + bn.shift.reshape(shape)
     assert np.array_equal(nm.apply_layer(bn, y), plain)
     dense = layers[6]
     assert np.array_equal(nm.apply_layer(dense, flat), flat @ dense.weight.T + dense.bias)
@@ -227,11 +227,12 @@ def test_default_model_conv_backward_keeps_its_bits(batch):
     assert convs == 3
 
 
-@pytest.mark.parametrize("batch_stats", (True, False))
+@pytest.mark.parametrize("training", (True, False))
 @pytest.mark.parametrize("layout", ("dense", "channel_major", "batch_major"))
-def test_batchnorm_training_keeps_its_bits(layout, batch_stats):
-    # the in-place training forward and backward against the reference
-    # expressions: the same bits, in the same memory order
+def test_batchnorm_training_keeps_its_bits(layout, training):
+    # the in-place training forward and backward, and the in-place inference
+    # forward, against the reference expressions: the same bits, in the same
+    # memory order
     rng = np.random.default_rng(7)
     c = 6
     if layout == "dense":
@@ -246,14 +247,23 @@ def test_batchnorm_training_keeps_its_bits(layout, batch_stats):
                             np.linspace(-0.1, 0.1, c), np.linspace(0.8, 1.2, c))
 
     bn, ref = layer(), layer()
-    mode = nm.TrainMode(batch_stats=batch_stats)
-    out, cache = bn.forward(x, mode=mode)
-    ref_out, ref_cache = references.batchnorm_forward(ref, x, batch_stats)
+    out, cache = bn.forward(x, mode=nm.TrainMode() if training else None)
+    ref_out, ref_cache = references.batchnorm_forward(ref, x, training)
     assert np.array_equal(out, ref_out) and out.strides == ref_out.strides
-    for a, b in zip(cache, ref_cache):
-        assert np.array_equal(a, b)
     for name in bn.buffers:
         assert np.array_equal(getattr(bn, name), getattr(ref, name))
+    if not training:
+        assert cache is None and out.strides == x.strides
+        return
+    for a, b in zip(cache, ref_cache):
+        assert np.array_equal(a, b)
+    # one arithmetic: inference on the batch's own statistics gives the bits
+    # of the training forward
+    xc = nm.channel_rows(x)
+    mu = xc.mean(axis=1)
+    centered = xc - mu[:, None]
+    same = nm.BatchNorm(bn.scale, bn.shift, mu, (centered * centered).mean(axis=1))
+    assert np.array_equal(nm.apply_layer(same, x), out)
     dx, grads = bn.backward(cache, dout, True)
     ref_dx, ref_grads = references.batchnorm_backward(ref, ref_cache, dout)
     assert np.array_equal(dx, ref_dx) and dx.strides == ref_dx.strides
@@ -467,6 +477,22 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
     (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
     with pytest.raises(FormatError, match="layer 0"):
         nm.load_model(tmp_path / "m")
+
+
+def test_load_rejects_a_tensor_listed_twice(tmp_path):
+    # a zero-filled decoy of layer 0's weight, listed and stored before the
+    # real one: the later entry used to win silently
+    netw = small_random_cnn(np.random.default_rng(10))
+    nm.save_model(netw, tmp_path)
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    first = manifest["tensors"][0]
+    assert (first["layer"], first["name"]) == (0, "weight")
+    manifest["tensors"].insert(0, dict(first))
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    blob = (tmp_path / "weights.bin").read_bytes()
+    (tmp_path / "weights.bin").write_bytes(bytes(4 * netw.layers[0].weight.size) + blob)
+    with pytest.raises(FormatError, match="model.json: layer 0 weight: listed twice"):
+        nm.load_model(tmp_path)
 
 
 def test_load_rejects_non_finite_tensors(tmp_path):

@@ -156,7 +156,7 @@ def test_finetune_model_is_pinned(tiny_setup, tmp_path):
     (_, compressed, _, _), = pl.compress_sweep(cfg, 0, source, target, model)
     tuned = pl.finetune_model(cfg, compressed, target, 0)
     assert weights_digest(tuned, tmp_path / "m") == \
-        "7c535411bf2bc3545a45ee6b378befb383b0dde53e56ee7cbe63ac1f52e69ce0"
+        "00a9070a1ac2edb675f655300d044440de346e0283721e6c74b682c45211743e"
 
 
 _TRAIN_SCRIPT = """
@@ -165,15 +165,19 @@ from specprune import net as nm
 from specprune import pipeline as pl
 from specprune.config import parse_config
 from specprune.datasets import make_two_domain
-cfg = parse_config({"schema_version": 1, "scenario": "digits_joint", "seeds": [0],
-                    "data": {"n_per_split": 100}, "train": {"epochs": 1, "batch_size": 100},
-                    "stats": {"target_samples": 100, "source_samples": 50},
-                    "compress": {"method": "spectral", "sweep": [0.5]},
-                    "paths": {"out_dir": sys.argv[1]}})
-source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
-nm.save_model(pl.train_model(cfg, 0, source, target), sys.argv[1])
-with open(os.path.join(sys.argv[1], "weights.bin"), "rb") as fh:
-    print(hashlib.sha256(fh.read()).hexdigest())
+for scenario, train in (("digits_joint", {"epochs": 1, "batch_size": 100}),
+                        ("pretrain_finetune", {"pretrain_epochs": 1, "finetune_epochs": 1,
+                                               "batch_size": 100})):
+    out = os.path.join(sys.argv[1], scenario)
+    cfg = parse_config({"schema_version": 1, "scenario": scenario, "seeds": [0],
+                        "data": {"n_per_split": 100}, "train": train,
+                        "stats": {"target_samples": 100, "source_samples": 50},
+                        "compress": {"method": "spectral", "sweep": [0.5]},
+                        "paths": {"out_dir": out}})
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    nm.save_model(pl.train_model(cfg, 0, source, target), out)
+    with open(os.path.join(out, "weights.bin"), "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
 """
 
 
@@ -181,11 +185,15 @@ def test_training_independent_of_blas_threads(tmp_path):
     # The default architecture at batch 100: its conv GEMMs are large enough
     # for OpenBLAS to split them across threads (a weight gradient taken
     # through a transposed view of the im2col matrix differs at 2 threads).
-    # The 1-thread weights are pinned too, so the benchmark's layer shapes
-    # pin the training arithmetic, not only the tiny models.
+    # Jointly trained, and fine-tuned over the frozen conv stack, which runs
+    # the inference forward. The 1-thread weights are pinned too, so the
+    # benchmark's layer shapes pin the training arithmetic, not only the
+    # tiny models.
     digests = outputs_at_one_and_two_threads(_TRAIN_SCRIPT,
                                              lambda threads: [str(tmp_path / threads)])
-    assert digests[0] == "fe23f58bb26a0aeee6f868c4c06f5ebabfaf3d4e2106af62db44a0600d4bbd13"
+    assert digests[0].split() == [
+        "fe23f58bb26a0aeee6f868c4c06f5ebabfaf3d4e2106af62db44a0600d4bbd13",
+        "973872e765f7a905110486d93ee458ca369f89f5ed110ab1639862194ec41896"]
     assert digests[0] == digests[1]
 
 
@@ -320,7 +328,7 @@ def test_run_lowrank_methods(tiny_setup):
 
 @pytest.mark.parametrize("method, digest, digest64", [
     ("dalr", "dbe0b5ba2a841c3e66ebaa2517abdbbc2b8ebaa58cd3b1b28ee801aa59c1b88f",
-     "2c402e9aef6360fa3f0685a544bf61c642207fe70a81269d2b20bf5ded8ec985"),
+     "ac925be0c71d97d0a82c0348c46ff48fb2cb378ccb299ff2c084cbca07ab8d34"),
     ("svd", "b85bda19e15291af702209c650741b3ea921055a814272059e2877c867aa7da7",
      "15e8693865f41db2509eb8d9c0e5f2fd432e3173accc9cfb5aa3ed17004e5350"),
 ], ids=("dalr", "svd"))

@@ -69,7 +69,7 @@ def test_all_frozen_keeps_weights():
     rng = np.random.default_rng(2)
     data = blob_data(rng)
     netw = blob_net(rng)
-    cfg = tr.TrainConfig(epochs=3, freeze=frozenset(range(len(netw.layers))), seed=0)
+    cfg = tr.TrainConfig(epochs=3, frozen=len(netw.layers), seed=0)
     out = tr.train(netw, [data], cfg)
     for a, b in zip(netw.layers, out.layers):
         if isinstance(a, nm.Dense):
@@ -81,7 +81,7 @@ def test_partial_freeze_is_bitwise():
     src, lbl = rng.normal(size=(64, 1, 4, 4)), rng.integers(0, 4, 64)
     data = DomainDataset("source", "train", src, lbl, n_classes=4)
     netw = tiny_cnn(rng)
-    cfg = tr.TrainConfig(epochs=2, batch_size=16, freeze=frozenset({0, 1}), seed=5)
+    cfg = tr.TrainConfig(epochs=2, batch_size=16, frozen=2, seed=5)
     out = tr.train(netw, [data], cfg)
     assert np.array_equal(out.layers[0].weight, netw.layers[0].weight)
     assert np.array_equal(out.layers[1].running_mean, netw.layers[1].running_mean)
@@ -184,19 +184,17 @@ def test_grad_check_conv_net():
     assert grad_check(tiny_cnn(rng, with_bn=False), feats, labels, epsilon=1e-3) < 1e-3
 
 
-@pytest.mark.parametrize("batch_stats", (False, True), ids=("running", "batch"))
 @pytest.mark.parametrize("shape", ((7, 3), (4, 3, 2, 3)), ids=("2d", "4d"))
-def test_batchnorm_backward_matches_central_differences(shape, batch_stats):
-    # grad_check runs BatchNorm only on 4-D inputs with batch statistics;
-    # fine-tuning a frozen BatchNorm, and the dense stack's BatchNorms, take
-    # the other paths. The loss is <forward(x), g>, so backward(g) is its
-    # gradient.
+def test_batchnorm_backward_matches_central_differences(shape):
+    # grad_check runs BatchNorm only on 4-D inputs; the dense stack's
+    # BatchNorms take 2-D ones. The loss is <forward(x), g>, so backward(g)
+    # is its gradient.
     rng = np.random.default_rng(19)
     c = shape[1]
     layer = nm.BatchNorm(rng.uniform(0.5, 2.0, c), rng.normal(size=c),
                          rng.normal(size=c) * 0.3, rng.uniform(0.5, 2.0, c))
     x, g = rng.normal(size=shape), rng.normal(size=shape)
-    mode = nm.TrainMode(batch_stats=batch_stats)
+    mode = nm.TrainMode()
     _, cache = layer.forward(x, mode=mode)
     dx, grads = layer.backward(cache, g, True)
     step = 1e-5
@@ -253,6 +251,16 @@ def test_bn_running_stats_update_and_inference_path():
     assert np.all(bn.running_var > 0)
 
 
+def test_frozen_must_be_a_leading_layer_count():
+    with pytest.raises(ValueError, match="frozen"):
+        tr.TrainConfig(frozen=-1)
+    rng = np.random.default_rng(2)
+    netw = blob_net(rng)
+    cfg = tr.TrainConfig(epochs=1, frozen=len(netw.layers) + 1)
+    with pytest.raises(ValueError, match="exceeds the 3 layers"):
+        tr.train(netw, [blob_data(rng)], cfg)
+
+
 def test_train_rejects_feature_shape_before_first_step(monkeypatch):
     rng = np.random.default_rng(15)
     netw = nm.Network((nm.Dense(rng.normal(size=(4, 3)), np.zeros(4)), nm.ReLU(),
@@ -274,17 +282,17 @@ def test_frozen_prefix_leaves_upper_gradients_bit_equal():
     rng = np.random.default_rng(16)
     netw = tiny_cnn(rng, with_bn=False)
     feats, labels = rng.normal(size=(8, 1, 4, 4)), rng.integers(0, 4, 8)
-    full = gradients(netw, feats, labels, frozenset())
+    full = gradients(netw, feats, labels)
     assert sorted(full) == [(0, "bias"), (0, "weight"), (4, "bias"), (4, "weight")]
     for k in range(1, len(netw.layers) + 1):
-        part = gradients(netw, feats, labels, frozenset(range(k)))
+        part = gradients(netw, feats, labels, k)
         assert sorted(part) == sorted(key for key in full if key[0] >= k)
         for key, g in part.items():
             assert np.array_equal(g, full[key]), (k, key)
 
 
-@pytest.mark.parametrize("freeze, lowest", [((), 0), ((0,), 1), ((0, 1), 5), ((1, 5), 0)])
-def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
+@pytest.mark.parametrize("frozen, lowest", [(0, 0), (1, 1), (2, 5), (6, 6)])
+def test_backward_stops_at_lowest_trainable_layer(monkeypatch, frozen, lowest):
     rng = np.random.default_rng(17)
     netw = tiny_cnn(rng)  # conv, bn, relu, flatten, dropout, dense
     # by kind: the gradients are taken on private copies of the layers
@@ -301,29 +309,27 @@ def test_backward_stops_at_lowest_trainable_layer(monkeypatch, freeze, lowest):
 
     for cls in nm.Layer.__subclasses__():
         spy(cls)
-    grads = gradients(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6),
-                      frozenset(freeze))
+    grads = gradients(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6), frozen)
     # one call per layer from the top down to the lowest trainable layer,
-    # which alone is asked for no input gradient
+    # which alone is asked for no input gradient; none when all are frozen
     assert visits == [(i, i > lowest) for i in range(5, lowest - 1, -1)]
     assert sorted(grads) == sorted((i, name) for i, layer in enumerate(netw.layers)
-                                   if i not in freeze for name in nm.param_fields(layer))
+                                   if i >= frozen for name in nm.param_fields(layer))
 
 
 def test_training_forward_all_frozen_matches_inference():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(9, 1, 4, 4))
     plain = tiny_cnn(rng, with_bn=False)
-    logits, _ = tr._forward_train(plain.layers, frozenset(range(len(plain.layers))), x, None)
+    logits, _ = tr._forward_train(plain.layers, len(plain.layers), x, None)
     assert np.array_equal(logits, nm.forward(plain, x)[0])
 
     bn = tiny_cnn(rng)
     bn = nm.with_layers(bn, [nm.BatchNorm(l.scale, l.shift, rng.normal(size=3) * 0.2,
                                           rng.uniform(0.5, 2.0, 3))
                              if isinstance(l, nm.BatchNorm) else l for l in bn.layers])
-    logits, _ = tr._forward_train(bn.layers, frozenset(range(len(bn.layers))), x, None)
-    expected = nm.forward(bn, x)[0]
-    assert np.max(np.abs(logits - expected)) <= 1e-12 * np.max(np.abs(expected))
+    logits, _ = tr._forward_train(bn.layers, len(bn.layers), x, None)
+    assert np.array_equal(logits, nm.forward(bn, x)[0])
 
 
 def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
