@@ -11,6 +11,7 @@ Models serialize to a JSON manifest plus a little-endian float32 weight blob.
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -352,9 +353,10 @@ class ActivationBatch:
 class Network:
     """Immutable network: layers, input shape, and capture-point indices.
 
-    Capture points must index ReLU layers (activations are captured
-    immediately after the nonlinearity). Construction dry-runs the forward
-    pass on a zero batch so shape errors surface early.
+    Capture points must be distinct and index ReLU layers (activations are
+    captured immediately after the nonlinearity); they and the input shape
+    must be integers. Construction dry-runs the forward pass on a zero batch
+    so shape errors surface early.
     """
 
     layers: tuple
@@ -363,12 +365,20 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        object.__setattr__(self, "capture_points", tuple(int(c) for c in self.capture_points))
+        object.__setattr__(self, "input_shape", _integers(self.input_shape, "input shape"))
+        object.__setattr__(self, "capture_points", _integers(self.capture_points, "capture points"))
+        if len(set(self.capture_points)) != len(self.capture_points):
+            raise ValueError(f"capture points {self.capture_points} repeat a layer")
         for cp in self.capture_points:
             if not (0 <= cp < len(self.layers)) or not isinstance(self.layers[cp], ReLU):
                 raise ValueError(f"capture point {cp} does not follow an activation")
         forward(self, np.zeros((1,) + self.input_shape))
+
+
+def _integers(values, what):
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 # ---------------------------------------------------------------------------

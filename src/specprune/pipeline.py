@@ -78,13 +78,17 @@ def train_model(cfg, seed, source, target):
         data = [_subset(source.train, ts.source_samples),
                 _subset(target.train, ts.target_samples)]
         return tr.train(netw, data, tr.TrainConfig(epochs=ts.epochs, **base))
-    # pretrain on source, then fine-tune the dense stack on target with the
-    # convolutional features frozen
+    # pretrain on source, then fine-tune the layers from Flatten up on the
+    # target split, pushed once through the frozen conv stack below them
     netw = tr.train(netw, [_subset(source.train, ts.source_samples)],
                     tr.TrainConfig(epochs=ts.pretrain_epochs, **base))
-    flatten_idx = next(i for i, l in enumerate(netw.layers) if isinstance(l, nm.Flatten))
-    return tr.train(netw, [_subset(target.train, ts.target_samples)],
-                    tr.TrainConfig(epochs=ts.finetune_epochs, frozen=flatten_idx, **base))
+    k = next(i for i, l in enumerate(netw.layers) if isinstance(l, nm.Flatten))
+    data = _subset(target.train, ts.target_samples)
+    feats = sp._push(netw, data.features, 0, k)
+    head = tr.train(nm.Network(netw.layers[k:], feats.shape[1:]),
+                    [dataclasses.replace(data, features=feats)],
+                    tr.TrainConfig(epochs=ts.finetune_epochs, **base))
+    return nm.with_layers(netw, netw.layers[:k] + head.layers)
 
 
 def _model_cache_key(cfg, seed):

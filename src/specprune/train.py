@@ -1,14 +1,14 @@
 """Training on the layer engine of net.py: softmax cross-entropy, SGD and
-Adam, a frozen leading block of layers and seeded shuffling.
+Adam, and seeded shuffling.
 
-The first `frozen` layers keep their original arrays (bit-identical) and run
-the inference forward, as `net.forward` does. Each layer above them runs its
-own forward in training mode (BatchNorm on batch statistics with a
-running-statistics update, dropout masks drawn from the seeded generator),
-and training back-propagates through each layer's own backward from the top
-down to the lowest of them with a trainable parameter. Training is
-single-threaded and reproducible: identical (net, data, cfg) give identical
-final weights on one platform.
+Training updates private copies of every layer's arrays; to keep the weights
+of some lower layers, the caller trains only the layers above them, on their
+output (pipeline.train_model). Each layer runs its own forward in training
+mode (BatchNorm on batch statistics with a running-statistics update, dropout
+masks drawn from the seeded generator), and training back-propagates through
+each layer's own backward from the top down to the lowest layer with a
+trainable parameter. Training is single-threaded and reproducible: identical
+(net, data, cfg) give identical final weights on one platform.
 """
 
 import math
@@ -26,14 +26,13 @@ ADAM_EPS = 1e-8
 EVAL_BATCH_SIZE = 512
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrainConfig:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     weight_decay: float = 5e-4
     batch_size: int = 50
     epochs: int = 10
-    frozen: int = 0  # the number of leading layers kept as they are
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate < 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad learning_rate/batch_size/epochs")
-        if self.frozen < 0:
-            raise ValueError(f"frozen must be a layer count >= 0, got {self.frozen}")
 
 
 def softmax_cross_entropy(logits, labels):
@@ -61,39 +58,29 @@ def softmax_cross_entropy(logits, labels):
 # training-mode forward/backward
 # ---------------------------------------------------------------------------
 
-def _private(layers, frozen):
-    """The layers, with private copies of the parameters and buffers of every
-    layer past the first `frozen`; those are the original objects."""
-    return list(layers[:frozen]) + [
-        replace(layer, **{n: getattr(layer, n).copy() for n in nm.tensor_fields(layer)})
-        for layer in layers[frozen:]]
+def _private(layers):
+    """The layers, with private copies of their parameters and buffers."""
+    return [replace(layer, **{n: getattr(layer, n).copy() for n in nm.tensor_fields(layer)})
+            for layer in layers]
 
 
-def _forward_train(layers, frozen, x, rng):
-    """Training-mode forward: (logits, per-layer backward caches).
-
-    The first `frozen` layers run the inference forward and leave a None
-    cache. rng=None disables dropout.
-    """
-    for i in range(frozen):
-        x = nm.apply_layer(layers[i], x, i)
-    mode = nm.TrainMode(rng)
-    caches = [None] * frozen
-    for i in range(frozen, len(layers)):
-        x, cache = layers[i].forward(x, i, mode)
+def _forward_train(layers, mode, x):
+    """Training-mode forward under mode (a net.TrainMode): (logits,
+    per-layer backward caches)."""
+    caches = []
+    for i, layer in enumerate(layers):
+        x, cache = layer.forward(x, i, mode)
         caches.append(cache)
     return x, caches
 
 
-def _backward(layers, frozen, caches, dout):
-    """{(layer, name): grad} for the parameters of every layer past the
-    first `frozen`.
+def _backward(layers, caches, dout):
+    """{(layer, name): grad} for the parameters of every layer.
 
-    Back-propagates from the top down to the lowest such layer with a
-    parameter, one backward call per layer, and asks that layer for no
-    input gradient.
+    Back-propagates from the top down to the lowest layer with a parameter,
+    one backward call per layer, and asks that layer for no input gradient.
     """
-    stop = next((i for i in range(frozen, len(layers)) if nm.param_fields(layers[i])), None)
+    stop = next((i for i, layer in enumerate(layers) if nm.param_fields(layer)), None)
     if stop is None:
         return {}
     grads = {}
@@ -180,30 +167,27 @@ def _stack(datasets, input_shape):
 
 
 def train(network, data, cfg):
-    """Train on the concatenated datasets; returns a new network.
+    """Train every layer on the concatenated datasets; returns a new network.
 
-    The first cfg.frozen layers are left bit-identical and run the inference
-    forward. Raises ValueError when cfg.frozen exceeds the layer count,
-    ShapeMismatch before the first step when a dataset's feature shape is
-    not the network's input shape, and Diverged when the loss becomes
-    non-finite.
+    Raises ShapeMismatch before the first step when a dataset's feature
+    shape is not the network's input shape, and Diverged when the loss
+    becomes non-finite.
     """
-    if cfg.frozen > len(network.layers):
-        raise ValueError(f"frozen {cfg.frozen} exceeds the {len(network.layers)} layers")
     feats, labels = _stack(list(data), network.input_shape)
-    layers = _private(network.layers, cfg.frozen)
+    layers = _private(network.layers)
     rng = np.random.default_rng(cfg.seed)
+    mode = nm.TrainMode(rng)
     opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.weight_decay)
     n = len(labels)
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            logits, caches = _forward_train(layers, cfg.frozen, feats[idx], rng)
+            logits, caches = _forward_train(layers, mode, feats[idx])
             loss, dlogits = softmax_cross_entropy(logits, labels[idx])
             if not math.isfinite(loss):
                 raise Diverged(f"loss became {loss}")
-            opt.step(layers, _backward(layers, cfg.frozen, caches, dlogits))
+            opt.step(layers, _backward(layers, caches, dlogits))
     return nm.with_layers(network, layers)
 
 

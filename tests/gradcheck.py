@@ -8,18 +8,18 @@ from specprune import train as tr
 KINK_STEP = 1e-2  # step factor for an entry whose difference step crosses a ReLU kink
 
 
-def gradients(network, feats, labels, frozen=0):
+def gradients(network, feats, labels):
     """Analytic gradients of the mean cross-entropy on one batch for the
-    parameters of every layer past the first `frozen` (dropout disabled).
+    parameters of every layer (dropout disabled).
 
-    Runs on private copies of those layers, whose BatchNorm running
-    statistics the training-mode forward updates; the training forward does
-    not read them, so the gradients are those of the network's own arrays.
+    Runs on private copies of the layers, whose BatchNorm running statistics
+    the training-mode forward updates; the training forward does not read
+    them, so the gradients are those of the network's own arrays.
     """
-    layers = tr._private(network.layers, frozen)
-    logits, caches = tr._forward_train(layers, frozen, feats, None)
+    layers = tr._private(network.layers)
+    logits, caches = tr._forward_train(layers, nm.TrainMode(), feats)
     _, dlogits = tr.softmax_cross_entropy(logits, labels)
-    return tr._backward(layers, frozen, caches, dlogits)
+    return tr._backward(layers, caches, dlogits)
 
 
 def grad_check(network, feats, labels, epsilon=1e-3):
@@ -37,7 +37,7 @@ def grad_check(network, feats, labels, epsilon=1e-3):
     if n_params >= 5000:
         raise ValueError(f"grad_check is for small networks, got {n_params} params")
     grads = gradients(network, feats, labels)
-    layers = tr._private(network.layers, 0)
+    layers = tr._private(network.layers)
     relus = [i for i, layer in enumerate(layers) if isinstance(layer, nm.ReLU)]
 
     def difference(flat, k, step):
@@ -46,7 +46,7 @@ def grad_check(network, feats, labels, epsilon=1e-3):
         sides = []
         for value in (orig + step, orig - step):
             flat[k] = value
-            logits, caches = tr._forward_train(layers, 0, feats, None)
+            logits, caches = tr._forward_train(layers, nm.TrainMode(), feats)
             sides.append((tr.softmax_cross_entropy(logits, labels)[0],
                           [caches[i] > 0 for i in relus]))
         flat[k] = orig

@@ -7,6 +7,7 @@ import pytest
 from specprune import lowrank as lr
 from specprune import net as nm
 from specprune import pipeline as pl
+from specprune import spectral as sp
 from specprune import train as tr
 from specprune.config import ModelSection
 from specprune.datasets import make_two_domain
@@ -332,6 +333,24 @@ def test_forward_batch_order_equivariant():
     assert np.array_equal(out[perm], out_p)
 
 
+def test_conv_stack_gives_each_sample_its_bits_at_every_even_batch(monkeypatch):
+    # pipeline.train_model pushes the target split once through the conv
+    # stack in blocks of spectral.BATCH_SIZE; a sample's features, and so
+    # the fine-tuned bits, are the same at every even block size. Batches of
+    # 1 and odd sizes move bits, so they are not asserted.
+    netw = pl.build_digits_model(ModelSection(), 0)
+    flatten = next(i for i, layer in enumerate(netw.layers) if isinstance(layer, nm.Flatten))
+    assert flatten == 9
+    _, target = make_two_domain(0, 600)
+    x = target.train.features
+    pushed = []
+    for batch in (2, 4, 50, 100, 256, 600):
+        monkeypatch.setattr(sp, "BATCH_SIZE", batch)
+        pushed.append(sp._push(netw, x, 0, flatten))
+    for out in pushed[1:]:
+        assert np.array_equal(out, pushed[0])
+
+
 def test_capture_matches_next_layer_input():
     rng = np.random.default_rng(2)
     netw = small_random_cnn(rng)
@@ -363,9 +382,14 @@ def test_shape_mismatch_reports_layer():
 
 
 def test_capture_point_must_follow_activation():
-    with pytest.raises(ValueError):
-        nm.Network((nm.Dense(np.eye(2), np.zeros(2)), nm.ReLU()), (2,),
-                   capture_points=(0,))
+    # a capture point on a non-activation, a repeated one, a non-integral
+    # one, and a non-integral input dimension
+    layers = (nm.Dense(np.eye(2), np.zeros(2)), nm.ReLU(),
+              nm.Dense(np.eye(2), np.zeros(2)), nm.ReLU())
+    for shape, cps in (((2,), (0,)), ((2,), (1, 1, 3)), ((2,), (1.9, 3)),
+                       ((2,), (1.0,)), ((2.5,), (1,))):
+        with pytest.raises(ValueError):
+            nm.Network(layers, shape, capture_points=cps)
 
 
 def test_count_params_dense_4096():
@@ -468,6 +492,13 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
     for bad in ({k: v for k, v in manifest.items() if k != "tensors"}, [manifest]):
         (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
         with pytest.raises(FormatError, match="model.json"):
+            nm.load_model(tmp_path / "m")
+
+    # a repeated or non-integral capture point, a non-integral input dimension
+    for key, value in (("capture_points", [1, 1, 3]), ("capture_points", [1.9, 3]),
+                       ("input_shape", [1, 8.5, 8])):
+        (tmp_path / "m" / "model.json").write_text(json.dumps(dict(manifest, **{key: value})))
+        with pytest.raises(FormatError, match="inconsistent model"):
             nm.load_model(tmp_path / "m")
 
     # layer 0's weight gone from both the index and the blob

@@ -149,6 +149,36 @@ def test_pretrain_finetune_training_is_pinned(tmp_path):
         "6926378aa55d282f74850e2db7bc9ba0d7ca5d2c1337c13d6e3f131f2d296eac"
 
 
+def test_finetune_trains_a_head_on_pushed_target_features(tmp_path, monkeypatch):
+    # the conv stack is pushed once: the fine-tune trains a network of the
+    # layers from Flatten up on the target split's conv features, and the
+    # model keeps the pretrained layer objects below Flatten
+    doc = tiny_doc(tmp_path)
+    doc["scenario"] = "pretrain_finetune"
+    doc["train"] = {"pretrain_epochs": 1, "finetune_epochs": 1, "batch_size": 32}
+    cfg = parse_config(doc)
+    source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
+    calls = []
+    train = tr.train
+
+    def spy(network, data, cfg):
+        out = train(network, data, cfg)
+        calls.append((network, list(data), out))
+        return out
+    monkeypatch.setattr(tr, "train", spy)
+    model = pl.train_model(cfg, 0, source, target)
+    (_, [pre_data], pretrained), (head, [data], tuned) = calls
+    assert pre_data is source.train
+    k = next(i for i, layer in enumerate(model.layers) if isinstance(layer, nm.Flatten))
+    assert all(a is b for a, b in zip(model.layers[:k], pretrained.layers[:k]))
+    assert all(a is b for a, b in zip(head.layers, pretrained.layers[k:]))
+    assert all(a is b for a, b in zip(model.layers[k:], tuned.layers))
+    assert len(head.layers) == len(model.layers) - k
+    assert model.capture_points == pretrained.capture_points
+    assert np.array_equal(data.features, sp._push(pretrained, target.train.features, 0, k))
+    assert np.array_equal(data.labels, target.train.labels)
+
+
 def test_finetune_model_is_pinned(tiny_setup, tmp_path):
     # fine-tuning after compression trains every layer of the pruned model
     out, _, source, target, model = tiny_setup

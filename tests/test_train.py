@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specprune import net as nm
+from specprune import spectral as sp
 from specprune import train as tr
 from specprune.datasets import DomainDataset
 from specprune.errors import Diverged, ShapeMismatch
@@ -63,29 +64,6 @@ def test_separable_blobs_reach_99():
     losses = [tr.softmax_cross_entropy(nm.forward(n, data.features)[0], data.labels)[0]
               for n in (trained, netw)]
     assert losses[0] < losses[1]
-
-
-def test_all_frozen_keeps_weights():
-    rng = np.random.default_rng(2)
-    data = blob_data(rng)
-    netw = blob_net(rng)
-    cfg = tr.TrainConfig(epochs=3, frozen=len(netw.layers), seed=0)
-    out = tr.train(netw, [data], cfg)
-    for a, b in zip(netw.layers, out.layers):
-        if isinstance(a, nm.Dense):
-            assert a.weight is b.weight and a.bias is b.bias
-
-
-def test_partial_freeze_is_bitwise():
-    rng = np.random.default_rng(3)
-    src, lbl = rng.normal(size=(64, 1, 4, 4)), rng.integers(0, 4, 64)
-    data = DomainDataset("source", "train", src, lbl, n_classes=4)
-    netw = tiny_cnn(rng)
-    cfg = tr.TrainConfig(epochs=2, batch_size=16, frozen=2, seed=5)
-    out = tr.train(netw, [data], cfg)
-    assert np.array_equal(out.layers[0].weight, netw.layers[0].weight)
-    assert np.array_equal(out.layers[1].running_mean, netw.layers[1].running_mean)
-    assert not np.array_equal(out.layers[5].weight, netw.layers[5].weight)
 
 
 def test_training_reproducible():
@@ -251,16 +229,6 @@ def test_bn_running_stats_update_and_inference_path():
     assert np.all(bn.running_var > 0)
 
 
-def test_frozen_must_be_a_leading_layer_count():
-    with pytest.raises(ValueError, match="frozen"):
-        tr.TrainConfig(frozen=-1)
-    rng = np.random.default_rng(2)
-    netw = blob_net(rng)
-    cfg = tr.TrainConfig(epochs=1, frozen=len(netw.layers) + 1)
-    with pytest.raises(ValueError, match="exceeds the 3 layers"):
-        tr.train(netw, [blob_data(rng)], cfg)
-
-
 def test_train_rejects_feature_shape_before_first_step(monkeypatch):
     rng = np.random.default_rng(15)
     netw = nm.Network((nm.Dense(rng.normal(size=(4, 3)), np.zeros(4)), nm.ReLU(),
@@ -278,21 +246,33 @@ def test_train_rejects_feature_shape_before_first_step(monkeypatch):
         tr.evaluate([netw], ds)
 
 
+def head(netw, start, x):
+    """The network of the layers from start up, and x pushed through the
+    layers below in inference mode: how pipeline.train_model fine-tunes the
+    layers above a frozen conv stack."""
+    feats = sp._push(netw, x, 0, start)
+    return nm.Network(netw.layers[start:], feats.shape[1:]), feats
+
+
 def test_frozen_prefix_leaves_upper_gradients_bit_equal():
+    # with no BatchNorm or dropout below, the frozen prefix computes the same
+    # in inference as in training, so a head on its pushed features gets the
+    # full network's gradients of the layers it holds
     rng = np.random.default_rng(16)
     netw = tiny_cnn(rng, with_bn=False)
     feats, labels = rng.normal(size=(8, 1, 4, 4)), rng.integers(0, 4, 8)
     full = gradients(netw, feats, labels)
     assert sorted(full) == [(0, "bias"), (0, "weight"), (4, "bias"), (4, "weight")]
     for k in range(1, len(netw.layers) + 1):
-        part = gradients(netw, feats, labels, k)
+        part = {(i + k, name): g for (i, name), g in gradients(*head(netw, k, feats),
+                                                                labels).items()}
         assert sorted(part) == sorted(key for key in full if key[0] >= k)
         for key, g in part.items():
             assert np.array_equal(g, full[key]), (k, key)
 
 
-@pytest.mark.parametrize("frozen, lowest", [(0, 0), (1, 1), (2, 5), (6, 6)])
-def test_backward_stops_at_lowest_trainable_layer(monkeypatch, frozen, lowest):
+@pytest.mark.parametrize("start, lowest", [(0, 0), (1, 1), (2, 5), (3, 5), (6, 6)])
+def test_backward_stops_at_lowest_trainable_layer(monkeypatch, start, lowest):
     rng = np.random.default_rng(17)
     netw = tiny_cnn(rng)  # conv, bn, relu, flatten, dropout, dense
     # by kind: the gradients are taken on private copies of the layers
@@ -309,27 +289,15 @@ def test_backward_stops_at_lowest_trainable_layer(monkeypatch, frozen, lowest):
 
     for cls in nm.Layer.__subclasses__():
         spy(cls)
-    grads = gradients(netw, rng.normal(size=(6, 1, 4, 4)), rng.integers(0, 4, 6), frozen)
+    # the head of the layers from start up: (3, 5) is a fine-tuned dense
+    # stack, Flatten, Dropout, Dense; (6, 6) has no layer left to train
+    grads = gradients(*head(netw, start, rng.normal(size=(6, 1, 4, 4))),
+                      rng.integers(0, 4, 6))
     # one call per layer from the top down to the lowest trainable layer,
-    # which alone is asked for no input gradient; none when all are frozen
+    # which alone is asked for no input gradient
     assert visits == [(i, i > lowest) for i in range(5, lowest - 1, -1)]
-    assert sorted(grads) == sorted((i, name) for i, layer in enumerate(netw.layers)
-                                   if i >= frozen for name in nm.param_fields(layer))
-
-
-def test_training_forward_all_frozen_matches_inference():
-    rng = np.random.default_rng(18)
-    x = rng.normal(size=(9, 1, 4, 4))
-    plain = tiny_cnn(rng, with_bn=False)
-    logits, _ = tr._forward_train(plain.layers, len(plain.layers), x, None)
-    assert np.array_equal(logits, nm.forward(plain, x)[0])
-
-    bn = tiny_cnn(rng)
-    bn = nm.with_layers(bn, [nm.BatchNorm(l.scale, l.shift, rng.normal(size=3) * 0.2,
-                                          rng.uniform(0.5, 2.0, 3))
-                             if isinstance(l, nm.BatchNorm) else l for l in bn.layers])
-    logits, _ = tr._forward_train(bn.layers, len(bn.layers), x, None)
-    assert np.array_equal(logits, nm.forward(bn, x)[0])
+    assert sorted(grads) == sorted((i - start, name) for i, layer in enumerate(netw.layers)
+                                   if i >= start for name in nm.param_fields(layer))
 
 
 def test_evaluate_resumes_from_a_shared_prefix(monkeypatch):
