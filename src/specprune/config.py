@@ -221,9 +221,11 @@ def parse_config(doc):
 
 
 def read_config(path):
-    """The raw config document at path, not yet validated."""
+    """The raw config document at path, not yet validated. An unreadable
+    file, bytes that are not UTF-8 or JSON (ValueError), and JSON nested
+    deeper than the decoder recurses (RecursionError) raise ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config: {exc}") from exc

@@ -3,10 +3,13 @@
 Layers are frozen dataclasses holding float64 numpy arrays; a Network is an
 ordered, immutable sequence of them. Each layer kind declares its trainable
 parameters and buffers and defines its forward and backward once, and both
-inference and training (train.py) run them. The inference forward
-(`apply_layer`, `forward`) uses running BatchNorm statistics and skips
-dropout, and can capture post-activation values at declared capture points.
-Models serialize to a JSON manifest plus a little-endian float32 weight blob.
+inference and training (train.py) run them. Conv, BatchNorm and ReLU
+outputs and their gradients are (n, c, h, w) in shape and batch-inner,
+(c, h, w, n), in memory, in inference and training alike. The inference
+forward (`apply_layer`, `forward`) uses running BatchNorm statistics and
+skips dropout, and can capture post-activation values at declared capture
+points. Models serialize to a JSON manifest plus a little-endian float32
+weight blob.
 """
 
 import json
@@ -96,15 +99,13 @@ class Dense(Layer):
         return (dout @ self.weight if need_dx else None), grads
 
 
-def conv2d_windows(x, kh, kw, stride, padding, batch_inner=False):
+def conv2d_windows(x, kh, kw, stride, padding):
     """Strided view of all (kh, kw) patches: (n, c, oh, ow, kh, kw). The
-    zero-padded copy is (n, c, h, w) in memory, or (c, h, w, n) when
-    batch_inner."""
+    zero-padded copy is batch-inner, (c, h, w, n) in memory."""
     n, c, h, w = x.shape
     if padding:
         hp, wp = h + 2 * padding, w + 2 * padding
-        xp = np.zeros((c, hp, wp, n), dtype=x.dtype).transpose(3, 0, 1, 2) if batch_inner \
-            else np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp = np.zeros((c, hp, wp, n), dtype=x.dtype).transpose(3, 0, 1, 2)
         xp[:, :, padding:padding + h, padding:padding + w] = x
         x = xp
     oh = (h + 2 * padding - kh) // stride + 1
@@ -125,6 +126,12 @@ class Conv2D(Layer):
     kind = "conv2d"
     params = ("weight", "bias")
 
+    def __post_init__(self):
+        # before the base class coerces them: int() truncates 1.5 and
+        # overflows on 1e300
+        _integers((self.stride, self.padding), "conv stride and padding")
+        super().__post_init__()
+
     def _check(self):
         w, b = self.weight, self.bias
         if w.ndim != 4 or getattr(b, "shape", None) != (w.shape[0],):
@@ -132,59 +139,49 @@ class Conv2D(Layer):
         if self.stride < 1 or self.padding < 0:
             raise ValueError("bad stride/padding")
 
-    # Inference lowers the input into an im2col matrix with columns in
-    # (oh, ow, n) order, gathered from a batch-inner (c, h, w, n) padded
+    # One lowering for inference and training: an im2col matrix with columns
+    # in (oh, ow, n) order, gathered from a batch-inner (c, h, w, n) padded
     # buffer, so every copy runs over the batch. Its GEMM output is
     # (o, h, w, n) in memory, and BatchNorm and ReLU keep that order, so the
     # next conv pads it with contiguous copies. OpenBLAS rounds a GEMM's edge
     # tile differently, so a column's bits depend on where the batch's column
-    # count puts it: on the default model's shapes they equal the training
-    # GEMM's at n = 1 and at even n, and move by ulps at odd n >= 3. Training
-    # takes its columns in (n, oh, ow) order and returns (o, n, h, w) memory:
-    # BatchNorm's training statistics read it per channel without a copy, and
-    # the weight gradient sums over the columns in that order. The backward
-    # computes the input gradient as one GEMM over the output gradient's
-    # columns in (h, w, n) order, scattered back into the windows (col2im) of a
-    # batch-inner (c, h, w, n) buffer, so each strided add runs over the batch;
-    # one copy returns it channel-major. The weight gradient comes from the
-    # forward's im2col matrix through a contiguous copy of its transpose: a
-    # transposed view changes the bits with the BLAS thread count.
+    # count puts it: on the default model's shapes they equal an einsum's at
+    # n = 1 and at even n, and move by ulps at odd n >= 3. The backward reads
+    # the output gradient as one (o, h·w·n) view, which feeds both GEMMs: the
+    # weight gradient's, with a contiguous copy of the im2col matrix's
+    # transpose (a transposed view changes the bits with the BLAS thread
+    # count), and the input gradient's, whose columns are scattered back into
+    # the windows (col2im) of a batch-inner buffer, so each strided add runs
+    # over the batch. The input gradient is a batch-inner view of it.
     def forward(self, x, index=None, mode=None):
         oc, ic, kh, kw = self.weight.shape
         if x.ndim != 4 or x.shape[1] != ic:
             raise ShapeMismatch(f"conv expects (n, {ic}, h, w), got {x.shape}", layer=index)
         if x.shape[2] + 2 * self.padding < kh or x.shape[3] + 2 * self.padding < kw:
             raise ShapeMismatch(f"input {x.shape} smaller than kernel", layer=index)
-        windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding,
-                                           batch_inner=mode is None)
-        n, w2 = x.shape[0], self.weight.reshape(oc, -1)
-        if mode is None:
-            out = w2 @ windows.transpose(1, 4, 5, 2, 3, 0).reshape(ic * kh * kw, -1)
-            out += self.bias[:, None]
-            return out.reshape(oc, oh, ow, n).transpose(3, 0, 1, 2), None
-        cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(ic * kh * kw, n * oh * ow)
-        out = (w2 @ cols).reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-        return out + self.bias[None, :, None, None], (cols, x.shape)
+        windows, (oh, ow) = conv2d_windows(x, kh, kw, self.stride, self.padding)
+        cols = windows.transpose(1, 4, 5, 2, 3, 0).reshape(ic * kh * kw, -1)
+        out = self.weight.reshape(oc, -1) @ cols
+        out += self.bias[:, None]
+        out = from_channel_rows(out, (x.shape[0], oc, oh, ow))
+        return out, (None if mode is None else (cols, x.shape))
 
     def backward(self, cache, dout, need_dx):
         cols, (n, _, h, w) = cache
         oc, ic, kh, kw = self.weight.shape
         oh, ow = dout.shape[2], dout.shape[3]
-        d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)  # a view of a channel-major dout
+        d2 = channel_rows(dout)
         grads = {"weight": (d2 @ np.ascontiguousarray(cols.T)).reshape(self.weight.shape),
-                 "bias": dout.sum(axis=(0, 2, 3))}
+                 "bias": d2.sum(axis=1)}
         if not need_dx:
             return None, grads
         pad, s = self.padding, self.stride
-        dhwn = dout.transpose(1, 2, 3, 0).reshape(oc, -1)
-        dcols = (self.weight.reshape(oc, -1).T @ dhwn).reshape(ic, kh, kw, oh, ow, n)
+        dcols = (self.weight.reshape(oc, -1).T @ d2).reshape(ic, kh, kw, oh, ow, n)
         dxp = np.zeros((ic, h + 2 * pad, w + 2 * pad, n))
         for ki in range(kh):
             for kj in range(kw):
                 dxp[:, ki:ki + s * oh:s, kj:kj + s * ow:s] += dcols[:, ki, kj]
-        # channel-major like the forward's output
-        dx = np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
-        return dx.transpose(1, 0, 2, 3), grads
+        return dxp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2), grads
 
 
 @dataclass(frozen=True)
@@ -222,34 +219,32 @@ class BatchNorm(Layer):
         c = self.scale.shape[0]
         if x.shape[1] != c:
             raise ShapeMismatch(f"batchnorm over {c} channels, got {x.shape}", layer=index)
-        # Both forms compute (x - mean) * inv * scale + shift, one step at a
-        # time in that order, so inference on the running statistics gives
-        # the bits of training on the same statistics. Each array keeps its
-        # memory order: inference works in place on the centered input, and
-        # training keeps the scaled xhat for the backward and writes its
-        # output over the squares that gave the variance.
+        # One body on the per-channel rows: inference takes the running
+        # statistics, training the batch statistics, which it moves the
+        # running ones toward. Both then compute (x - mean) * inv * scale +
+        # shift, one step at a time in that order, so inference on given
+        # statistics gives the bits of training on the same statistics.
+        # Inference works in place on the centered rows; training keeps the
+        # scaled xhat for the backward and writes its output over the squares
+        # that gave the variance.
+        rows = channel_rows(x)
         if mode is None:
-            shape = (1, c) + (1,) * (x.ndim - 2)
-            out = x - self.running_mean.reshape(shape)
-            out *= (1.0 / np.sqrt(self.running_var + self.eps)).reshape(shape)
-            out *= self.scale.reshape(shape)
-            out += self.shift.reshape(shape)
-            return out, None
-        xc = channel_rows(x)
-        mu = xc.mean(axis=1)
-        xhat = xc - mu[:, None]
-        out = xhat * xhat
-        var = out.mean(axis=1)
-        run_mu, run_var = self.running_mean, self.running_var
-        run_mu *= 1.0 - self.momentum
-        run_mu += self.momentum * mu
-        run_var *= 1.0 - self.momentum
-        run_var += self.momentum * var
+            mean, var = self.running_mean, self.running_var
+            xhat = rows - mean[:, None]
+            out = xhat
+        else:
+            mean = rows.mean(axis=1)
+            xhat = rows - mean[:, None]
+            out = xhat * xhat
+            var = out.mean(axis=1)
+            for run, batch in ((self.running_mean, mean), (self.running_var, var)):
+                run *= 1.0 - self.momentum
+                run += self.momentum * batch
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv[:, None]
         np.multiply(xhat, self.scale[:, None], out=out)
         out += self.shift[:, None]
-        return from_channel_rows(out, x.shape), (xhat, inv)
+        return from_channel_rows(out, x.shape), (None if mode is None else (xhat, inv))
 
     def backward(self, cache, dout, need_dx):
         xhat, inv = cache
@@ -268,21 +263,21 @@ class BatchNorm(Layer):
 
 
 def channel_rows(x):
-    """(c, n·h·w) view of an (n, c) or (n, c, h, w) array, one row per
-    channel: BatchNorm's training statistics reduce along its rows. A 4-D
-    array is copied unless it is contiguous (c, n, h, w) in memory, as
-    Conv2D's training output is, and so the BatchNorm and ReLU outputs and
-    gradients computed from it in training."""
-    return x.T if x.ndim == 2 else x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+    """(c, h·w·n) view of an (n, c, h, w) array, one row per channel, or
+    the (c, n) transpose of an (n, c) one: BatchNorm reduces along its rows,
+    and Conv2D's backward multiplies them. A 4-D array is copied unless it
+    is batch-inner, (c, h, w, n) in memory, as every conv, BatchNorm and
+    ReLU output and gradient is."""
+    return x.T if x.ndim == 2 else x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
 
 
 def from_channel_rows(rows, shape):
     """The inverse of channel_rows: an array of the given (n, c[, h, w])
-    shape viewing the (c, n·h·w) rows."""
+    shape viewing the (c, h·w·n) rows."""
     if len(shape) == 2:
         return rows.T
     n, c, h, w = shape
-    return rows.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    return rows.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -609,7 +604,8 @@ def load_model(path):
     try:
         return Network(tuple(layers), tuple(manifest["input_shape"]),
                        tuple(manifest["capture_points"]))
-    except (ShapeMismatch, ValueError, KeyError, TypeError) as exc:
+    except (ShapeMismatch, ValueError, KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: a conv stride too large for the strides of its windows
         raise FormatError(f"inconsistent model: {exc}") from exc
 
 

@@ -92,7 +92,7 @@ def train_model(cfg, seed, source, target):
 
 
 def _model_cache_key(cfg, seed):
-    return st.content_key("model-v2", cfg.scenario, repr(cfg.data), repr(cfg.model),
+    return st.content_key("model-v3", cfg.scenario, repr(cfg.data), repr(cfg.model),
                           repr(cfg.train), int(seed))
 
 

@@ -3,12 +3,15 @@ Adam, and seeded shuffling.
 
 Training updates private copies of every layer's arrays; to keep the weights
 of some lower layers, the caller trains only the layers above them, on their
-output (pipeline.train_model). Each layer runs its own forward in training
-mode (BatchNorm on batch statistics with a running-statistics update, dropout
-masks drawn from the seeded generator), and training back-propagates through
-each layer's own backward from the top down to the lowest layer with a
-trainable parameter. Training is single-threaded and reproducible: identical
-(net, data, cfg) give identical final weights on one platform.
+output (pipeline.train_model). Each layer runs the forward that inference
+runs, in training mode (BatchNorm on batch statistics with a
+running-statistics update, dropout masks drawn from the seeded generator),
+on activations in the one layout of net.py: batch-inner, (c, h, w, n), in
+memory for conv features. Training back-propagates through each layer's own
+backward from the top down to the lowest layer with a trainable parameter,
+and the gradients keep that layout. Training is single-threaded and
+reproducible: identical (net, data, cfg) give identical final weights on one
+platform.
 """
 
 import math

@@ -28,37 +28,18 @@ def is_symmetric(a):
     return float(gap.max()) <= 1e-9 * max(1.0, float(np.abs(a).max()))
 
 
-def conv_backward(layer, cache, dout):
-    """Conv2D's input and weight gradients with the input-gradient GEMM over
-    the output gradient's columns in (n, h, w) order, scattered (col2im) into
-    a channel-major (c, n, H, W) buffer: (dx, weight gradient)."""
-    cols, (n, _, h, w) = cache
-    oc, ic, kh, kw = layer.weight.shape
-    oh, ow = dout.shape[2], dout.shape[3]
-    d2 = dout.transpose(1, 0, 2, 3).reshape(oc, -1)
-    dw = (d2 @ np.ascontiguousarray(cols.T)).reshape(layer.weight.shape)
-    pad, s = layer.padding, layer.stride
-    dcols = (layer.weight.reshape(oc, -1).T @ d2).reshape(ic, kh, kw, n, oh, ow)
-    dxp = np.zeros((ic, n, h + 2 * pad, w + 2 * pad))
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += dcols[:, ki, kj]
-    return dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3), dw
-
-
 def batchnorm_forward(layer, x, training):
-    """BatchNorm's forward with a new array for each step: (output, the
-    cache that batchnorm_backward reads, None in inference). Training
-    normalizes with the batch statistics of the (c, n·h·w) rows and moves
-    the running statistics as the layer does; inference normalizes with the
-    running statistics, broadcast over the input in its memory order."""
-    if not training:
-        shape = (1, -1) + (1,) * (x.ndim - 2)
-        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
-        out = (x - layer.running_mean.reshape(shape)) * inv.reshape(shape) \
-            * layer.scale.reshape(shape) + layer.shift.reshape(shape)
-        return out, None
+    """BatchNorm's forward on the (c, h·w·n) rows, with a new array for each
+    step: (output, the cache that batchnorm_backward reads, None in
+    inference). Training normalizes with the batch statistics and moves the
+    running statistics as the layer does; inference normalizes with the
+    running statistics."""
     xc = nm.channel_rows(x)
+    if not training:
+        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        out = (xc - layer.running_mean[:, None]) * inv[:, None] * layer.scale[:, None] \
+            + layer.shift[:, None]
+        return nm.from_channel_rows(out, x.shape), None
     mu = xc.mean(axis=1)
     centered = xc - mu[:, None]
     var = (centered * centered).mean(axis=1)

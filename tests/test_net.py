@@ -90,9 +90,8 @@ def einsum_conv_windows(layer, x):
 
 
 def einsum_conv_forward(layer, x):
-    """The conv's output as an optimized einsum. The layer's training GEMM
-    reproduces it bit for bit, and so does its inference GEMM wherever the
-    batch fills whole BLAS tiles."""
+    """The conv's output as an optimized einsum. The layer's GEMM reproduces
+    it bit for bit wherever the batch fills whole BLAS tiles."""
     windows = einsum_conv_windows(layer, x)[1]
     out = np.einsum("nihwkl,oikl->nohw", windows, layer.weight, optimize=True)
     return out + layer.bias[None, :, None, None]
@@ -100,8 +99,7 @@ def einsum_conv_forward(layer, x):
 
 def einsum_conv_reference(layer, x, dout):
     """The conv's forward, input gradient and weight gradient as optimized
-    einsums. The layer's training forward reproduces the first bit for bit;
-    its backward sums the same products in another order."""
+    einsums. The layer sums the same products in another order."""
     s, pad = layer.stride, layer.padding
     _, _, kh, kw = layer.weight.shape
     xp, windows = einsum_conv_windows(layer, x)
@@ -117,8 +115,13 @@ def einsum_conv_reference(layer, x, dout):
 
 
 def batch_inner(a):
-    """True when a (n, c, h, w) array is (c, h, w, n) in memory."""
+    """True when a (n, c, h, w) array is contiguous (c, h, w, n) in memory."""
     return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def as_batch_inner(a):
+    """A batch-inner copy of a (n, c, h, w) array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 @pytest.mark.parametrize("in_channels", (1, 3))
@@ -130,34 +133,34 @@ def test_conv_matches_einsum_reference(stride, padding, batch, in_channels):
     layer = nm.Conv2D(rng.normal(size=(5, in_channels, 3, 3)), rng.normal(size=5),
                       stride=stride, padding=padding)
     x = rng.normal(size=(batch, in_channels, 8, 8))
-    # inference is batch-inner and sums the same products; an odd batch
-    # leaves an edge tile that OpenBLAS rounds another way, so only within
-    # 1e-12, and a batch-inner input, as the layers below leave it, gives
-    # the same bits as a batch-major one
+    # the same products in the same GEMM as the einsum; an odd batch leaves
+    # an edge tile that OpenBLAS rounds another way, so only within 1e-12,
+    # and a batch-inner input, as the layers below leave it, gives the same
+    # bits as a batch-major one
     out, cache = layer.forward(x)
     assert cache is None and batch_inner(out)
     np.testing.assert_allclose(out, einsum_conv_forward(layer, x), rtol=1e-12, atol=1e-12)
-    xt = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
-    assert batch_inner(xt) and np.array_equal(layer.forward(xt)[0], out)
-    out, cache = layer.forward(x, mode=nm.TrainMode())
-    # (o, n, h, w) in memory, as einsum leaves it
-    assert out.transpose(1, 0, 2, 3).flags.c_contiguous
-    # the output gradient in both memory orders, (n, o, h, w) and (o, n, h, w)
-    for dout in (rng.normal(size=out.shape),
-                 rng.normal(size=(5, batch) + out.shape[2:]).transpose(1, 0, 2, 3)):
-        ref_out, ref_dx, ref_dw = einsum_conv_reference(layer, x, dout)
-        assert np.array_equal(out, ref_out)
-        dx, grads = layer.backward(cache, dout, True)
-        # one GEMM for the input gradient, and the weight gradient from the
-        # forward's im2col matrix: the same sums in another order
+    assert np.array_equal(layer.forward(as_batch_inner(x))[0], out)
+    train_out, cache = layer.forward(x, mode=nm.TrainMode())
+    assert np.array_equal(train_out, out) and train_out.strides == out.strides
+    # the output gradient batch-major and batch-inner: the backward reads
+    # both as the same (o, h*w*n) rows, so they give the same bits
+    dout = rng.normal(size=out.shape)
+    _, ref_dx, ref_dw = einsum_conv_reference(layer, x, dout)
+    results = [layer.backward(cache, d, True) for d in (dout, as_batch_inner(dout))]
+    for dx, grads in results:
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
         assert sorted(grads) == ["bias", "weight"]
         np.testing.assert_allclose(grads["weight"], ref_dw, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(grads["bias"], dout.sum(axis=(0, 2, 3)))
-        # and exactly the bits of the reference col2im (channel-major scatter)
-        col2im_dx, col2im_dw = references.conv_backward(layer, cache, dout)
-        assert np.array_equal(dx, col2im_dx)
-        assert np.array_equal(grads["weight"], col2im_dw)
+        # the plain sum, in the batch-inner order
+        assert np.array_equal(grads["bias"], as_batch_inner(dout).sum(axis=(0, 2, 3)))
+        # a view of the batch-inner col2im buffer, contiguous when unpadded;
+        # the ReLU below writes it contiguous batch-inner
+        assert batch_inner(dx) == (padding == 0)
+        assert batch_inner(nm.ReLU().backward(np.abs(dx), dx, True)[0])
+    (dx, grads), (dx2, grads2) = results
+    assert np.array_equal(dx, dx2)
+    assert all(np.array_equal(grads[name], grads2[name]) for name in grads)
 
 
 @pytest.mark.parametrize("batch", (256, 244, 238, 220, 512, 500, 476))
@@ -209,7 +212,8 @@ def test_conv_inference_chain_stays_batch_inner():
 @pytest.mark.parametrize("batch", (100, 37))
 def test_default_model_conv_backward_keeps_its_bits(batch):
     # the benchmark's conv shapes, at its training batch and at a short last
-    # batch: the batch-inner col2im gives the bits of the channel-major one
+    # batch: the gradients are the einsum's to 1e-12, and a batch-major
+    # output gradient gives the bits of a batch-inner one
     rng = np.random.default_rng(batch)
     model = pl.build_digits_model(ModelSection(), 0)
     h = rng.normal(size=(batch, 1, 8, 8))
@@ -218,18 +222,47 @@ def test_default_model_conv_backward_keeps_its_bits(batch):
         out, cache = layer.forward(h, mode=nm.TrainMode())
         if isinstance(layer, nm.Conv2D):
             convs += 1
-            for dout in (rng.normal(size=out.shape),
-                         rng.normal(size=(out.shape[1], batch) + out.shape[2:]).transpose(1, 0, 2, 3)):
-                dx, grads = layer.backward(cache, dout, True)
-                ref_dx, ref_dw = references.conv_backward(layer, cache, dout)
-                assert np.array_equal(dx, ref_dx)
-                assert np.array_equal(grads["weight"], ref_dw)
+            dout = rng.normal(size=out.shape)
+            _, ref_dx, ref_dw = einsum_conv_reference(layer, h, dout)
+            dx, grads = layer.backward(cache, as_batch_inner(dout), True)
+            np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grads["weight"], ref_dw, rtol=1e-12, atol=1e-12)
+            dx2, grads2 = layer.backward(cache, dout, True)
+            assert np.array_equal(dx, dx2)
+            assert all(np.array_equal(grads[name], grads2[name]) for name in grads)
         h = out
     assert convs == 3
 
 
+@pytest.mark.parametrize("batch", (100, 37))
+def test_default_model_conv_stack_is_one_engine(batch):
+    # one layer engine: on the default model's conv stack, each layer's
+    # training output has the bits and the memory order of its inference
+    # output, BatchNorm's on the batch's own statistics
+    rng = np.random.default_rng(batch)
+    model = pl.build_digits_model(ModelSection(), 0)
+    h = rng.normal(size=(batch, 1, 8, 8))
+    kinds = []
+    for layer in model.layers[:9]:
+        if isinstance(layer, nm.BatchNorm):
+            c = layer.scale.shape[0]
+            layer = nm.BatchNorm(rng.uniform(0.5, 2.0, c), rng.normal(size=c),
+                                 np.zeros(c), np.ones(c))
+        out, _ = layer.forward(h, mode=nm.TrainMode())
+        if isinstance(layer, nm.BatchNorm):
+            rows = nm.channel_rows(h)
+            mu = rows.mean(axis=1)
+            centered = rows - mu[:, None]
+            layer = nm.BatchNorm(layer.scale, layer.shift, mu, (centered * centered).mean(axis=1))
+        same = nm.apply_layer(layer, h)
+        assert batch_inner(out) and np.array_equal(out, same) and out.strides == same.strides
+        kinds.append(layer.kind)
+        h = out
+    assert kinds == ["conv2d", "batchnorm", "relu"] * 3
+
+
 @pytest.mark.parametrize("training", (True, False))
-@pytest.mark.parametrize("layout", ("dense", "channel_major", "batch_major"))
+@pytest.mark.parametrize("layout", ("dense", "batch_inner", "batch_major"))
 def test_batchnorm_training_keeps_its_bits(layout, training):
     # the in-place training forward and backward, and the in-place inference
     # forward, against the reference expressions: the same bits, in the same
@@ -239,7 +272,7 @@ def test_batchnorm_training_keeps_its_bits(layout, training):
     if layout == "dense":
         x, dout = rng.normal(size=(40, c)), rng.normal(size=(40, c))
     else:
-        x, dout = (rng.normal(size=(c, 9, 5, 5)).transpose(1, 0, 2, 3) for _ in range(2))
+        x, dout = (rng.normal(size=(c, 5, 5, 9)).transpose(3, 0, 1, 2) for _ in range(2))
         if layout == "batch_major":
             x, dout = np.ascontiguousarray(x), np.ascontiguousarray(dout)
 
@@ -251,10 +284,13 @@ def test_batchnorm_training_keeps_its_bits(layout, training):
     out, cache = bn.forward(x, mode=nm.TrainMode() if training else None)
     ref_out, ref_cache = references.batchnorm_forward(ref, x, training)
     assert np.array_equal(out, ref_out) and out.strides == ref_out.strides
+    # a dense or batch-inner input keeps its memory order, and a batch-major
+    # one comes out batch-inner
+    assert out.strides == (x if layout != "batch_major" else as_batch_inner(x)).strides
     for name in bn.buffers:
         assert np.array_equal(getattr(bn, name), getattr(ref, name))
     if not training:
-        assert cache is None and out.strides == x.strides
+        assert cache is None
         return
     for a, b in zip(cache, ref_cache):
         assert np.array_equal(a, b)
@@ -273,11 +309,11 @@ def test_batchnorm_training_keeps_its_bits(layout, training):
         assert np.array_equal(grads[name], ref_grads[name])
 
 
-def test_training_keeps_conv_activations_channel_major():
-    # Conv2D's output and input gradient are (c, n, h, w) in memory, and so
-    # are BatchNorm's and ReLU's outputs and gradients on them: BatchNorm's
+def test_training_chain_stays_batch_inner():
+    # in training, Conv2D's output is (c, h, w, n) in memory, and so are
+    # BatchNorm's and ReLU's outputs and gradients on it: BatchNorm's
     # per-channel rows view them without a copy, and Conv2D's backward reads
-    # its output gradient as one (o, n*h*w) view
+    # its output gradient as one (o, h*w*n) view
     rng = np.random.default_rng(20)
     conv = nm.Conv2D(rng.normal(size=(5, 3, 3, 3)), rng.normal(size=5), stride=2, padding=1)
     bn = nm.BatchNorm(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
@@ -285,23 +321,23 @@ def test_training_keeps_conv_activations_channel_major():
     assert not np.shares_memory(nm.channel_rows(x), x)  # batch-major: a copy
     mode = nm.TrainMode()
     out, conv_cache = conv.forward(x, mode=mode)
-    assert np.shares_memory(nm.channel_rows(out), out)
     y, bn_cache = bn.forward(out, mode=mode)
     z, relu_cache = nm.ReLU().forward(y, mode=mode)
-    for a in (y, z):
-        assert np.shares_memory(nm.channel_rows(a), a)
+    for a in (out, y, z):
+        assert batch_inner(a) and np.shares_memory(nm.channel_rows(a), a)
     dz = nm.from_channel_rows(rng.normal(size=(5, out.size // 5)), out.shape)
     dy, _ = nm.ReLU().backward(relu_cache, dz, True)
-    assert np.shares_memory(nm.channel_rows(dy), dy)
     dout, _ = bn.backward(bn_cache, dy, True)
-    assert np.shares_memory(nm.channel_rows(dout), dout)
+    for a in (dz, dy, dout):
+        assert batch_inner(a) and np.shares_memory(nm.channel_rows(a), a)
     dx, _ = conv.backward(conv_cache, dout, True)
     assert dx.shape == x.shape
-    # channel-major and contiguous: one copy out of the padded buffer
-    assert np.shares_memory(nm.channel_rows(dx), dx)
+    # a batch-inner view of the padded col2im buffer, which the ReLU below
+    # writes contiguous
+    assert dx.base.shape == (3, 10, 10, 4) and not batch_inner(dx)
     relu_out = nm.from_channel_rows(np.abs(rng.normal(size=(3, x.size // 3))), x.shape)
     below, _ = nm.ReLU().backward(relu_out, dx, True)
-    assert np.shares_memory(nm.channel_rows(below), below)
+    assert batch_inner(below) and np.shares_memory(nm.channel_rows(below), below)
     # a dense BatchNorm's rows are the transpose of its (n, c) input
     h = rng.normal(size=(6, 5))
     assert np.shares_memory(nm.channel_rows(h), h)
@@ -500,6 +536,13 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
         (tmp_path / "m" / "model.json").write_text(json.dumps(dict(manifest, **{key: value})))
         with pytest.raises(FormatError, match="inconsistent model"):
             nm.load_model(tmp_path / "m")
+    # an integer conv stride, which the layer takes, too large for the byte
+    # strides of its windows in the dry run
+    bad = json.loads(json.dumps(manifest))
+    bad["layers"][0]["stride"] = 10 ** 30
+    (tmp_path / "m" / "model.json").write_text(json.dumps(bad))
+    with pytest.raises(FormatError, match="inconsistent model"):
+        nm.load_model(tmp_path / "m")
 
     # layer 0's weight gone from both the index and the blob
     blob = (tmp_path / "m" / "weights.bin").read_bytes()
@@ -579,8 +622,8 @@ def test_with_layers_keeps_untouched_layer_objects():
     assert nm.shared_depth(netw, fixed) == 0
     assert fixed.layers[1] is netw.layers[1]
 
-    # a stride given as a float is stored as an int
-    loose = nm.Conv2D(conv.weight, conv.bias, stride=1.0, padding=conv.padding)
+    # a stride given as a numpy integer is stored as an int
+    loose = nm.Conv2D(conv.weight, conv.bias, stride=np.int64(1), padding=conv.padding)
     assert type(loose.stride) is int and loose.stride == 1
     assert nm.with_layers(netw, (loose,) + netw.layers[1:]).layers[0] is loose
 
@@ -646,7 +689,7 @@ def test_layers_coerce_and_check_themselves():
                           w.astype(np.float32))
     bn = nm.BatchNorm(*(np.ones(2) for _ in range(4)), eps=0, momentum=1)
     assert (type(bn.eps), type(bn.momentum), type(nm.Dropout(0).rate)) == (float,) * 3
-    conv = nm.Conv2D(w, np.zeros(3), stride=2.0, padding=1.0)
+    conv = nm.Conv2D(w, np.zeros(3), stride=np.int32(2), padding=np.uint8(1))
     assert (type(conv.stride), type(conv.padding)) == (int, int)
     # an array that needs no coercion is kept as the same object
     assert nm.Conv2D(w, np.zeros(3)).weight is w
@@ -659,7 +702,12 @@ def test_layers_coerce_and_check_themselves():
                 lambda: nm.BatchNorm(np.ones(2), np.ones(2), np.ones(3), np.ones(2))):
         with pytest.raises(ShapeMismatch):
             bad()
-    for bad in (lambda: nm.Conv2D(w, np.zeros(3), stride=0),
+    # int() would truncate a fractional stride or padding, and overflow on
+    # 1e300, so a float is refused before the coercion
+    for bad in (lambda: nm.Conv2D(w, np.zeros(3), stride=1.5),
+                lambda: nm.Conv2D(w, np.zeros(3), stride=2.0),
+                lambda: nm.Conv2D(w, np.zeros(3), padding=1e300),
+                lambda: nm.Conv2D(w, np.zeros(3), stride=0),
                 lambda: nm.Conv2D(w, np.zeros(3), padding=-1),
                 lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, np.nan])),
                 lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, 0.0])),
@@ -675,6 +723,9 @@ def test_layers_coerce_and_check_themselves():
     (lambda m: m["tensors"][-1].update(layer=10), 10, r"unexpected tensors \['weight'\]"),
     (lambda m: m["layers"][4].pop("stride"), 4, "KeyError.*stride"),
     (lambda m: m["layers"][7].pop("rate"), 7, "KeyError.*rate"),
+    # int() overflows on 1e300 and truncates 1.5
+    (lambda m: m["layers"][4].update(stride=1e300), 4, "stride and padding must be integers"),
+    (lambda m: m["layers"][0].update(padding=1.5), 0, "stride and padding must be integers"),
     (lambda m: m["tensors"][-1].update(layer=99), 99, "no such layer"),
     (lambda m: m["tensors"][0].update(layer=-1), -1, "no such layer"),
     # a keep probability of 0 would divide by zero in a training forward
@@ -691,3 +742,4 @@ def test_load_rejects_bad_layer_entries(tmp_path, edit, layer, message):
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=f"model.json: layer {layer}: .*{message}"):
         nm.load_model(tmp_path)
+

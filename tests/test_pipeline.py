@@ -96,6 +96,17 @@ def test_config_requires_seeds_and_version(tmp_path):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("content", (b"\xff\xfe{\"seeds\": [0]}", b"[" * 100_000),
+                         ids=("not_utf8", "deeply_nested"))
+def test_cli_reports_an_undecodable_config(tmp_path, capsys, content):
+    # a decode failure is a ConfigError, which the CLI prints in one line
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "Traceback" not in err
+
+
 def test_model_cache_key_is_pinned(tmp_path):
     # the key hashes the reprs of the data, model and train sections, so a
     # change to them would silently retrain every cached model
@@ -103,7 +114,7 @@ def test_model_cache_key_is_pinned(tmp_path):
                            "configs", "example.json")
     cfg = parse_config(read_config(example))
     assert pl._model_cache_key(cfg, 0) == \
-        "ce51f6f9b8fa87fe8a0f8e15e2cac745ab549654bb287e0c70ef683487ff6b4d"
+        "a1fdf22c4c2ea72ab6b0144ca4a745382d46579dc9e712480771d9899a09d866"
     c09 = parse_config({  # the regularization-trend acceptance document
         "schema_version": 1, "scenario": "pretrain_finetune", "seeds": list(range(10)),
         "data": {"n_per_split": 1500,
@@ -115,7 +126,7 @@ def test_model_cache_key_is_pinned(tmp_path):
         "paths": {"out_dir": str(tmp_path)},
     })
     assert pl._model_cache_key(c09, 0) == \
-        "230f735d5681eb817b9f65e894e36b5b8aaf4397586f3bb9ddde672781366f59"
+        "d59e17d1fdad7e7c85da449eb3c99b30cbfa0be7cd6241cecd39767f17aa38ee"
 
 
 def test_model_cache_tag_pins_training_arithmetic(tmp_path):
@@ -123,12 +134,12 @@ def test_model_cache_tag_pins_training_arithmetic(tmp_path):
     # serve models that changed training arithmetic no longer produces
     cfg = parse_config(tiny_doc(tmp_path))
     assert pl._model_cache_key(cfg, 0) == st.content_key(
-        "model-v2", cfg.scenario, repr(cfg.data), repr(cfg.model), repr(cfg.train), 0)
+        "model-v3", cfg.scenario, repr(cfg.data), repr(cfg.model), repr(cfg.train), 0)
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
     nm.save_model(pl.train_model(cfg, 0, source, target), tmp_path / "m")
     digest = hashlib.sha256((tmp_path / "m" / "weights.bin").read_bytes()).hexdigest()
-    assert digest == "212d4b1b0de289a12cb1953864c5af9a796b811fc8449d759a46677516225722", (
-        "the trained weights changed: bump the \"model-v2\" tag in "
+    assert digest == "3d9f4cd9d44ff14785fbfc1557eef639d8ea3254811fa45f2c39e3cf82945e35", (
+        "the trained weights changed: bump the \"model-v3\" tag in "
         "pipeline._model_cache_key together with this digest")
 
 
@@ -146,7 +157,7 @@ def test_pretrain_finetune_training_is_pinned(tmp_path):
     cfg = parse_config(doc)
     source, target = make_two_domain(0, cfg.data.n_per_split, cfg.data.shift)
     assert weights_digest(pl.train_model(cfg, 0, source, target), tmp_path / "m") == \
-        "6926378aa55d282f74850e2db7bc9ba0d7ca5d2c1337c13d6e3f131f2d296eac"
+        "af25d7657c7d930bb5f1c3472e3d855c5e2ae1262f43e4e97545a079d693f8bf"
 
 
 def test_finetune_trains_a_head_on_pushed_target_features(tmp_path, monkeypatch):
@@ -186,7 +197,7 @@ def test_finetune_model_is_pinned(tiny_setup, tmp_path):
     (_, compressed, _, _), = pl.compress_sweep(cfg, 0, source, target, model)
     tuned = pl.finetune_model(cfg, compressed, target, 0)
     assert weights_digest(tuned, tmp_path / "m") == \
-        "00a9070a1ac2edb675f655300d044440de346e0283721e6c74b682c45211743e"
+        "8a10ba3f0c48a4c3709441e43496dd1b9eb537348a31b048a54bba08cd821507"
 
 
 _TRAIN_SCRIPT = """
@@ -222,8 +233,8 @@ def test_training_independent_of_blas_threads(tmp_path):
     digests = outputs_at_one_and_two_threads(_TRAIN_SCRIPT,
                                              lambda threads: [str(tmp_path / threads)])
     assert digests[0].split() == [
-        "fe23f58bb26a0aeee6f868c4c06f5ebabfaf3d4e2106af62db44a0600d4bbd13",
-        "973872e765f7a905110486d93ee458ca369f89f5ed110ab1639862194ec41896"]
+        "b2c43af25c9adaaec484a5facedbb7fdafc57f7888798a07739ffe9389433712",
+        "6cb07fd0dd29eeb280a31d40e2443105baaa205b976fc97ff11605975f14a28f"]
     assert digests[0] == digests[1]
 
 
@@ -357,10 +368,10 @@ def test_run_lowrank_methods(tiny_setup):
 
 
 @pytest.mark.parametrize("method, digest, digest64", [
-    ("dalr", "dbe0b5ba2a841c3e66ebaa2517abdbbc2b8ebaa58cd3b1b28ee801aa59c1b88f",
-     "ac925be0c71d97d0a82c0348c46ff48fb2cb378ccb299ff2c084cbca07ab8d34"),
-    ("svd", "b85bda19e15291af702209c650741b3ea921055a814272059e2877c867aa7da7",
-     "15e8693865f41db2509eb8d9c0e5f2fd432e3173accc9cfb5aa3ed17004e5350"),
+    ("dalr", "cf4f8ac0a12616411472aa11fd310db07afae6a9ff5bd07cc2e83b45a984620e",
+     "961436867e5dfbed056670de560487bfaaefd7e031997a76a2fd9b4f13222782"),
+    ("svd", "d03bbe23586c3f9cbea75cc50cbdd9473c4a0616fc7707af44e66da50423cd5d",
+     "43bea5a129937cfea6be46f232184f8490cd08ae0f2a37e7ae13f091f1d66235"),
 ], ids=("dalr", "svd"))
 def test_lowrank_sweep_models_are_pinned(tiny_setup, tmp_path, method, digest, digest64):
     # The save_model bytes of every point of a rank sweep, and its tensors
