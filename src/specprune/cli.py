@@ -67,6 +67,8 @@ def cmd_compress(cfg, args):
 
 
 def cmd_finetune(cfg, args):
+    if cfg.fine_tune is None:  # the saved model would be an untouched copy
+        raise ConfigError("fine_tune: finetune needs a fine_tune section in the config")
     out = args.model.rstrip("/") + "_ft"
     if len(cfg.seeds) > 1:  # each seed would overwrite the one model in `out`
         raise ConfigError(f"seeds: finetune writes one model to {out}; "

@@ -135,9 +135,9 @@ _RULES = {
     "compress.conv_value": ((lambda v: v < 0 or 0 < v <= 1), "in (0, 1] or negative"),
     "compress.lambda": _at_least(0),
     "fine_tune.optimizer": _one_of(tuple(OPTIMIZERS)),
-    "fine_tune.batch_size": _at_least(1),
-    **{f"fine_tune.{name}": _at_least(0)
-       for name in ("learning_rate", "weight_decay", "epochs")},
+    # a null fine_tune is the one way to switch fine-tuning off
+    **{f"fine_tune.{name}": _at_least(1) for name in ("batch_size", "epochs")},
+    **{f"fine_tune.{name}": _at_least(0) for name in ("learning_rate", "weight_decay")},
 }
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, ShapeMismatch
+from .errors import DegenerateData, NoConvergence, NotPositiveDefinite, ShapeMismatch
 
 #: Relative ridge applied to near-singular moment matrices: ridge = RIDGE_SCALE * tr(A) / dim.
 RIDGE_SCALE = 1e-8
@@ -78,7 +78,7 @@ def svd(m):
     """
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise DegenerateData("matrix has non-finite entries")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:

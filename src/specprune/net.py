@@ -136,8 +136,10 @@ class Conv2D(Layer):
         w, b = self.weight, self.bias
         if w.ndim != 4 or getattr(b, "shape", None) != (w.shape[0],):
             raise ShapeMismatch(f"conv weight {w.shape} / bias {getattr(b, 'shape', None)}")
-        if self.stride < 1 or self.padding < 0:
-            raise ValueError("bad stride/padding")
+        if self.stride < 1 or not 0 <= self.padding < min(w.shape[2:]):
+            # a pad as wide as the kernel only adds outputs that see zeros
+            raise ValueError(f"bad stride {self.stride} / padding {self.padding} "
+                             f"for a {w.shape[2:]} kernel")
 
     # One lowering for inference and training: an im2col matrix with columns
     # in (oh, ow, n) order, gathered from a batch-inner (c, h, w, n) padded
@@ -551,8 +553,8 @@ def load_model(path):
     """Load a model directory written by save_model.
 
     Raises FormatError, naming the file or layer, for a missing, unreadable
-    or inconsistent part, a tensor the manifest lists twice, or a NaN or Inf
-    in any tensor."""
+    or inconsistent part, a tensor the manifest lists twice, a NaN or Inf
+    in any tensor, or a dry run too large to allocate."""
     manifest_path = os.path.join(path, "model.json")
     weights_path = os.path.join(path, "weights.bin")
     try:
@@ -604,8 +606,8 @@ def load_model(path):
     try:
         return Network(tuple(layers), tuple(manifest["input_shape"]),
                        tuple(manifest["capture_points"]))
-    except (ShapeMismatch, ValueError, KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: a conv stride too large for the strides of its windows
+    except (ShapeMismatch, ValueError, KeyError, TypeError, OverflowError, MemoryError) as exc:
+        # too large a stride overflows the windows' strides, too large an input the memory
         raise FormatError(f"inconsistent model: {exc}") from exc
 
 

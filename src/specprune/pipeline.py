@@ -23,7 +23,7 @@ from . import stats as st
 from . import train as tr
 from .config import REG_MODE_BY_METHOD, SPECTRAL_METHODS
 from .datasets import make_two_domain
-from .errors import DegenerateSigma, FormatError, PipelineStageError, SpecPruneError
+from .errors import FormatError, PipelineStageError, SpecPruneError
 
 ANALYSIS_COLUMNS = ("seed", "layer_pos", "capture", "specificity", "count",
                     "rate_on_source", "rate_on_target")
@@ -195,7 +195,7 @@ def finetune_model(cfg, netw, target, seed):
     Dropout markers are disabled for node-pruned models (their input
     dimension changed); factorization baselines keep them."""
     ft = cfg.fine_tune
-    if ft is None or ft.epochs == 0:
+    if ft is None:
         return netw
     if cfg.compress.method in SPECTRAL_METHODS:
         layers = [dataclasses.replace(l, rate=0.0) if isinstance(l, nm.Dropout) else l
@@ -392,10 +392,10 @@ def run(cfg, log=None):
 def node_specificity_analysis(cfg, log=None):
     """Prune a layer under source-only vs target-only statistics and compare
     the activation rates of the selection-specific node classes on both
-    domains; repeated at the first and last capture points. The moments are
-    sampled by the compressor's own sampler, spectral._rows_to_acc. Each
-    domain's statistics samples and test split are pushed once, to the first
-    capture and from there on to the last. A selection that fails is
+    domains; repeated at the first and last capture points. A domain selects
+    by spectral.select_at, the compressor's capture step, on its own stream.
+    Each domain's statistics samples and test split are pushed once, to the
+    first capture and from there on to the last. A failed selection is
     reported under the stage tag "analyze", with its capture and domain."""
     say = log or (lambda *_: None)
     rows = []
@@ -417,8 +417,8 @@ def node_specificity_analysis(cfg, log=None):
             keep = max(1, round(SPECIFICITY_KEEP_FRACTION * widths[cp]))
             gcfg = sp.GreedyConfig(max_cardinality=keep)
             j_source, j_target = (
-                _stage("analyze", _domain_selection, cp, train_acts[domain][pos], seed,
-                       domain, gcfg)
+                set(_stage("analyze", sp.select_at, cp, [train_acts[domain][pos]], [domain],
+                           {"sigma": 0}, seed, gcfg)[1].selected)
                 for domain in ("source", "target"))
             classes = {
                 "source": sorted(j_source - j_target),
@@ -436,17 +436,6 @@ def node_specificity_analysis(cfg, log=None):
             say(f"seed={seed} {pos} layer: "
                 + ", ".join(f"{k}:{len(v)}" for k, v in classes.items()))
     return rows
-
-
-def _domain_selection(cp, acts, seed, domain, gcfg):
-    """The set of nodes find_subset keeps at capture cp under one domain's
-    statistics of its pushed activations acts."""
-    acc = sp._rows_to_acc(cp, acts, np.random.default_rng(seed))
-    sigma = st.finalize(acc, domain).sigma
-    try:
-        return set(sp.find_subset(sigma, gcfg).selected)
-    except DegenerateSigma as exc:
-        raise DegenerateSigma(f"capture point {cp} ({domain} statistics): {exc}") from exc
 
 
 def emit_analysis(rows, path, fmt="csv"):

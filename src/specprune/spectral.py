@@ -182,12 +182,9 @@ def _std(values):
     return math.sqrt(np.add.reduce(dev) / len(values))
 
 
-def _naive_gains(sigma, selected, cand, ridge):
-    """Reference candidate evaluation: full trace ratio per candidate."""
+def _naive_gains(sigma, selected, cand, ridge, base):
+    """Reference candidate evaluation: full trace gain over base, the numerator of selected."""
     gains = np.empty(len(cand))
-    base = 0.0
-    if selected:
-        base = _trace_num(sigma, selected, ridge)
     for k, j in enumerate(cand):
         gains[k] = _trace_num(sigma, selected + [j], ridge) - base
     return gains
@@ -265,7 +262,7 @@ def find_subset(sigma, cfg=GreedyConfig(), stats_source=None, stats_target=None,
             eff += ridge
             gains = np.where(eff > 0, rownorm2[cand] / np.maximum(eff, 1e-300), 0.0)
         else:
-            gains = _naive_gains(sigma, selected, list(cand), ridge)
+            gains = _naive_gains(sigma, selected, list(cand), ridge, num)
         if float(gains.max()) / total < PLATEAU_TOL:
             plateau = True
             break
@@ -369,6 +366,26 @@ def _cut_short(plan, loose, cfg, sigma):
     return plan
 
 
+def select_at(cp, streams, labels, slots, seed, cfg):
+    """The capture step at cp: each pushed stream's rows drawn from one
+    np.random.default_rng(seed), in order, and finalized under its label,
+    then find_subset on the "sigma" stream of slots, with any "source" and
+    "target" statistics. Returns (sigma, plan); a DegenerateSigma names cp
+    and the sigma stream's label ("" reads "selection")."""
+    rng = np.random.default_rng(seed)
+    moments = [st.finalize(_rows_to_acc(cp, x, rng), label)
+               for x, label in zip(streams, labels)]
+    named = {name: moments[i] for name, i in slots.items()}
+    sigma = named["sigma"].sigma
+    try:
+        plan = find_subset(sigma, cfg, stats_source=named.get("source"),
+                           stats_target=named.get("target"))
+    except DegenerateSigma as exc:
+        label = labels[slots["sigma"]] or "selection"
+        raise DegenerateSigma(f"capture point {cp} ({label} statistics): {exc}") from exc
+    return sigma, plan
+
+
 class SweepMemo:
     """The compress_network calls of one sweep, walked as one tree of cuts.
 
@@ -450,23 +467,12 @@ class SweepMemo:
                 del children[key]
 
     def _select(self, cp, streams, points):
-        """Take the moments of the streams pushed to capture cp and cut each
-        point's plan there short; returns {kept nodes: points}."""
-        rng = np.random.default_rng(self._seed)
-        moments = [st.finalize(_rows_to_acc(cp, x, rng), label)
-                   for x, label in zip(streams, self._labels)]
-        named = {name: moments[i] for name, i in self._slots.items()}
-        sigma = named["sigma"].sigma
+        """Cut each point's plan at cp short from the points' loosest; {kept nodes: points}."""
         configs = [self._points[i][cp] for i in points]
         caps = [c.max_cardinality for c in configs]
         loose = dataclasses.replace(configs[0], alpha=max(c.alpha for c in configs),
                                     max_cardinality=0 if 0 in caps else max(caps))
-        try:
-            plan = find_subset(sigma, loose, stats_source=named.get("source"),
-                               stats_target=named.get("target"))
-        except DegenerateSigma as exc:
-            raise DegenerateSigma(
-                f"capture point {cp} (selection statistics): {exc}") from exc
+        sigma, plan = select_at(cp, streams, self._labels, self._slots, self._seed, loose)
         groups = {}
         for i, cfg in zip(points, configs):
             self._plans[i][cp] = cut = _cut_short(plan, loose, cfg, sigma)
@@ -509,9 +515,8 @@ def compress_network(network, sigma_features, cfg, source_features=None,
     statistics when any capture's reg_mode is not 'none'. Inputs that are
     one array (equal slices) are one stream: at every capture it is pushed
     and its rows are drawn and accumulated once, and every name bound to it
-    gets the same LayerStatistics. Each capture whose moments are computed
-    draws its rows from a generator of its own, np.random.default_rng(seed),
-    shared by its distinct streams in order.
+    gets the same LayerStatistics. Each capture selects through select_at,
+    which draws its rows from a generator of its own, made from seed.
     memo, a SweepMemo, makes the call the next point of its sweep; without
     one, the call is a sweep of one point.
     """
@@ -554,8 +559,8 @@ def _rows_to_acc(cp, x, rng):
     position) keeps a uniform random subset of ROW_BUDGET of them, drawn
     from rng. So BATCH_SIZE changes which rows, and how many, enter the
     moments; it is not a pure performance setting. Where no block is
-    subsampled nothing is drawn. A sweep node calls it once per distinct
-    stream at its capture, for all the names bound to the stream.
+    subsampled nothing is drawn. select_at calls it once per stream at its
+    capture, for all the names bound to the stream.
     """
     width = x.shape[1]
     acc = st.MomentAccumulator(cp, width)

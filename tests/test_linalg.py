@@ -3,7 +3,7 @@ import pytest
 import references
 
 from specprune import linalg
-from specprune.errors import NoConvergence, NotPositiveDefinite
+from specprune.errors import DegenerateData, NotPositiveDefinite
 
 
 def random_spd(rng, n, cond=None):
@@ -104,7 +104,8 @@ def test_svd_permutation_invariant_spectrum():
 
 
 def test_svd_rejects_non_finite():
-    with pytest.raises((ValueError, NoConvergence)):
+    # a SpecPruneError, so a pipeline stage tags it
+    with pytest.raises(DegenerateData, match="non-finite"):
         linalg.svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 

@@ -530,9 +530,11 @@ def test_load_rejects_bad_magic_and_shape_disagreement(tmp_path):
         with pytest.raises(FormatError, match="model.json"):
             nm.load_model(tmp_path / "m")
 
-    # a repeated or non-integral capture point, a non-integral input dimension
+    # a repeated or non-integral capture point, a non-integral input dimension,
+    # an input too large for the dry run to allocate (745 TiB, more than a
+    # process's address space holds, so no host lets it through)
     for key, value in (("capture_points", [1, 1, 3]), ("capture_points", [1.9, 3]),
-                       ("input_shape", [1, 8.5, 8])):
+                       ("input_shape", [1, 8.5, 8]), ("input_shape", [1, 10 ** 7, 10 ** 7])):
         (tmp_path / "m" / "model.json").write_text(json.dumps(dict(manifest, **{key: value})))
         with pytest.raises(FormatError, match="inconsistent model"):
             nm.load_model(tmp_path / "m")
@@ -649,6 +651,39 @@ def every_kind_network():
     return nm.Network(layers, (1, 8, 8), capture_points=(2, 5, 10))
 
 
+# A value for each JSON type, and numbers out of every range a key might have.
+MANIFEST_VALUES = (float("nan"), 1e300, -1e300, 10 ** 6, 10 ** 30, -1, 0, 1.5, True, None,
+                   "x", [], {})
+
+
+def test_every_manifest_key_at_every_value_loads_or_is_refused(tmp_path):
+    # each key of the every-kind manifest (the top level's, each layer
+    # entry's and each tensor entry's), set to each value in turn: the load
+    # raises FormatError, or the model it gives runs a 2-sample batch
+    nm.save_model(every_kind_network(), tmp_path)
+    text = (tmp_path / "model.json").read_text()
+    doc = json.loads(text)
+    places = [(None, None, key) for key in doc] + [
+        (section, i, key) for section in ("layers", "tensors")
+        for i, entry in enumerate(doc[section]) for key in entry]
+    assert len(places) == 87
+    rng = np.random.default_rng(0)
+    escaped = []
+    for section, i, key in places:
+        for value in MANIFEST_VALUES:
+            bad = json.loads(text)
+            (bad if section is None else bad[section][i])[key] = value
+            (tmp_path / "model.json").write_text(json.dumps(bad))
+            try:
+                model = nm.load_model(tmp_path)
+                nm.forward(model, rng.normal(size=(2,) + model.input_shape))
+            except FormatError:
+                pass
+            except Exception as exc:  # any other error escaped the load's checks
+                escaped.append((section, i, key, value, repr(exc)))
+    assert escaped == []
+
+
 def saved_digest(path):
     return hashlib.sha256((path / "model.json").read_bytes()
                           + (path / "weights.bin").read_bytes()).hexdigest()
@@ -709,6 +744,7 @@ def test_layers_coerce_and_check_themselves():
                 lambda: nm.Conv2D(w, np.zeros(3), padding=1e300),
                 lambda: nm.Conv2D(w, np.zeros(3), stride=0),
                 lambda: nm.Conv2D(w, np.zeros(3), padding=-1),
+                lambda: nm.Conv2D(w, np.zeros(3), padding=3),
                 lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, np.nan])),
                 lambda: nm.BatchNorm(*(np.ones(2) for _ in range(3)), np.array([1.0, 0.0])),
                 lambda: nm.BatchNorm(*(np.ones(2) for _ in range(4)), eps=-1.0)):
@@ -734,6 +770,9 @@ def test_layers_coerce_and_check_themselves():
     (lambda m: m["layers"][11].update(has_bias=True), 11, "has_bias"),
     (lambda m: m["layers"][8].update(has_bias=False), 8, "has_bias"),
     (lambda m: m["layers"][9].update(channels=7), 9, "channels"),
+    # a pad as wide as the kernel; a million would ask the dry run for TiBs
+    (lambda m: m["layers"][4].update(padding=3), 4, r"padding 3 for a \(3, 3\) kernel"),
+    (lambda m: m["layers"][0].update(padding=1000000), 0, "padding 1000000"),
 ))
 def test_load_rejects_bad_layer_entries(tmp_path, edit, layer, message):
     nm.save_model(every_kind_network(), tmp_path)

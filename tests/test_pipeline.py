@@ -18,7 +18,7 @@ from specprune import stats as st
 from specprune import train as tr
 from specprune.config import parse_config, read_config
 from specprune.datasets import make_two_domain
-from specprune.errors import ConfigError, Diverged, FormatError
+from specprune.errors import ConfigError, DegenerateData, Diverged, FormatError
 
 
 def tiny_doc(out_dir, **compress):
@@ -365,6 +365,21 @@ def test_run_lowrank_methods(tiny_setup):
         row = report.rows[0]
         assert row.params_after < row.params_before
         assert row.ratio_achieved == ()
+
+
+def test_dalr_on_non_finite_activations_is_a_typed_error(tiny_setup):
+    # the hidden dense weights scaled by 1e200 overflow the second one's
+    # output to inf, which the factorization refuses as a SpecPruneError
+    _, cfg, source, target, model = tiny_setup
+    layers = list(model.layers)
+    for i in (11, 14):
+        layers[i] = dataclasses.replace(layers[i], weight=layers[i].weight * 1e200)
+    cfg = dataclasses.replace(cfg, compress=dataclasses.replace(
+        cfg.compress, method="dalr", sweep=(8,), sweep_kind="rank"))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateData, match="non-finite"):
+        pl.compress_model(cfg, nm.with_layers(model, layers), 8,
+                          pl.stats_features(cfg, source, target), None, None, 0)
 
 
 @pytest.mark.parametrize("method, digest, digest64", [
@@ -969,6 +984,22 @@ def test_cli_model_commands_fail_before_work(tmp_path, capsys):
     assert err.startswith("error:") and "--seed" in err and "Traceback" not in err
     assert not (tmp_path / "m_ft").exists()
 
+    # without a fine_tune section the saved model would be an untouched copy
+    cfg_path.write_text(json.dumps(tiny_doc(tmp_path / "out")))
+    assert cli.main(["finetune", "--config", str(cfg_path), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fine_tune:") and err.count("\n") == 1
+    assert not (tmp_path / "m_ft").exists()
+
+    # an input shape whose dry run no address space holds
+    manifest = json.loads((model / "model.json").read_text())
+    huge = dict(manifest, input_shape=[1, 10 ** 7, 10 ** 7])
+    (model / "model.json").write_text(json.dumps(huge))
+    assert cli.main(["eval", "--config", str(cfg_path), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: inconsistent model") and "Traceback" not in err
+    (model / "model.json").write_text(json.dumps(manifest))
+
     (model / "weights.bin").unlink()
     assert cli.main(["eval", "--config", str(cfg_path), "--model", str(model)]) == 1
     err = capsys.readouterr().err
@@ -1043,6 +1074,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
                         (("train", "source_samples"), -1),
                         (("train", "target_samples"), -1),
                         (("fine_tune", "batch_size"), 0), (("fine_tune", "epochs"), -1),
+                        # a null fine_tune is the one way to switch it off
+                        (("fine_tune", "epochs"), 0),
                         (("fine_tune", "learning_rate"), -1.0),
                         (("model", "conv_channels"), [0, 4, 8]),
                         (("model", "dense_widths"), [-3, 24]),
